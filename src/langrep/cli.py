@@ -388,13 +388,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--freq", help="allowed letter frequentnesses, e.g. '1,2'")
     p.add_argument("--uniform", type=int, help="shorthand for --freq k")
-    p.add_argument("--budget", type=int, help="search node budget")
+    p.add_argument("--budget", type=int, help="node budget (multiplicity assignments plus DFS nodes)")
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("build", parents=[common], help="constructive class builders")
     p.add_argument("--class", dest="cls", required=True, metavar="TAG")
     p.add_argument("--graph", required=True)
-    p.add_argument("--emit-word", action="store_true", help="print only the word (default)")
     p.add_argument("--emit-cert", action="store_true", help="print word + language + verdict")
     p.set_defaults(fn=cmd_build)
 

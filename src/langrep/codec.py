@@ -116,6 +116,12 @@ class _Reader:
         self.wordlen, pos = _read_varint(data, pos)
         if self.n < 1:
             raise FormatError("vertex count must be positive", offset=5)
+        # every copy word has at least 4n symbols; checked before anything
+        # is allocated in proportion to the untrusted n
+        if self.wordlen < 4 * self.n:
+            raise FormatError(
+                f"word length {self.wordlen} is below 4n = {4 * self.n}", offset=5
+            )
         self.width = _width(self.n)
         self.payload_start = pos
         payload_bytes = (self.wordlen * self.width + 7) // 8

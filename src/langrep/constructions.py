@@ -61,10 +61,6 @@ def _verify(letters, tag: str, g: Graph) -> VertexWord:
     return word
 
 
-def _sorted_vertices(g: Graph):
-    return list(g.vertices)
-
-
 def _bipartition_or_error(g: Graph, tag: str):
     parts = g.bipartition()
     if parts is None:
@@ -81,7 +77,7 @@ def _bipartition_or_error(g: Graph, tag: str):
 def build_palindrome(g: Graph) -> VertexWord:
     """Nested-palindrome word: w_1 = v_1 v_1, and each later vertex wraps the
     previous word as v u w v u^R with u its earlier non-neighbors ascending."""
-    vs = _sorted_vertices(g)
+    vs = list(g.vertices)
     word = [vs[0], vs[0]]
     for i, v in enumerate(vs[1:], start=1):
         u = [x for x in vs[:i] if not g.has_edge(v, x)]
@@ -93,7 +89,7 @@ def _copy_halves(g: Graph):
     # block u_i: non-neighbors of v_i among v_1..v_i, ascending (v_i itself
     # is always last); the two halves interleave blocks and separators in
     # opposite order, so a pair projects onto equal halves iff it is an edge
-    vs = _sorted_vertices(g)
+    vs = list(g.vertices)
     blocks = []
     for i, v in enumerate(vs):
         blocks.append([x for x in vs[:i] if not g.has_edge(v, x)] + [v])
@@ -124,7 +120,7 @@ def build_lyndon(g: Graph) -> VertexWord:
     """1^3 2^3 ... n^3 then per vertex i the tail block v_i v_i u_i with
     v_i = i..n and u_i = i i x_i i i y_i (x_i, y_i the later neighbors and
     later non-neighbors, ascending)."""
-    vs = _sorted_vertices(g)
+    vs = list(g.vertices)
     word = []
     for v in vs:
         word += [v, v, v]
@@ -182,7 +178,7 @@ def build_bipartite_lyndon_odd(g: Graph) -> VertexWord:
 def build_comparability(g: Graph, order=None) -> VertexWord:
     """z z_{v_1} ... z_{v_n} over a linear extension of a transitive
     orientation; z_v = y_v v x_v with x_v the strict upper set of v."""
-    vs = _sorted_vertices(g)
+    vs = list(g.vertices)
     if order is None:
         arcs = oracles.transitive_orientation(g)
         if arcs is None:
@@ -347,7 +343,7 @@ def build_halfline(g: Graph) -> VertexWord:
     """Endpoint-sorted enumeration; right-bounded rays doubled by a tail;
     isolated vertices appended as vvv (frequentness 3 is a hole of the
     language, so they attach to nothing)."""
-    vs = _sorted_vertices(g)
+    vs = list(g.vertices)
     isolates = sorted(g.isolated_vertices())
     core = [v for v in vs if v not in set(isolates)]
     word = []
@@ -368,7 +364,7 @@ def build_co_circle(g: Graph) -> VertexWord:
     """Chord diagram of the complement of the non-isolated core, then each
     isolate once; singleton letters attach to nothing here, while in the
     complement view they form a universal clique tail."""
-    vs = _sorted_vertices(g)
+    vs = list(g.vertices)
     isolates = sorted(g.isolated_vertices())
     core = [v for v in vs if v not in set(isolates)]
     word = []

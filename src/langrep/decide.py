@@ -68,13 +68,14 @@ def _both_symbols_witness(lang):
     if isinstance(lang, (GrammarLanguage, Cfg)):
         cfg = lang.cfg if isinstance(lang, GrammarLanguage) else lang
         product = intersect_regular(cfg, both_symbols_dfa())
-        witness = product.shortest_word()
-        if witness is None:
+        length = product.shortest_length()
+        if length is None:
             return cfg.contains, None
+        # checked on the length, before a witness of that length is built
         cap = 2 * len(product.binarized().nonterminals) + 2
-        if len(witness) > cap:
+        if length > cap:
             raise CapacityError(
-                f"witness of length {len(witness)} exceeds the derivation cap {cap}"
+                f"witness of length {length} exceeds the derivation cap {cap}"
             )
-        return cfg.contains, witness
+        return cfg.contains, product.shortest_word()
     raise ValueError(f"decide needs a finite, regular, or grammar language; got {lang!r}")

@@ -190,9 +190,8 @@ class Cfg:
                         break
         return self.start not in generating
 
-    def shortest_word(self):
-        """A minimum-length generated word (lexicographically least among the
-        minimum-length ones), or None when the language is empty."""
+    def _min_lengths(self) -> dict:
+        # least generated length per nonterminal, inf when it generates nothing
         INF = float("inf")
         best_len = {h: INF for h in self.productions}
         changed = True
@@ -206,7 +205,19 @@ class Cfg:
                     if total < best_len[head]:
                         best_len[head] = total
                         changed = True
-        if best_len[self.start] is INF:
+        return best_len
+
+    def shortest_length(self):
+        """The length of a shortest generated word, or None when the language
+        is empty; cheap even where that word would be huge."""
+        length = self._min_lengths()[self.start]
+        return None if length == float("inf") else length
+
+    def shortest_word(self):
+        """A minimum-length generated word (lexicographically least among the
+        minimum-length ones), or None when the language is empty."""
+        best_len = self._min_lengths()
+        if best_len[self.start] == float("inf"):
             return None
 
         cache: dict = {}

@@ -17,23 +17,6 @@ import itertools
 
 from .graphs import Graph
 
-CLASS_TAGS = (
-    "null", "complete", "cluster", "cograph", "bipartite", "cobipartite",
-    "split", "threshold", "interval", "co-interval", "circle", "co-circle",
-    "permutation", "comparability", "cocomparability", "bipartite-chain",
-    "co-bipartite-chain", "convex", "bico-convex", "interval-bigraph",
-    "halfline", "complete-multipartite",
-)
-
-
-def oracle(tag: str, g: Graph) -> bool:
-    try:
-        fn = _ORACLES[tag]
-    except KeyError:
-        raise ValueError(f"unknown class tag {tag!r}")
-    return fn(g)
-
-
 # --- elementary classes -----------------------------------------------------
 
 

@@ -3,6 +3,13 @@
 The central relation: given a symmetric binary language L and a word w over
 a vertex alphabet, u and v are adjacent iff the pairwise projection of w
 (u to 0, v to 1, everything else erased) lies in L.
+
+Search works on the target graph's own vertex names.  A multiplicity CSP
+first gives each vertex a letter count, keeping only counts that every pair
+can still realize; then one DFS per surviving assignment builds the word
+letter by letter, pruning on the same per-pair feasibility table.  Twins
+with equal bounds are interchangeable, so their multiplicities are taken in
+non-decreasing vertex order and, when equal, they start in vertex order.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from math import comb
 
 from .errors import CapacityError
 from .graphs import Graph
-from .isomorphism import distinct_labelings, isomorphic
+from .isomorphism import isomorphic
 from .languages import (
     FiniteLanguage,
     GrammarLanguage,
@@ -87,6 +94,26 @@ def _normalize_bounds(g: Graph, freq_bounds) -> dict:
     return table
 
 
+def _twin_predecessors(g: Graph, bounds: dict) -> list:
+    """For each vertex index, the nearest earlier index interchangeable with
+    it, or -1.  Interchangeable means twins (N(u) - {v} == N(v) - {u}, so
+    swapping u and v is an automorphism of g) with equal bounds (so the swap
+    also maps allowed multiplicities to allowed ones)."""
+    last: dict = {}
+    prev = []
+    for i, v in enumerate(g.vertices):
+        allowed = tuple(bounds[v])
+        # false twins share N(v), true twins share N(v) + v
+        keys = (
+            (False, g.neighbors(v), allowed),
+            (True, g.neighbors(v) | {v}, allowed),
+        )
+        prev.append(max(last.get(key, -1) for key in keys))
+        for key in keys:
+            last[key] = i
+    return prev
+
+
 def search(
     g: Graph,
     lang: Language,
@@ -97,16 +124,59 @@ def search(
     """Bounded exhaustive search for a word w with evaluate(w, lang) equal
     to g on g's own labels, or None when the bounded space is exhausted.
 
-    freq_bounds is a set of allowed multiplicities, or a per-vertex dict.
-    Words are explored in canonical form (first occurrences in ascending
-    vertex order) against every distinct relabeling of g, which covers all
-    words up to the relabeling isomorphism.  A pair of letters prunes the
-    branch as soon as no completion of its projection can agree with g.
+    freq_bounds is a set of allowed multiplicities, or a per-vertex dict;
+    max_len caps the word length.  The search has two stages, both on g's
+    own vertex names:
+
+    1. a multiplicity CSP assigns each vertex a multiplicity by
+       backtracking, keeping a value only if every pair with an earlier
+       vertex admits some interleaving of those counts that agrees with g;
+    2. for each surviving assignment, one DFS builds words letter by letter,
+       where any vertex with letters left (started or not) may come next,
+       and a pair prunes the branch as soon as no completion of its
+       projection can agree with g.
+
+    Twins with equal bounds are interchangeable (swapping them is an
+    automorphism of g that respects the bounds), so within such a class the
+    multiplicities are non-decreasing in vertex order, and twins of equal
+    multiplicity start in vertex order.
+
+    node_budget counts CSP nodes and DFS nodes together; running out raises
+    CapacityError.
     """
     require_symmetric(lang)
     bounds = _normalize_bounds(g, freq_bounds)
-    budget = [node_budget]
+    vs = g.vertices
+    n = len(vs)
+    allowed = [bounds[v] for v in vs]
+    twin_prev = _twin_predecessors(g, bounds)
+    # least total length of the vertices from index i on
+    least_rest = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        least_rest[i] = least_rest[i + 1] + allowed[i][0]
+    # per unordered pair a < b: which entry of feasible_pair agrees with g
+    agree = [[0 if g.has_edge(u, v) else 1 for v in vs] for u in vs]
+    # links[c]: for each pair with c, (pair slot, c's bit, a, b, agree entry)
+    links = [
+        [
+            (min(c, d) * n + max(c, d), "0" if c < d else "1",
+             min(c, d), max(c, d), agree[c][d])
+            for d in range(n) if d != c
+        ]
+        for c in range(n)
+    ]
+    spent = 0
+    tried = 0
     feas_cache: dict = {}
+
+    def tick():
+        nonlocal spent
+        spent += 1
+        if spent > node_budget:
+            raise CapacityError(
+                f"search node budget exhausted after {node_budget} nodes "
+                f"({tried} multiplicity assignments tried)"
+            )
 
     def feasible_pair(prefix: str, r0: int, r1: int):
         # (can reach lang, can avoid lang) over all interleavings of the
@@ -131,92 +201,72 @@ def search(
             feas_cache[key] = got
         return got
 
-    def feasible(prefix: str, r0: int, r1: int, want_in: bool) -> bool:
-        got = feasible_pair(prefix, r0, r1)
-        return got[0] if want_in else got[1]
-
-    for relabeled, sigma in distinct_labelings(g):
-        inverse = {b: a for a, b in sigma.items()}
-        vs = relabeled.vertices
-        n = len(vs)
-        per_vertex = [bounds[inverse[v]] for v in vs]
-        for mults in itertools.product(*per_vertex):
-            total = sum(mults)
-            if max_len is not None and total > max_len:
-                continue
-            # screen the multiplicity vector: every pair must admit some
-            # interleaving agreeing with g before any arrangement is tried
-            if any(
-                not feasible("", mults[i], mults[j], relabeled.has_edge(vs[i], vs[j]))
-                for i in range(n)
-                for j in range(i + 1, n)
-            ):
-                continue
-            word = _dfs_canonical(relabeled, lang, vs, mults, total, feasible, budget)
-            if word is not None:
-                return VertexWord([inverse[c] for c in word])
-    return None
-
-
-def _dfs_canonical(h, lang, vs, mults, total, feasible, budget):
-    n = len(vs)
-    index = {v: i for i, v in enumerate(vs)}
-    remaining = list(mults)
-    pair_proj: dict = {
-        (vs[i], vs[j]): [] for i in range(n) for j in range(i + 1, n)
-    }
+    mults = [0] * n
+    remaining = [0] * n
+    proj = [""] * (n * n)  # slot a*n + b, a < b: a's letters as 0, b's as 1
     word: list = []
 
-    def proj_key(a, b):
-        return (a, b) if a < b else (b, a)
-
-    def ok_after(c) -> bool:
-        # every pair involving c must still admit an agreeing completion
-        for d in vs:
-            if d == c:
+    def assign(i: int, total: int) -> bool:
+        # stage 1: multiplicities of vertices i.. given those before i
+        nonlocal tried
+        tick()
+        if i == n:
+            tried += 1
+            remaining[:] = mults
+            return dfs(total)
+        for k in allowed[i]:
+            if max_len is not None and total + k + least_rest[i + 1] > max_len:
+                break
+            p = twin_prev[i]
+            if p >= 0 and k < mults[p]:
                 continue
-            key = proj_key(c, d)
-            bits = "".join(pair_proj[key])
-            r_first = remaining[index[key[0]]]
-            r_second = remaining[index[key[1]]]
-            want = h.has_edge(c, d)
-            if not feasible(bits, r_first, r_second, want):
-                return False
-        return True
-
-    def rec(next_new: int) -> bool:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise CapacityError("search node budget exhausted")
-        if len(word) == total:
-            return True
-        candidates = [
-            v for i, v in enumerate(vs[:next_new]) if remaining[i] > 0
-        ]
-        if next_new < n:
-            candidates.append(vs[next_new])
-        for c in candidates:
-            i = index[c]
-            bumped = i == next_new
-            remaining[i] -= 1
-            word.append(c)
-            for d in vs:
-                if d == c:
-                    continue
-                key = proj_key(c, d)
-                pair_proj[key].append("0" if key[0] == c else "1")
-            if ok_after(c) and rec(next_new + 1 if bumped else next_new):
-                return True
-            for d in vs:
-                if d == c:
-                    continue
-                pair_proj[proj_key(c, d)].pop()
-            word.pop()
-            remaining[i] += 1
+            if all(feasible_pair("", mults[j], k)[agree[j][i]] for j in range(i)):
+                mults[i] = k
+                if assign(i + 1, total + k):
+                    return True
         return False
 
-    if rec(0):
-        return list(word)
+    def place(c: int) -> bool:
+        # append c to each pair projection with c; on failure undo and
+        # report that some pair can no longer agree with g
+        for m, (slot, bit, a, b, want) in enumerate(links[c]):
+            bits = proj[slot] + bit
+            if not feasible_pair(bits, remaining[a], remaining[b])[want]:
+                unplace(links[c][:m])
+                return False
+            proj[slot] = bits
+        return True
+
+    def unplace(pairs):
+        for slot, *_ in pairs:
+            proj[slot] = proj[slot][:-1]
+
+    def dfs(total: int) -> bool:
+        # stage 2: any vertex with letters left may come next, except that
+        # a twin waits for its interchangeable predecessor of equal
+        # multiplicity to start
+        tick()
+        if len(word) == total:
+            return True
+        for c in range(n):
+            if remaining[c] == 0:
+                continue
+            p = twin_prev[c]
+            if (remaining[c] == mults[c] and p >= 0 and mults[p] == mults[c]
+                    and remaining[p] == mults[p]):
+                continue
+            remaining[c] -= 1
+            if place(c):
+                word.append(c)
+                if dfs(total):
+                    return True
+                word.pop()
+                unplace(links[c])
+            remaining[c] += 1
+        return False
+
+    if assign(0, 0):
+        return VertexWord([vs[c] for c in word])
     return None
 
 

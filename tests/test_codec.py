@@ -2,11 +2,13 @@
 streaming adjacency, and corruption diagnostics."""
 
 import random
+import tracemalloc
 
 import pytest
 
 from langrep.codec import (
     MAGIC,
+    _write_varint,
     adjacent,
     decode,
     decode_word,
@@ -150,6 +152,22 @@ def test_truncated_payload():
 def test_truncated_varint():
     with pytest.raises(FormatError):
         decode(MAGIC + bytes([0, 0x80]))
+
+
+def test_vertex_count_beyond_word_length_rejected_before_allocating():
+    # a copy word has at least 4n symbols, so a header promising 2*10^6
+    # vertices over an empty word is refused before any name is made
+    blob = bytearray(MAGIC + bytes([0]))
+    _write_varint(blob, 2 * 10**6)
+    _write_varint(blob, 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="below 4n"):
+            decode(bytes(blob))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_symbol_index_out_of_range():

@@ -1,5 +1,7 @@
 """Edgeless-class decision over finite, regular, and grammar specs."""
 
+import tracemalloc
+
 import pytest
 
 from langrep.automata import compile_regex
@@ -92,3 +94,15 @@ def test_short_doubling_chain_decides():
 def test_derivation_cap_enforced():
     with pytest.raises(CapacityError):
         decide(_doubling_grammar(10))
+
+
+def test_derivation_cap_checked_before_witness_is_built():
+    # the shortest witness has 2^22 symbols; the cap refuses it by length
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="derivation cap"):
+            decide(_doubling_grammar(22))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -3,6 +3,8 @@ decomposition.  Search completeness is cross-checked against a raw
 enumeration of all candidate words on small instances."""
 
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,16 @@ from hypothesis import strategies as st
 
 from conftest import graph_from_mask
 from langrep.errors import CapacityError, NotSymmetricError
-from langrep.graphs import Graph, complete_graph, cycle_graph, null_graph, path_graph
+from langrep.graphs import (
+    Graph,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    null_graph,
+    path_graph,
+)
 from langrep.grammar import Cfg
+from langrep.isomorphism import enumerate_graphs
 from langrep.languages import GrammarLanguage, parse_language
 from langrep.represent import (
     check,
@@ -126,16 +136,34 @@ def test_check_mismatch_different_shape():
 # --- search -----------------------------------------------------------------
 
 
-def _brute_force_exists(g, lang, allowed):
+def _brute_force_exists(g, lang, bounds):
     """Is there any word over g's vertices, each letter appearing with a
-    multiplicity drawn from allowed, evaluating to exactly g?"""
+    multiplicity drawn from its bounds (a set, or a per-vertex dict),
+    evaluating to exactly g?"""
     vs = g.vertices
-    for mults in itertools.product(allowed, repeat=len(vs)):
+    per_vertex = [bounds[v] if isinstance(bounds, dict) else bounds for v in vs]
+    for mults in itertools.product(*per_vertex):
         pool = [v for v, m in zip(vs, mults) for _ in range(m)]
         for arrangement in set(itertools.permutations(pool)):
             if _ref_evaluate(VertexWord(list(arrangement)), lang) == g:
                 return True
     return False
+
+
+def _agrees_with_brute_force(g, lang, bounds):
+    found = search(g, lang, bounds)
+    if found is not None:
+        assert evaluate(found, lang) == g
+    assert (found is not None) == _brute_force_exists(g, lang, bounds)
+
+
+# two twins with different bounds: interchanging them would break the
+# bounds, so they must not be treated as one class
+_SPLIT_TWIN_BOUNDS = (
+    {"v1": [2], "v2": [1], "v3": [1, 2]},
+    {"v1": [1], "v2": [2], "v3": [1, 2]},
+    {"v1": [1, 2], "v2": [2], "v3": [1]},
+)
 
 
 @pytest.mark.parametrize("spec", ["<01>", "<0011>", "<0101>", "wrep"])
@@ -144,10 +172,32 @@ def test_search_agrees_with_brute_force(spec):
     for n in (2, 3):
         for mask in range(1 << (n * (n - 1) // 2)):
             g = graph_from_mask(n, mask)
-            found = search(g, lang, {1, 2})
-            if found is not None:
-                assert evaluate(found, lang) == g
-            assert (found is not None) == _brute_force_exists(g, lang, (1, 2))
+            _agrees_with_brute_force(g, lang, {1, 2})
+            for bounds in _SPLIT_TWIN_BOUNDS:
+                _agrees_with_brute_force(
+                    g, lang, {v: bounds[v] for v in g.vertices}
+                )
+
+
+@pytest.mark.parametrize("spec", ["<0110>", "<01,001>"])
+@pytest.mark.parametrize(
+    "g",
+    [null_graph(4), complete_graph(4), complete_bipartite(1, 3), cycle_graph(4)],
+    ids=["null", "complete", "star", "C4"],
+)
+def test_search_agrees_with_brute_force_on_twin_classes(spec, g):
+    _agrees_with_brute_force(g, parse_language(spec), {1, 2})
+
+
+def test_search_ignores_vertex_names():
+    # search works on g's own names, so a relabeled graph must be found
+    # exactly when the original is
+    lang = parse_language("<0110>")
+    rng = random.Random(5)
+    for g in enumerate_graphs(5):
+        vs = list(g.vertices)
+        h = g.relabel(dict(zip(vs, rng.sample(vs, len(vs)))))
+        assert (search(h, lang, {2}) is None) == (search(g, lang, {2}) is None)
 
 
 def test_search_returns_labeled_equality():
@@ -190,6 +240,15 @@ def test_search_bad_bounds():
 def test_search_budget_exhaustion():
     with pytest.raises(CapacityError):
         search(cycle_graph(4), parse_language("<0101>"), {2}, node_budget=1)
+
+
+def test_search_budget_covers_all_work():
+    # the budget counts every stage of the search, so a tiny budget fails
+    # fast even at order 9
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=r"after 10 nodes \(1 multiplicity"):
+        search(path_graph(9), parse_language("<0110>"), {2}, node_budget=10)
+    assert time.perf_counter() - start < 2
 
 
 def test_search_requires_symmetric():
