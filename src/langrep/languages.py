@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 
-from .automata import Dfa, compile_regex, dfa_from_finite
+from .automata import Dfa, compile_regex
 from .errors import FormatError, NotSymmetricError
 from .grammar import Cfg
 from .words import complement_word
@@ -63,9 +63,6 @@ class FiniteLanguage(Language):
         if not self.words:
             return "{}"
         return "{" + ",".join(w if w else "e" for w in sorted(self.words, key=lambda w: (len(w), w))) + "}"
-
-    def to_dfa(self) -> Dfa:
-        return dfa_from_finite(self.words)
 
 
 class RegularLanguage(Language):
@@ -140,20 +137,15 @@ class ComboLanguage(Language):
 # --- builtin membership predicates -----------------------------------------
 
 
-def _is_lyndon(b: str, zero_first: bool) -> bool:
-    n = len(b)
-    if n == 0:
-        return False
-    seq = [(c == "1") == zero_first for c in b]  # False sorts first
-    dbl = seq + seq
-    for i in range(1, n):
-        if dbl[i:i + n] <= seq:
-            return False
-    return True
+def _is_lyndon(b: str) -> bool:
+    # under 0 < 1: nonempty and strictly smaller than each proper suffix
+    # (Chen-Fox-Lyndon; Duval 1983)
+    return b != "" and all(b < b[i:] for i in range(1, len(b)))
 
 
 def _lyndon(b: str) -> bool:
-    return _is_lyndon(b, True) or _is_lyndon(b, False)
+    # Lyndon under either order; 1 < 0 is 0 < 1 on the complement
+    return _is_lyndon(b) or _is_lyndon(complement_word(b))
 
 
 def _dyck(b: str) -> bool:

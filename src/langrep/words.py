@@ -4,6 +4,12 @@ A vertex word is a nonempty sequence of vertex tokens.  Projecting a vertex
 word onto an ordered pair (u, v) yields a binary word: occurrences of u
 become 0, occurrences of v become 1, everything else vanishes.  Binary words
 are plain strings over {0, 1} and may be empty.
+
+A word projects through a position index built once, on the first
+projection: each letter's positions i, stored as 2i (the letter on the 0
+side) and as 2i + 1 (the letter on the 1 side).  Projecting (u, v) merges
+u's 0-side list with v's 1-side list and reads each tag's parity, so it
+costs O(|u| + |v|) rather than O(|w|), and all pairs together O(n·|w|).
 """
 
 from __future__ import annotations
@@ -24,7 +30,9 @@ def check_token(tok: str) -> str:
 class VertexWord:
     """Immutable nonempty word over an arbitrary vertex alphabet."""
 
-    __slots__ = ("letters",)
+    # _index: letter -> (0-side positions, 1-side positions), built by the
+    # first project() call; equality and hashing see only the letters
+    __slots__ = ("letters", "_index")
 
     def __init__(self, letters):
         letters = tuple(letters)
@@ -33,6 +41,7 @@ class VertexWord:
         for tok in letters:
             check_token(tok)
         object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "_index", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("VertexWord is immutable")
@@ -92,13 +101,21 @@ class VertexWord:
         """The pair morphism h_{u,v}: u -> 0, v -> 1, other letters -> empty."""
         if u == v:
             raise ValueError("projection endpoints must be distinct")
-        out = []
-        for tok in self.letters:
-            if tok == u:
-                out.append("0")
-            elif tok == v:
-                out.append("1")
-        return "".join(out)
+        index = self._index
+        if index is None:
+            index = self._build_index()
+        # both lists are ascending, so Timsort merges the two runs in one pass
+        tags = index.get(u, _ABSENT)[0] + index.get(v, _ABSENT)[1]
+        tags.sort()
+        return "".join(["01"[t & 1] for t in tags])
+
+    def _build_index(self) -> dict:
+        positions: dict = {}
+        for i, tok in enumerate(self.letters):
+            positions.setdefault(tok, []).append(2 * i)
+        index = {tok: (even, [t + 1 for t in even]) for tok, even in positions.items()}
+        object.__setattr__(self, "_index", index)
+        return index
 
     def project_set(self, keep) -> "VertexWord":
         """The projective morphism h_A keeping only letters in ``keep``."""
@@ -110,6 +127,9 @@ class VertexWord:
 
     def relabel(self, mapping) -> "VertexWord":
         return VertexWord(mapping[tok] for tok in self.letters)
+
+
+_ABSENT = ([], [])  # a letter not in the word: never mutated
 
 
 def check_binary(b: str) -> str:

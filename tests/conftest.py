@@ -1,6 +1,7 @@
 """Shared strategies and reference helpers for the test suite."""
 
 import itertools
+import random
 
 from hypothesis import strategies as st
 
@@ -19,6 +20,19 @@ def graph_from_mask(n, mask):
     pairs = list(itertools.combinations(vs, 2))
     edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
     return Graph(vs, edges)
+
+
+def filter_project(letters, u, v):
+    """The pair morphism read straight from its definition, independent of
+    VertexWord.project: u -> 0, v -> 1, other letters dropped."""
+    return "".join("0" if t == u else "1" for t in letters if t == u or t == v)
+
+
+def gnp(n, p, seed):
+    """A seeded Erdos-Renyi graph G(n, p) on zero-padded names v000..."""
+    rng = random.Random(seed)
+    vs = [f"v{i:03d}" for i in range(n)]
+    return Graph(vs, [e for e in itertools.combinations(vs, 2) if rng.random() < p])
 
 
 @st.composite

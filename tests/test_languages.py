@@ -1,12 +1,15 @@
 """Language layer: builtin predicates against independent references,
 combinators, the textual spec grammar, and the symmetry guard."""
 
+import itertools
+import random
 import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import all_binary_words
+from conftest import all_binary_words, gnp
+from langrep.constructions import build_lyndon
 from langrep.errors import FormatError, NotSymmetricError
 from langrep.languages import (
     BuiltinLanguage,
@@ -28,6 +31,7 @@ from langrep.languages import (
     shuffle_words,
     trash_extend,
 )
+from langrep.words import complement_word
 
 WORDS8 = list(all_binary_words(8))
 
@@ -92,6 +96,40 @@ def test_builtin_matches_reference(name, ref):
     lang = builtin(name)
     for b in WORDS8:
         assert lang.contains(b) == ref(b), (name, b)
+
+
+def _long_lyndon_cases():
+    rng = random.Random(60)
+    words = []
+    for length in (60, 61, 97, 128, 200):
+        for _ in range(4):
+            b = "".join(rng.choice("01") for _ in range(length))
+            words.append(b)
+            # its least rotation under either order (Lyndon when primitive)
+            words.append(min(b[i:] + b[:i] for i in range(length)))
+            c = complement_word(b)
+            words.append(complement_word(min(c[i:] + c[:i] for i in range(length))))
+    for k in (1, 2, 30, 75, 100):
+        words += ["01" * k, "0" * k + "1", "0" * k + "1" * k]
+    words += [complement_word(b) for b in words]
+    g = gnp(40, 0.3, 40)
+    word = build_lyndon(g)
+    for u, v in itertools.combinations(g.vertices, 2):
+        words.append(word.project(u, v))
+    return words
+
+
+def test_lyndon_matches_reference_on_long_words():
+    words = _long_lyndon_cases()
+    assert max(map(len, words)) >= 200
+    lyndon, odd = builtin("lyndon"), builtin("lyndon-odd")
+    hits = 0
+    for b in words:
+        expected = ref_lyndon(b)
+        hits += expected
+        assert lyndon.contains(b) == expected, b
+        assert odd.contains(b) == (len(b) % 2 == 1 and expected), b
+    assert 0 < hits < len(words)
 
 
 def test_parametrized_builtins():

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_from_mask
+from conftest import filter_project, gnp, graph_from_mask
+from langrep.constructions import _copy_halves
 from langrep.errors import CapacityError, NotSymmetricError
 from langrep.graphs import (
     Graph,
@@ -64,11 +65,11 @@ def test_evaluate_requires_symmetric():
 
 
 def _ref_evaluate(word, lang):
-    vs = sorted(word.alphabet())
+    vs = sorted(set(word.letters))
     edges = [
         (u, v)
         for u, v in itertools.combinations(vs, 2)
-        if lang.contains(word.project(u, v))
+        if lang.contains(filter_project(word.letters, u, v))
     ]
     return Graph(vs, edges)
 
@@ -81,6 +82,9 @@ _POOL = [
     "wrep",
     "palindrome",
     "dyck",
+    "lyndon",
+    "copy",
+    "not(copy)",
 ]
 
 
@@ -110,6 +114,32 @@ def test_check_match_reports_mapping():
         assert report.produced.has_edge(u, v) == target.has_edge(
             report.mapping[u], report.mapping[v]
         )
+
+
+def test_check_identity_above_isomorphism_cap():
+    # a label-for-label match needs no isomorphism test, at any order
+    g = gnp(12, 0.5, 12)
+    word = VertexWord(_copy_halves(g))
+    report = check(word, parse_language("copy"), g)
+    assert report.match
+    assert report.mapping == {v: v for v in g.vertices}
+    # a different labeling of the same shape still needs the capped test
+    vs = list(g.vertices)
+    relabeled = g.relabel(dict(zip(vs, vs[1:] + vs[:1])))
+    assert relabeled != g
+    with pytest.raises(CapacityError, match="capped at order"):
+        check(word, parse_language("copy"), relabeled)
+
+
+def test_evaluate_copy_word_of_order_200_is_fast():
+    # the position index makes all pairs O(n·|w|); rescanning the word for
+    # every pair took about 15 s on a 2-core x86-64 host
+    g = gnp(200, 0.5, 200)
+    word = VertexWord(_copy_halves(g))
+    start = time.perf_counter()
+    produced = evaluate(word, parse_language("copy"))
+    assert time.perf_counter() - start < 4
+    assert produced == g
 
 
 def test_check_mismatch_same_labels():

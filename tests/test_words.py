@@ -3,9 +3,9 @@
 import collections
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from conftest import vertex_letter_lists
+from conftest import filter_project, vertex_letter_lists
 from langrep.errors import FormatError
 from langrep.words import (
     VertexWord,
@@ -119,6 +119,43 @@ def test_projection_counts_match_profile(letters):
         b = w.project(u, v)
         assert b.count("0") == prof[u]
         assert b.count("1") == prof[v]
+
+
+# multi-character tokens, one a prefix of another; "zz" never occurs
+_TOKENS = ["a", "v1", "v10", "bb"]
+
+
+@given(
+    st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=30),
+    st.lists(st.tuples(st.sampled_from(_TOKENS + ["zz"]), st.sampled_from(_TOKENS + ["zz"])),
+             min_size=1, max_size=8),
+)
+def test_project_matches_filter(letters, pairs):
+    # repeated calls on one word reuse its position index
+    w = VertexWord(letters)
+    for u, v in pairs + pairs:
+        if u == v:
+            with pytest.raises(ValueError):
+                w.project(u, v)
+            continue
+        assert w.project(u, v) == filter_project(letters, u, v)
+        assert w.project(v, u) == complement_word(w.project(u, v))
+
+
+def test_project_absent_endpoints():
+    w = VertexWord(["v1", "v10", "v1"])
+    assert w.project("zz", "yy") == ""
+    assert w.project("v1", "zz") == "00"
+    assert w.project("zz", "v10") == "1"
+    with pytest.raises(ValueError):
+        w.project("zz", "zz")
+
+
+def test_project_index_ignored_by_equality():
+    w = VertexWord.parse("abab")
+    w.project("a", "b")
+    fresh = VertexWord.parse("abab")
+    assert w == fresh and hash(w) == hash(fresh)
 
 
 def test_is_k_uniform():
