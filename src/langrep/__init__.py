@@ -6,8 +6,8 @@ letters are adjacent exactly when their pairwise projection of w lies in
 L.  This package evaluates that map, verifies and searches for
 representing words, builds words constructively for characterized graph
 classes, decides bounded-treewidth/degeneracy of the induced class for
-grammar-given languages, and serializes graphs through copy-language
-words.
+regular and context-free languages, and serializes graphs through
+copy-language words.
 """
 
 from .codec import adjacent, decode, decode_word, encode

@@ -2,9 +2,9 @@
 
 Small self-contained machinery: regular-expression compilation (syntax tree
 to nondeterministic machine to determinized Dfa), product constructions,
-complement by accepting-set flip, and decision helpers (emptiness,
-equivalence, shortest accepted word).  States are integers; every Dfa is
-total over both input symbols.
+complement by accepting-set flip, minimization by partition refinement, and
+decision helpers (emptiness, equivalence, shortest accepted word).  States
+are integers; every Dfa is total over both input symbols.
 """
 
 from __future__ import annotations
@@ -111,17 +111,43 @@ class Dfa:
         for q, (a, b) in enumerate(self.trans):
             rev[(a, 0)].add(q)
             rev[(b, 1)].add(q)
-        return _determinize(frozenset(self.accept), lambda s, c: frozenset(
+        return explore(frozenset(self.accept), lambda s, c: frozenset(
             x for q in s for x in rev[(q, c)]), lambda s: self.start in s)
 
+    def minimize(self) -> "Dfa":
+        """The minimal equivalent Dfa, by Moore partition refinement (Moore
+        1956): split the states by acceptance, then by the blocks of their
+        two successors until no block splits; the quotient keeps only the
+        blocks reachable from the start."""
+        block = [int(q in self.accept) for q in range(len(self))]
+        count = len(set(block))
+        while True:
+            ids: dict = {}
+            block = [
+                ids.setdefault((block[q], block[a], block[b]), len(ids))
+                for q, (a, b) in enumerate(self.trans)
+            ]
+            if len(ids) == count:
+                break
+            count = len(ids)
+        rep = {b: q for q, b in enumerate(block)}
+        return explore(
+            block[self.start],
+            lambda b, c: block[self.trans[rep[b]][c]],
+            lambda b: rep[b] in self.accept,
+        )
 
-def _determinize(start_set, step, is_accept) -> Dfa:
-    index = {start_set: 0}
+
+def explore(start, step, is_accept) -> Dfa:
+    """The Dfa on the states reachable from ``start``, where ``step(s, c)``
+    gives the successor of state s on symbol index c; states are any
+    hashable values, numbered in breadth-first order."""
+    index = {start: 0}
     trans = [None]
     accept = set()
-    if is_accept(start_set):
+    if is_accept(start):
         accept.add(0)
-    todo = deque([start_set])
+    todo = deque([start])
     while todo:
         s = todo.popleft()
         row = []
@@ -139,20 +165,15 @@ def _determinize(start_set, step, is_accept) -> Dfa:
 
 
 def dfa_from_finite(words) -> Dfa:
-    """Trie-shaped Dfa for a finite set of binary words."""
+    """Trie-shaped Dfa for a finite set of binary words; None is the trap."""
     words = set(words)
-    prefixes = {""}
-    for w in words:
-        for i in range(len(w) + 1):
-            prefixes.add(w[:i])
-    order = sorted(prefixes, key=lambda p: (len(p), p))
-    index = {p: i for i, p in enumerate(order)}
-    trap = len(order)
-    trans = []
-    for p in order:
-        trans.append(tuple(index.get(p + c, trap) for c in ALPHABET))
-    trans.append((trap, trap))
-    return Dfa(trans, index[""], {index[w] for w in words})
+    prefixes = {w[:i] for w in words for i in range(len(w) + 1)}
+
+    def step(p, c):
+        q = None if p is None else p + ALPHABET[c]
+        return q if q in prefixes else None
+
+    return explore("", step, lambda p: p in words)
 
 
 # --- regular expressions ----------------------------------------------------
@@ -286,35 +307,22 @@ class _Nfa:
             nxt = {self.step[q][sym] for q in s if sym in self.step[q]}
             return self._closure(nxt)
 
-        return _determinize(self._closure({start}), step, lambda s: final in s)
+        return explore(self._closure({start}), step, lambda s: final in s)
 
 
 def count_window_dfa(zeros: int, ones: int) -> Dfa:
     """Accepts exactly the words with ``zeros`` 0s and ``ones`` 1s."""
-    # grid of (seen zeros, seen ones) plus a trap for overshoot
-    idx = {}
-    for i in range(zeros + 1):
-        for j in range(ones + 1):
-            idx[(i, j)] = len(idx)
-    trap = len(idx)
-    trans = []
-    for i in range(zeros + 1):
-        for j in range(ones + 1):
-            on0 = idx[(i + 1, j)] if i < zeros else trap
-            on1 = idx[(i, j + 1)] if j < ones else trap
-            trans.append((on0, on1))
-    trans.append((trap, trap))
-    return Dfa(trans, idx[(0, 0)], {idx[(zeros, ones)]})
+    # (seen zeros, seen ones), with None the trap for overshoot
+    def step(s, c):
+        if s is None:
+            return None
+        i, j = s[0] + (c == 0), s[1] + (c == 1)
+        return (i, j) if i <= zeros and j <= ones else None
+
+    return explore((0, 0), step, lambda s: s == (zeros, ones))
 
 
 def both_symbols_dfa() -> Dfa:
     """Accepts words containing at least one 0 and at least one 1, i.e. the
-    complement of 0*+1*.  Four states: nothing seen, 0 seen, 1 seen, both."""
-    start, seen0, seen1, both = 0, 1, 2, 3
-    trans = [
-        (seen0, seen1),
-        (seen0, both),
-        (both, seen1),
-        (both, both),
-    ]
-    return Dfa(trans, start, {both})
+    complement of 0*+1*.  Four states: the sets of symbols seen so far."""
+    return explore(frozenset(), lambda s, c: s | {c}, lambda s: len(s) == 2)

@@ -312,10 +312,10 @@ def _suite_properties(seed: int) -> dict:
 
 def _negative_control() -> dict:
     from .errors import NotSymmetricError
-    from .languages import FiniteLanguage
+    from .languages import finite_language
 
     try:
-        evaluate(VertexWord.parse("abab"), FiniteLanguage(frozenset(["01"])))
+        evaluate(VertexWord.parse("abab"), finite_language(["01"]))
     except NotSymmetricError:
         return {"invariant": "0-1-symmetry", "detected": True}
     return {"invariant": "0-1-symmetry", "detected": False}
@@ -405,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", parents=[common], help="bounded treewidth/degeneracy")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--cfg", help="grammar file")
-    src.add_argument("--lang", help="language spec")
+    src.add_argument("--lang", help="regular or context-free language spec")
     p.add_argument(
         "--property",
         choices=("treewidth", "degeneracy", "bounded-treewidth", "bounded-degeneracy"),

@@ -2,16 +2,19 @@
 
 Provides the textual rule format, chart-based membership (complete for
 lambda-productions), the state-symbol-state product with a Dfa, emptiness by
-the generating-nonterminal fixpoint, and shortest-word extraction for
-witness reporting.
+the generating-nonterminal fixpoint, bounded letter-count vectors, and
+shortest-word extraction for witness reporting.
 """
 
 from __future__ import annotations
 
 from .automata import Dfa
-from .errors import FormatError
+from .errors import CapacityError, FormatError
 
 TERMINALS = ("0", "1")
+
+# bodies a grammar-automaton product may hold (see intersect_regular)
+PRODUCT_BUDGET = 2 * 10**5
 
 
 class Cfg:
@@ -21,14 +24,11 @@ class Cfg:
     __slots__ = ("start", "productions")
 
     def __init__(self, start, productions):
-        prods = {}
-        for head, bodies in productions.items():
-            seen = []
-            for body in bodies:
-                body = tuple(body)
-                if body not in seen:
-                    seen.append(body)
-            prods[head] = tuple(seen)
+        # bodies deduplicated in order
+        prods = {
+            head: tuple(dict.fromkeys(tuple(body) for body in bodies))
+            for head, bodies in productions.items()
+        }
         self.start = start
         self.productions = prods
         if start not in prods:
@@ -79,17 +79,6 @@ class Cfg:
         if undefined:
             raise FormatError(f"undefined nonterminal(s): {', '.join(undefined)}")
         return Cfg(start, prods)
-
-    def format(self) -> str:
-        lines = []
-        heads = [self.start] + [h for h in self.productions if h != self.start]
-        for head in heads:
-            bodies = self.productions[head]
-            if not bodies:
-                continue
-            alts = " | ".join(" ".join(b) if b else "eps" for b in bodies)
-            lines.append(f"{head} -> {alts}")
-        return "\n".join(lines)
 
     # -- membership ---------------------------------------------------------
 
@@ -175,20 +164,37 @@ class Cfg:
         return Cfg("S%union", prods)
 
     def is_empty(self) -> bool:
-        """Least fixpoint of the generating-nonterminal operator."""
-        generating = set()
+        """True when the start symbol generates no word at all."""
+        return self.shortest_length() is None
+
+    def count_vectors(self, bound: int, budget: int) -> set:
+        """The letter counts (zeros, ones), neither above ``bound``, of the
+        generated words: a least fixpoint over the binarized grammar.
+        Raises CapacityError once it has formed more than ``budget`` sums
+        of count vectors."""
+        g = self.binarized()
+        unit = {"0": {(1, 0)}, "1": {(0, 1)}}
+        vecs = {h: set() for h in g.productions}
+        work = 0
         changed = True
         while changed:
             changed = False
-            for head, bodies in self.productions.items():
-                if head in generating:
-                    continue
+            for head, bodies in g.productions.items():
                 for body in bodies:
-                    if all(s in TERMINALS or s in generating for s in body):
-                        generating.add(head)
+                    acc = {(0, 0)}
+                    for sym in body:
+                        step = unit.get(sym) or vecs[sym]
+                        work += len(acc) * len(step)
+                        if work > budget:
+                            raise CapacityError(
+                                f"count-vector fixpoint exceeds its budget of {budget} sums"
+                            )
+                        acc = {(a + c, b + d) for a, b in acc for c, d in step
+                               if a + c <= bound and b + d <= bound}
+                    if not acc <= vecs[head]:
+                        vecs[head] |= acc
                         changed = True
-                        break
-        return self.start not in generating
+        return vecs[g.start]
 
     def _min_lengths(self) -> dict:
         # least generated length per nonterminal, inf when it generates nothing
@@ -262,12 +268,25 @@ def _binarize_map(productions, start):
 
 def intersect_regular(g: Cfg, d: Dfa) -> Cfg:
     """Product grammar for L(g) intersected with L(d), by the classic
-    (state, symbol, state) triple construction on the binarized grammar."""
+    (state, symbol, state) triple construction on the binarized grammar.
+
+    A binarized rule yields at most |Q|^3 product bodies; when that bound
+    over all rules exceeds PRODUCT_BUDGET, CapacityError is raised before
+    any body is built."""
     g = Cfg(g.start, _binarize_map(g.productions, g.start))
     states = range(len(d))
+    size = len(d) ** 3 * sum(len(bodies) for bodies in g.productions.values())
+    if size > PRODUCT_BUDGET:
+        raise CapacityError(
+            f"grammar-automaton product of {size} bodies exceeds the budget {PRODUCT_BUDGET}"
+        )
 
     def tname(p, sym, q):
         return f"[{p},{sym},{q}]"
+
+    def targets(p, sym):
+        # the states where a derivation of sym started in p may end
+        return (d.trans[p][TERMINALS.index(sym)],) if sym in TERMINALS else states
 
     prods: dict = {}
 
@@ -276,9 +295,8 @@ def intersect_regular(g: Cfg, d: Dfa) -> Cfg:
 
     # terminal bridges follow the automaton's moves
     for p in states:
-        for ci, c in enumerate(TERMINALS):
-            q = d.trans[p][ci]
-            entry(tname(p, c, q)).append((c,))
+        for c in TERMINALS:
+            entry(tname(p, c, targets(p, c)[0])).append((c,))
     # every nonterminal triple exists, possibly with no bodies, so bodies
     # may reference state pairs that turn out non-generating
     for nt in g.productions:
@@ -291,21 +309,14 @@ def intersect_regular(g: Cfg, d: Dfa) -> Cfg:
                 for p in states:
                     entry(tname(p, head, p)).append(())
             elif len(body) == 1:
-                x = body[0]
                 for p in states:
-                    for q in states:
-                        if x in TERMINALS and d.trans[p][TERMINALS.index(x)] != q:
-                            continue
-                        entry(tname(p, head, q)).append((tname(p, x, q),))
+                    for q in targets(p, body[0]):
+                        entry(tname(p, head, q)).append((tname(p, body[0], q),))
             else:
                 x, y = body
                 for p in states:
-                    for r in states:
-                        if x in TERMINALS and d.trans[p][TERMINALS.index(x)] != r:
-                            continue
-                        for q in states:
-                            if y in TERMINALS and d.trans[r][TERMINALS.index(y)] != q:
-                                continue
+                    for r in targets(p, x):
+                        for q in targets(r, y):
                             entry(tname(p, head, q)).append(
                                 (tname(p, x, r), tname(r, y, q))
                             )

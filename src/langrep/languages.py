@@ -1,10 +1,23 @@
-"""0-1-symmetric binary languages and the textual spec surface.
+"""Binary languages and the textual spec surface.
 
-A language value answers membership queries on binary words and knows
-whether it is 0-1-symmetric.  Finite sets are checked eagerly; automata are
-checked exactly by an equivalence test against their 0/1-swapped image;
-grammar-backed languages are undecidable to check and must either be wrapped
-in hull() or carry an explicit attestation.
+Every spec parses to one class, Language.  A language answers membership
+queries on binary words, knows whether it is 0-1-symmetric, and carries an
+exact form where one exists:
+
+    a Dfa   finite sets (their minimized trie), re: specs, the regular
+            builtins, and boolean combinations of these;
+    a Cfg   cfg: files, the context-free builtins, unions of grammars and
+            intersections of a grammar with a Dfa;
+    None    copy, lyndon, lyndon-odd, trash-ext, and every combination no
+            closure rule covers: an opaque predicate.
+
+Consumers that need more than membership (pair-nonemptiness, the
+treewidth decider) branch on the form alone.  A finite language also keeps
+its words and answers membership by set lookup.  Symmetry is checked
+eagerly for finite sets and decided lazily for a Dfa, by an equivalence
+test against its 0/1-swapped image, so hull() can wrap an asymmetric base.
+Otherwise it is given: builtins are symmetric by definition, and a grammar
+file must be wrapped in hull() or attested.
 
 The spec mini-grammar understood by parse_language:
 
@@ -22,119 +35,80 @@ from __future__ import annotations
 
 import itertools
 
-from .automata import Dfa, compile_regex
-from .errors import FormatError, NotSymmetricError
-from .grammar import Cfg
+from .automata import Dfa, compile_regex, count_window_dfa, dfa_from_finite, explore
+from .errors import CapacityError, FormatError, NotSymmetricError
+from .grammar import Cfg, intersect_regular
 from .words import complement_word
 
 HALFLINE_WORDS = ("01", "011", "0101", "0011", "0110")
 
+# a builtin's parameter fixes its automaton's size: 2k states for no-kk(k),
+# (k+1)^2 + 1 for uniform(k), about 2(k+1)^2 for k11(k)
+MAX_BUILTIN_PARAM = 64
+
 
 class Language:
-    """Base interface: ``contains`` plus a symmetry flag."""
+    """A binary language: membership, 0-1-symmetry and an exact form.
 
-    symmetric = False
+    ``form`` is a Dfa, a Cfg, or None for an opaque predicate; ``words`` is
+    the frozenset of a finite language, else None; a finite language builds
+    its form, the minimized trie, on first use.  Membership is a set
+    lookup for a finite language, ``member`` when given, and otherwise the
+    form's own test.  ``symmetric`` is given, or, for a Dfa form, decided on
+    first use, which leaves a shortest asymmetric word in ``sym_witness``.
+    """
 
-    def contains(self, b: str) -> bool:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"<Language {self.describe()}>"
-
-
-class FiniteLanguage(Language):
-    def __init__(self, words):
-        words = frozenset(words)
-        for w in words:
-            if any(c not in "01" for c in w):
-                raise FormatError(f"not a binary word: {w!r}")
-            if complement_word(w) not in words:
-                raise NotSymmetricError(w)
-        self.words = words
-        self.symmetric = True
-
-    def contains(self, b: str) -> bool:
-        return b in self.words
-
-    def describe(self) -> str:
-        if not self.words:
-            return "{}"
-        return "{" + ",".join(w if w else "e" for w in sorted(self.words, key=lambda w: (len(w), w))) + "}"
-
-
-class RegularLanguage(Language):
-    """Symmetry is decided lazily so hull() can wrap an asymmetric base."""
-
-    def __init__(self, dfa: Dfa, *, assume_symmetric=False, label="re:?"):
-        self.dfa = dfa
+    def __init__(self, form, label, *, member=None, symmetric=None, words=None):
+        if words is not None:
+            member = words.__contains__
+        elif member is None:
+            member = form.accepts if isinstance(form, Dfa) else form.contains
+        self._form = form
         self.label = label
-        self._symmetric = True if assume_symmetric else None
+        self.words = words
+        self._member = member
+        self._symmetric = symmetric
         self.sym_witness = None
+
+    @property
+    def form(self):
+        # a finite language builds its minimized trie on first use
+        if self._form is None and self.words is not None:
+            self._form = dfa_from_finite(self.words).minimize()
+        return self._form
 
     @property
     def symmetric(self) -> bool:
         if self._symmetric is None:
-            diff = self.dfa.product(self.dfa.swap01(), lambda a, b: a != b)
+            diff = self.form.product(self.form.swap01(), lambda a, b: a != b)
             self.sym_witness = diff.shortest_accepted()
             self._symmetric = self.sym_witness is None
         return self._symmetric
 
     def contains(self, b: str) -> bool:
-        return self.dfa.accepts(b)
+        return self._member(b)
 
     def describe(self) -> str:
         return self.label
 
-
-class GrammarLanguage(Language):
-    def __init__(self, cfg: Cfg, *, assume_symmetric=False, label="cfg:?"):
-        self.cfg = cfg
-        self.label = label
-        self.symmetric = bool(assume_symmetric)
-
-    def contains(self, b: str) -> bool:
-        return self.cfg.contains(b)
-
-    def describe(self) -> str:
-        return self.label
+    def __repr__(self):
+        return f"<Language {self.label}>"
 
 
-class BuiltinLanguage(Language):
-    """Named predicate languages; all of them are symmetric by definition."""
-
-    def __init__(self, name, fn):
-        self.name = name
-        self.fn = fn
-        self.symmetric = True
-
-    def contains(self, b: str) -> bool:
-        return self.fn(b)
-
-    def describe(self) -> str:
-        return self.name
+def finite_language(words) -> Language:
+    """The finite language of ``words`` taken verbatim; it must already be
+    0-1-symmetric."""
+    words = frozenset(words)
+    for w in words:
+        if any(c not in "01" for c in w):
+            raise FormatError(f"not a binary word: {w!r}")
+        if complement_word(w) not in words:
+            raise NotSymmetricError(w)
+    label = "{" + ",".join(w if w else "e" for w in sorted(words, key=lambda w: (len(w), w))) + "}"
+    return Language(None, label, symmetric=True, words=words)
 
 
-class ComboLanguage(Language):
-    """Lazy pointwise combinator node (not/and/or/rev/hull/trash-ext)."""
-
-    def __init__(self, op, parts, fn, symmetric, label=None):
-        self.op = op
-        self.parts = tuple(parts)
-        self.fn = fn
-        self.symmetric = symmetric
-        self.label = label or f"{op}({','.join(p.describe() for p in parts)})"
-
-    def contains(self, b: str) -> bool:
-        return self.fn(b)
-
-    def describe(self) -> str:
-        return self.label
-
-
-# --- builtin membership predicates -----------------------------------------
+# --- builtins ---------------------------------------------------------------
 
 
 def _is_lyndon(b: str) -> bool:
@@ -159,10 +133,6 @@ def _dyck(b: str) -> bool:
     return lo >= 0 or hi <= 0
 
 
-def _wrep(b: str) -> bool:
-    return all(b[i] != b[i + 1] for i in range(len(b) - 1))
-
-
 def _0n1n(b: str) -> bool:
     n2 = len(b)
     if n2 % 2:
@@ -171,162 +141,184 @@ def _0n1n(b: str) -> bool:
     return b == "0" * n + "1" * n or b == "1" * n + "0" * n
 
 
-def _count_factor(b: str, f: str) -> int:
-    return sum(1 for i in range(len(b) - len(f) + 1) if b[i:i + len(f)] == f)
+def _parity_dfa(accept: int) -> Dfa:
+    # state 2a + b holds the parity a of the 0s and b of the 1s
+    return Dfa([(q ^ 2, q ^ 1) for q in range(4)], 0, {accept})
+
+
+def _no_run_dfa(k: int) -> Dfa:
+    # (last symbol, length of its run); reaching a run of k rejects for good
+    def step(s, c):
+        last, run = s
+        return s if run >= k else (c, run + 1 if c == last else 1)
+
+    return explore((None, 0), step, lambda s: s[1] < k).minimize()
+
+
+def _factor_count_dfa(k: int) -> Dfa:
+    # (last symbol, 00 factors, 11 factors); a count past k rejects for good
+    def step(s, c):
+        last, n00, n11 = s
+        if n00 > k or n11 > k:
+            return s
+        return (c, n00 + (c == last == 0), n11 + (c == last == 1))
+
+    return explore((None, 0, 0), step, lambda s: s[1] <= k and s[2] <= k).minimize()
+
+
+# name -> (form factory, membership predicate).  A regular builtin's
+# automaton answers membership itself; a context-free builtin keeps its
+# predicate, far faster than an Earley parse; copy and the Lyndon languages
+# are not context-free and stay opaque.
+_FIXED_BUILTINS = {
+    "wrep": (lambda: compile_regex("(1|e)(01)*(0|e)").minimize(), None),
+    "even-counts": (lambda: _parity_dfa(0), None),
+    "odd-counts": (lambda: _parity_dfa(3), None),
+    "palindrome": (
+        lambda: Cfg.parse("S -> 0 S 0 | 1 S 1 | 0 | 1 | 0 0 | 1 1"),
+        lambda b: b != "" and b == b[::-1],
+    ),
+    "balanced": (
+        lambda: Cfg.parse("S -> 0 S 1 S | 1 S 0 S | eps"),
+        lambda b: b.count("0") == b.count("1"),
+    ),
+    "dyck": (lambda: Cfg.parse("S -> A | B\nA -> 1 A 0 A | eps\nB -> 0 B 1 B | eps"), _dyck),
+    "0n1n": (lambda: Cfg.parse("S -> A | B\nA -> 0 A 1 | eps\nB -> 1 B 0 | eps"), _0n1n),
+    "copy": (
+        lambda: None,
+        lambda b: len(b) % 2 == 0 and b[: len(b) // 2] == b[len(b) // 2:],
+    ),
+    "lyndon": (lambda: None, _lyndon),
+    "lyndon-odd": (lambda: None, lambda b: len(b) % 2 == 1 and _lyndon(b)),
+}
+
+_PARAMETRIZED_BUILTINS = {
+    "uniform": lambda k: count_window_dfa(k, k),
+    "k11": _factor_count_dfa,
+    "no-kk": _no_run_dfa,
+}
 
 
 def builtin(name: str, param=None) -> Language:
-    base = {
-        "wrep": _wrep,
-        "palindrome": lambda b: b != "" and b == b[::-1],
-        "copy": lambda b: len(b) % 2 == 0 and b[: len(b) // 2] == b[len(b) // 2:],
-        "lyndon": _lyndon,
-        "lyndon-odd": lambda b: len(b) % 2 == 1 and _lyndon(b),
-        "dyck": _dyck,
-        "balanced": lambda b: b.count("0") == b.count("1"),
-        "0n1n": _0n1n,
-        "odd-counts": lambda b: b.count("0") % 2 == 1 and b.count("1") % 2 == 1,
-        "even-counts": lambda b: b.count("0") % 2 == 0 and b.count("1") % 2 == 0,
-    }
-    if name in base:
-        if param is not None:
-            raise FormatError(f"builtin {name} takes no parameter")
-        return BuiltinLanguage(name, base[name])
+    """The named builtin language; every builtin is 0-1-symmetric."""
+    if name in _PARAMETRIZED_BUILTINS:
+        if param is None:
+            raise FormatError(f"builtin {name} requires a parameter")
+        k = int(param)
+        if not 0 <= k <= MAX_BUILTIN_PARAM:
+            raise FormatError(f"builtin {name} needs a parameter from 0 to {MAX_BUILTIN_PARAM}")
+        return Language(_PARAMETRIZED_BUILTINS[name](k), f"{name}({k})", symmetric=True)
+    if name != "halfline" and name not in _FIXED_BUILTINS:
+        raise FormatError(f"unknown builtin {name!r}")
+    if param is not None:
+        raise FormatError(f"builtin {name} takes no parameter")
     if name == "halfline":
-        if param is not None:
-            raise FormatError("halfline takes no parameter")
         return hull_finite(HALFLINE_WORDS)
-    if param is None:
-        raise FormatError(f"builtin {name} requires a parameter")
-    k = int(param)
-    if k < 0:
-        raise FormatError(f"builtin {name} needs a nonnegative parameter")
-    if name == "uniform":
-        return BuiltinLanguage(f"uniform({k})", lambda b: b.count("0") == k and b.count("1") == k)
-    if name == "k11":
-        return BuiltinLanguage(
-            f"k11({k})",
-            lambda b: _count_factor(b, "00") <= k and _count_factor(b, "11") <= k,
-        )
-    if name == "no-kk":
-        return BuiltinLanguage(f"no-kk({k})", lambda b: "0" * k not in b and "1" * k not in b)
-    raise FormatError(f"unknown builtin {name!r}")
-
-
-BUILTIN_NAMES = (
-    "wrep", "palindrome", "copy", "lyndon", "lyndon-odd", "dyck", "balanced",
-    "0n1n", "uniform", "k11", "no-kk", "odd-counts", "even-counts", "halfline",
-)
+    make_form, member = _FIXED_BUILTINS[name]
+    return Language(make_form(), name, member=member, symmetric=True)
 
 
 # --- combinators ------------------------------------------------------------
+#
+# A combinator closes the forms it can: a Dfa under every operation, a Cfg
+# under union, reversal and intersection with a Dfa.  Any other result is
+# opaque, and its membership is composed pointwise from its parts.
 
 
-def hull_finite(words) -> FiniteLanguage:
+def _combined(op, parts, form, member, symmetric) -> Language:
+    label = f"{op}({','.join(p.label for p in parts)})"
+    if isinstance(form, Dfa):
+        # the automaton answers membership and settles an unproven symmetry
+        return Language(form, label, symmetric=symmetric or None)
+    return Language(form, label, member=member, symmetric=symmetric)
+
+
+def _minimized(form):
+    # products and reversals of automata leave redundant states
+    return form.minimize() if isinstance(form, Dfa) else form
+
+
+def hull_finite(words) -> Language:
     ws = set(words)
     ws |= {complement_word(w) for w in ws}
-    return FiniteLanguage(ws)
+    return finite_language(ws)
 
 
 def hull(lang: Language) -> Language:
-    if isinstance(lang, FiniteLanguage):
-        return hull_finite(lang.words)
-    if isinstance(lang, RegularLanguage):
-        return RegularLanguage(
-            lang.dfa.union(lang.dfa.swap01()),
-            assume_symmetric=True,
-            label=f"hull({lang.describe()})",
-        )
-    if isinstance(lang, GrammarLanguage):
-        return GrammarLanguage(
-            lang.cfg.union(lang.cfg.swap01()),
-            assume_symmetric=True,
-            label=f"hull({lang.describe()})",
-        )
     if lang.symmetric:
         return lang
-    return ComboLanguage(
-        "hull", [lang],
+    f = lang.form
+    return _combined(
+        "hull", [lang], None if f is None else _minimized(f.union(f.swap01())),
         lambda b: lang.contains(b) or lang.contains(complement_word(b)),
         True,
     )
 
 
 def negate(lang: Language) -> Language:
-    if isinstance(lang, GrammarLanguage):
-        raise ValueError("unsupported combinator: not() on a grammar-backed language")
-    if isinstance(lang, RegularLanguage):
-        return RegularLanguage(
-            lang.dfa.complement(),
-            assume_symmetric=lang.symmetric,
-            label=f"not({lang.describe()})",
-        )
-    return ComboLanguage("not", [lang], lambda b: not lang.contains(b), lang.symmetric)
+    form = lang.form.complement() if isinstance(lang.form, Dfa) else None
+    return _combined("not", [lang], form, lambda b: not lang.contains(b), lang.symmetric)
 
 
 def conjoin(a: Language, b: Language) -> Language:
-    return _binary("and", a, b, lambda x, y: x and y)
+    if a.words is not None and b.words is not None:
+        return finite_language(a.words & b.words)
+    f, g = a.form, b.form
+    if isinstance(g, Cfg):
+        f, g = g, f  # a grammar goes first
+    form = None
+    if isinstance(f, Dfa) and isinstance(g, Dfa):
+        form = f.intersect(g).minimize()
+    elif isinstance(f, Cfg) and isinstance(g, Dfa):
+        try:
+            form = intersect_regular(f, g)
+        except CapacityError:
+            pass  # a product past its budget leaves the result opaque
+    return _combined(
+        "and", [a, b], form,
+        lambda w: a.contains(w) and b.contains(w),
+        a.symmetric and b.symmetric,
+    )
 
 
 def disjoin(a: Language, b: Language) -> Language:
-    return _binary("or", a, b, lambda x, y: x or y)
-
-
-def _binary(op, a: Language, b: Language, combine) -> Language:
-    if isinstance(a, GrammarLanguage) or isinstance(b, GrammarLanguage):
-        raise ValueError(f"unsupported combinator: {op}() on a grammar-backed language")
-    if isinstance(a, FiniteLanguage) and isinstance(b, FiniteLanguage):
-        words = a.words & b.words if op == "and" else a.words | b.words
-        return FiniteLanguage(words)
-    if isinstance(a, RegularLanguage) and isinstance(b, RegularLanguage):
-        dfa = a.dfa.intersect(b.dfa) if op == "and" else a.dfa.union(b.dfa)
-        return RegularLanguage(
-            dfa,
-            assume_symmetric=a.symmetric and b.symmetric,
-            label=f"{op}({a.describe()},{b.describe()})",
-        )
-    return ComboLanguage(
-        op, [a, b],
-        lambda w: combine(a.contains(w), b.contains(w)),
+    if a.words is not None and b.words is not None:
+        return finite_language(a.words | b.words)
+    f, g = a.form, b.form
+    form = None
+    if f is not None and type(f) is type(g):
+        # two Dfas give their product, two Cfgs a fresh start symbol
+        form = _minimized(f.union(g))
+    return _combined(
+        "or", [a, b], form,
+        lambda w: a.contains(w) or b.contains(w),
         a.symmetric and b.symmetric,
     )
 
 
 def reverse_language(lang: Language) -> Language:
-    if isinstance(lang, FiniteLanguage):
-        return FiniteLanguage({w[::-1] for w in lang.words})
-    if isinstance(lang, RegularLanguage):
-        return RegularLanguage(
-            lang.dfa.reverse(),
-            assume_symmetric=lang.symmetric,
-            label=f"rev({lang.describe()})",
-        )
-    if isinstance(lang, GrammarLanguage):
-        return GrammarLanguage(
-            lang.cfg.reverse(),
-            assume_symmetric=lang.symmetric,
-            label=f"rev({lang.describe()})",
-        )
-    return ComboLanguage("rev", [lang], lambda b: lang.contains(b[::-1]), lang.symmetric)
+    if lang.words is not None:
+        return finite_language({w[::-1] for w in lang.words})
+    f = lang.form
+    return _combined(
+        "rev", [lang], None if f is None else _minimized(f.reverse()),
+        lambda b: lang.contains(b[::-1]),
+        lang.symmetric,
+    )
 
 
 def freq_and_trash(lang: Language):
     """Frequentness set, trash-membership oracle and the extended language
     L-hat for a finite language.  freq(L) = {n >= 1 : some word has n zeros};
     trash words have a frequentness count outside freq(L) on either symbol."""
-    if not isinstance(lang, FiniteLanguage):
+    if lang.words is None:
         raise ValueError("freq_and_trash requires a finite language")
     freq = frozenset(w.count("0") for w in lang.words if w.count("0") >= 1)
 
     def trash(b: str) -> bool:
         return b.count("0") not in freq or b.count("1") not in freq
 
-    lhat = ComboLanguage(
-        "trash-ext", [lang],
-        lambda b: lang.contains(b) or trash(b),
-        True,
-        label=f"trash-ext({lang.describe()})",
-    )
+    lhat = _combined("trash-ext", [lang], None, lambda b: lang.contains(b) or trash(b), True)
     return freq, trash, lhat
 
 
@@ -363,13 +355,19 @@ def shuffle_finite(l1, l2):
 
 
 def parse_language(text: str) -> Language:
-    parser = _SpecParser(text)
-    lang = parser.parse()
-    return lang
+    return _SpecParser(text).parse()
 
 
 class _SpecParser:
-    COMBINATORS = ("not", "and", "or", "hull", "rev", "trash-ext")
+    # name -> (combinator, arity)
+    COMBINATORS = {
+        "not": (negate, 1),
+        "and": (conjoin, 2),
+        "or": (disjoin, 2),
+        "hull": (hull, 1),
+        "rev": (reverse_language, 1),
+        "trash-ext": (trash_extend, 1),
+    }
 
     def __init__(self, text):
         self.text = text
@@ -400,7 +398,7 @@ class _SpecParser:
         if c == "<":
             return hull_finite(self.parse_wordlist("<", ">"))
         if c == "{":
-            return FiniteLanguage(self.parse_wordlist("{", "}"))
+            return finite_language(self.parse_wordlist("{", "}"))
         if self.text.startswith("re:", self.pos):
             self.pos += 3
             return self.parse_regex()
@@ -441,8 +439,9 @@ class _SpecParser:
             self.pos += 1
         return "".join(out)
 
-    def parse_regex(self) -> Language:
-        # the expression runs to the first comma or unbalanced close paren
+    def take_operand(self, what: str) -> str:
+        # an re: or cfg: operand runs to the first top-level comma or the
+        # first unbalanced close paren
         depth = 0
         start = self.pos
         while self.pos < len(self.text):
@@ -456,35 +455,23 @@ class _SpecParser:
             elif c == "," and depth == 0:
                 break
             self.pos += 1
-        expr = self.text[start:self.pos].strip()
-        if not expr:
-            self.error("empty regular expression")
-        dfa = compile_regex(expr)
-        return RegularLanguage(dfa, label=f"re:{expr}")
+        operand = self.text[start:self.pos].strip()
+        if not operand:
+            self.error(f"empty {what}")
+        return operand
+
+    def parse_regex(self) -> Language:
+        expr = self.take_operand("regular expression")
+        return Language(compile_regex(expr).minimize(), f"re:{expr}")
 
     def parse_cfg_path(self) -> Language:
-        start = self.pos
-        depth = 0
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                if depth == 0:
-                    break
-                depth -= 1
-            elif c == "," and depth == 0:
-                break
-            self.pos += 1
-        path = self.text[start:self.pos].strip()
-        if not path:
-            self.error("empty grammar path")
+        path = self.take_operand("grammar path")
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 cfg = Cfg.parse(fh.read())
         except OSError as exc:
             self.error(f"cannot read grammar file {path!r}: {exc}")
-        return GrammarLanguage(cfg, label=f"cfg:{path}")
+        return Language(cfg, f"cfg:{path}", symmetric=False)
 
     def parse_name(self) -> Language:
         self.skip_ws()
@@ -523,46 +510,27 @@ class _SpecParser:
         return builtin(name)
 
     def apply_combinator(self, name, args) -> Language:
-        def arity(k):
-            if len(args) != k:
-                self.error(f"{name} takes {k} argument{'s' if k > 1 else ''}")
-
-        if name == "not":
-            arity(1)
-            return negate(args[0])
-        if name == "and":
-            arity(2)
-            return conjoin(args[0], args[1])
-        if name == "or":
-            arity(2)
-            return disjoin(args[0], args[1])
-        if name == "hull":
-            arity(1)
-            return hull(args[0])
-        if name == "rev":
-            arity(1)
-            return reverse_language(args[0])
-        if name == "trash-ext":
-            arity(1)
-            if not isinstance(args[0], FiniteLanguage):
-                self.error("trash-ext applies to finite languages only")
-            return trash_extend(args[0])
-        raise AssertionError(name)
+        combine, k = self.COMBINATORS[name]
+        if len(args) != k:
+            self.error(f"{name} takes {k} argument{'s' if k > 1 else ''}")
+        if name == "trash-ext" and args[0].words is None:
+            self.error("trash-ext applies to finite languages only")
+        return combine(*args)
 
 
 def require_symmetric(lang: Language):
     """Guard used by evaluation; grammar specs must be hulled or attested."""
     if not lang.symmetric:
-        witness = getattr(lang, "sym_witness", None)
+        witness = lang.sym_witness
         raise NotSymmetricError(
             witness=witness,
             message=f"language {lang.describe()} is not attested 0-1-symmetric"
             + (f"; witness {witness!r}" if witness is not None else "")
-            + "; wrap it in hull() or construct it with assume_symmetric=True",
+            + "; wrap it in hull() or construct it with symmetric=True",
         )
 
 
-def finite_from_shuffle(*parts) -> FiniteLanguage:
+def finite_from_shuffle(*parts) -> Language:
     """Convenience: hull of a shuffle of word lists, used in tests."""
     acc = {""}
     for p in parts:

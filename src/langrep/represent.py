@@ -21,21 +21,16 @@ from math import comb
 from .errors import CapacityError
 from .graphs import Graph
 from .isomorphism import isomorphic
-from .languages import (
-    FiniteLanguage,
-    GrammarLanguage,
-    Language,
-    RegularLanguage,
-    require_symmetric,
-)
-from .automata import count_window_dfa
-from .grammar import intersect_regular
+from .languages import Language, require_symmetric
+from .automata import Dfa
+from .grammar import Cfg
 from .words import VertexWord
 
 DEFAULT_NODE_BUDGET = 10**8
 
 # words with counts (k, l) number C(k+l, k); pair-nonemptiness scans them
-# for opaque languages, so keep an explicit ceiling
+# for opaque languages, so keep an explicit ceiling, which also bounds the
+# states it visits in an automaton and the count-vector sums of a grammar
 ENUMERATION_BUDGET = 2 * 10**6
 
 
@@ -287,23 +282,38 @@ class Decomposition:
 
 def pair_nonempty(lang: Language, k: int, ell: int) -> bool:
     """Does lang contain a word with letter counts {k, ell} (either
-    polarity)?  Decided exactly per language kind."""
-    if isinstance(lang, FiniteLanguage):
-        return any({b.count("0"), b.count("1")} == {k, ell} for b in lang.words)
-    window = count_window_dfa(k, ell)
-    if k != ell:
-        window = window.union(count_window_dfa(ell, k))
-    if isinstance(lang, RegularLanguage):
-        return not lang.dfa.intersect(window).is_empty()
-    if isinstance(lang, GrammarLanguage):
-        return not intersect_regular(lang.cfg, window).is_empty()
+    polarity)?  Decided exactly on the language's form: a Dfa is searched
+    with the letter counts in its state, a Cfg yields its bounded count
+    vectors, and an opaque language has its words of those counts
+    enumerated.  Past ENUMERATION_BUDGET the call raises CapacityError."""
+    form = lang.form
+    if isinstance(form, Dfa):
+        # breadth-first over (state, zeros, ones) up to max(k, ell) each,
+        # never entering a rejecting sink, so a trie is searched within itself
+        top = max(k, ell)
+        sinks = {q for q, (a, b) in enumerate(form.trans) if a == b == q} - form.accept
+        todo = [(form.start, 0, 0)]
+        seen = set(todo)
+        for q, i, j in todo:
+            if q in form.accept and {i, j} == {k, ell}:
+                return True
+            for nxt in ((form.trans[q][0], i + 1, j), (form.trans[q][1], i, j + 1)):
+                if nxt[0] not in sinks and max(nxt[1:]) <= top and nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+            if len(seen) > ENUMERATION_BUDGET:
+                raise CapacityError(f"pair ({k},{ell}) search exceeds budget for {lang.label}")
+        return False
+    if isinstance(form, Cfg):
+        vecs = form.count_vectors(max(k, ell), ENUMERATION_BUDGET)
+        return (k, ell) in vecs or (ell, k) in vecs
     # opaque membership: enumerate all words with the two count profiles
     profiles = {(k, ell), (ell, k)}
     for zeros, ones in profiles:
         length = zeros + ones
         if comb(length, zeros) > ENUMERATION_BUDGET:
             raise CapacityError(
-                f"pair ({k},{ell}) enumeration exceeds budget for opaque language"
+                f"pair ({k},{ell}) enumeration exceeds budget for {lang.label}"
             )
         for positions in itertools.combinations(range(length), zeros):
             chars = ["1"] * length

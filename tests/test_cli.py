@@ -194,6 +194,16 @@ def test_decide_cfg_file(capsys, tmp_path):
     }
 
 
+def test_decide_regular_builtin(capsys):
+    code, out, _ = run_cli(capsys, "decide", "--lang", "wrep", "--json")
+    assert code == 1 and json.loads(out)["witness"] == "01"
+
+
+def test_decide_opaque_builtin_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "decide", "--lang", "copy", "--json")
+    assert code == 2 and "regular or context-free" in err
+
+
 def test_decide_sources_exclusive(capsys):
     code, _, _ = run_cli(capsys, "decide", "--lang", "<01>", "--cfg", "x.cfg")
     assert code == 2

@@ -1,9 +1,11 @@
-"""Edgeless-class decision over finite, regular, and grammar specs."""
+"""Edgeless-class decision over finite, regular, and grammar specs, and
+over every builtin with a regular or context-free form."""
 
 import tracemalloc
 
 import pytest
 
+from conftest import all_binary_words
 from langrep.automata import compile_regex
 from langrep.decide import decide
 from langrep.errors import CapacityError
@@ -67,7 +69,43 @@ def test_property_aliases_and_errors():
 
 def test_opaque_language_rejected():
     with pytest.raises(ValueError):
-        decide(parse_language("dyck"))
+        decide(parse_language("copy"))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["wrep", "dyck", "balanced", "palindrome", "0n1n", "even-counts", "odd-counts",
+     "no-kk(2)", "k11(1)", "uniform(2)"],
+)
+def test_regular_and_context_free_builtins_decide(spec):
+    # every one holds a word with both symbols; the witness is the
+    # length-lexicographically least such word
+    lang = parse_language(spec)
+    least = next(
+        b for b in all_binary_words(6) if "0" in b and "1" in b and lang.contains(b)
+    )
+    verdict = decide(lang)
+    assert verdict.answer is False
+    assert len(verdict.witness) == len(least) and lang.contains(verdict.witness)
+    if spec not in ("dyck", "balanced", "palindrome", "0n1n"):
+        assert verdict.witness == least
+
+
+@pytest.mark.parametrize("spec", ["copy", "lyndon", "lyndon-odd", "not(dyck)"])
+def test_opaque_builtins_rejected(spec):
+    with pytest.raises(ValueError, match="has none"):
+        decide(parse_language(spec))
+
+
+def test_non_language_rejected():
+    with pytest.raises(ValueError, match="has none"):
+        decide("dyck")
+
+
+def test_bounded_builtin_combinations():
+    assert decide(parse_language("and(wrep,re:0*|1*)")).answer is True
+    assert decide(parse_language("and(dyck,re:0*|1*)")).answer is True
+    assert decide(parse_language("no-kk(1)")).answer is True
 
 
 def test_verdict_to_json():

@@ -1,18 +1,22 @@
 """Automata and grammar machinery: regex compilation, DFA algebra,
-Earley membership, emptiness, shortest words, and the regular product."""
+minimization, Earley membership, emptiness, shortest words, and the
+regular product."""
 
+import itertools
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import all_binary_words
 from langrep.automata import (
+    Dfa,
     both_symbols_dfa,
     compile_regex,
     count_window_dfa,
     dfa_from_finite,
 )
-from langrep.errors import FormatError
+from langrep.errors import CapacityError, FormatError
 from langrep.grammar import Cfg, intersect_regular
 
 WORDS7 = list(all_binary_words(7))
@@ -77,6 +81,48 @@ def test_dfa_emptiness_and_shortest():
 def test_dfa_equivalence():
     assert compile_regex("0*").equivalent(compile_regex("0*0*"))
     assert not compile_regex("0*").equivalent(compile_regex("0*1"))
+
+
+# random expressions over the regex surface syntax
+REGEXES = st.recursive(
+    st.sampled_from(["0", "1", "e"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda p: f"({p[0]}|{p[1]})"),
+        st.tuples(inner, inner).map(lambda p: p[0] + p[1]),
+        inner.map(lambda r: f"({r})*"),
+    ),
+    max_leaves=10,
+)
+WORDS8 = list(all_binary_words(8))
+
+
+@given(REGEXES)
+def test_minimize_preserves_language_and_is_minimal(expr):
+    dfa = compile_regex(expr)
+    small = dfa.minimize()
+    assert len(small) <= len(dfa)
+    for b in WORDS8:
+        assert small.accepts(b) == dfa.accepts(b), (expr, b)
+    assert len(small.minimize()) == len(small)
+    # minimal: every two states are told apart by some word
+    for p, q in itertools.combinations(range(len(small)), 2):
+        assert not Dfa(small.trans, p, small.accept).equivalent(
+            Dfa(small.trans, q, small.accept)
+        ), (expr, p, q)
+
+
+def test_minimize_split_regex_to_four_states():
+    # words with both a 0 and a 1: nothing, only 0s, only 1s, both
+    dfa = compile_regex("(0|1)*0(0|1)*1(0|1)*|(0|1)*1(0|1)*0(0|1)*")
+    assert len(dfa) == 13
+    small = dfa.minimize()
+    assert len(small) == 4
+    assert small.equivalent(both_symbols_dfa())
+
+
+def test_minimize_drops_unreachable_states():
+    dfa = Dfa([(0, 0), (1, 1), (2, 0)], 0, {0, 2})
+    assert len(dfa.minimize()) == 1
 
 
 def test_dfa_from_finite():
@@ -180,3 +226,27 @@ def test_intersect_regular_pointwise():
     prod = intersect_regular(dyck, window)
     for b in WORDS7:
         assert prod.contains(b) == (dyck.contains(b) and window.accepts(b))
+
+
+def test_intersect_regular_refuses_a_product_past_its_budget():
+    with pytest.raises(CapacityError, match="budget"):
+        intersect_regular(Cfg.parse(DYCK), count_window_dfa(20, 20))
+
+
+@pytest.mark.parametrize(
+    "rules", [ANBN, DYCK, "S -> S S | 0 | 1", "S -> 0 S 0 | 1 S 1 | 0 | 1 | eps", "S -> S"]
+)
+def test_count_vectors_match_the_generated_words(rules):
+    cfg = Cfg.parse(rules)
+    expected = {
+        (b.count("0"), b.count("1"))
+        for b in all_binary_words(8)
+        if b.count("0") <= 4 and b.count("1") <= 4 and cfg.contains(b)
+    }
+    assert cfg.count_vectors(4, 10**6) == expected
+
+
+def test_count_vectors_budget():
+    cfg = Cfg.parse("S -> S S | 0 | 1")
+    with pytest.raises(CapacityError, match="budget"):
+        cfg.count_vectors(60, 10**5)

@@ -1,25 +1,27 @@
-"""Language layer: builtin predicates against independent references,
-combinators, the textual spec grammar, and the symmetry guard."""
+"""Language layer: builtin predicates and exact forms against independent
+references, combinators, the textual spec grammar, and the symmetry guard."""
 
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import all_binary_words, gnp
+from langrep.automata import Dfa
 from langrep.constructions import build_lyndon
+from langrep.decide import decide
 from langrep.errors import FormatError, NotSymmetricError
+from langrep.grammar import Cfg
 from langrep.languages import (
-    BuiltinLanguage,
-    FiniteLanguage,
-    GrammarLanguage,
-    RegularLanguage,
+    MAX_BUILTIN_PARAM,
     builtin,
     conjoin,
     disjoin,
     finite_from_shuffle,
+    finite_language,
     freq_and_trash,
     hull,
     hull_finite,
@@ -34,6 +36,7 @@ from langrep.languages import (
 from langrep.words import complement_word
 
 WORDS8 = list(all_binary_words(8))
+WORDS10 = list(all_binary_words(10))
 
 
 # --- reference predicates, written from the definitions ---------------------
@@ -77,25 +80,90 @@ def ref_0n1n(b):
     return len(b) % 2 == 0 and b in ("0" * k + "1" * k, "1" * k + "0" * k)
 
 
-@pytest.mark.parametrize(
-    "name, ref",
-    [
-        ("palindrome", ref_palindrome),
-        ("copy", ref_copy),
-        ("lyndon", ref_lyndon),
-        ("lyndon-odd", lambda b: len(b) % 2 == 1 and ref_lyndon(b)),
-        ("dyck", ref_dyck),
-        ("wrep", ref_wrep),
-        ("0n1n", ref_0n1n),
-        ("balanced", lambda b: b.count("0") == b.count("1")),
-        ("odd-counts", lambda b: b.count("0") % 2 == 1 and b.count("1") % 2 == 1),
-        ("even-counts", lambda b: b.count("0") % 2 == 0 and b.count("1") % 2 == 0),
-    ],
-)
+BUILTIN_REFERENCES = [
+    ("palindrome", ref_palindrome),
+    ("copy", ref_copy),
+    ("lyndon", ref_lyndon),
+    ("lyndon-odd", lambda b: len(b) % 2 == 1 and ref_lyndon(b)),
+    ("dyck", ref_dyck),
+    ("wrep", ref_wrep),
+    ("0n1n", ref_0n1n),
+    ("balanced", lambda b: b.count("0") == b.count("1")),
+    ("odd-counts", lambda b: b.count("0") % 2 == 1 and b.count("1") % 2 == 1),
+    ("even-counts", lambda b: b.count("0") % 2 == 0 and b.count("1") % 2 == 0),
+]
+
+
+def ref_factor_count(b, f):
+    return sum(1 for i in range(len(b)) if b.startswith(f, i))
+
+
+# the parametrized builtins at a few parameters, and halfline
+SPEC_REFERENCES = BUILTIN_REFERENCES + [
+    ("uniform(0)", lambda b: b == ""),
+    ("uniform(2)", lambda b: b.count("0") == 2 and b.count("1") == 2),
+    ("k11(0)", lambda b: "00" not in b and "11" not in b),
+    ("k11(1)", lambda b: ref_factor_count(b, "00") <= 1 and ref_factor_count(b, "11") <= 1),
+    ("k11(2)", lambda b: ref_factor_count(b, "00") <= 2 and ref_factor_count(b, "11") <= 2),
+    ("no-kk(0)", lambda b: False),
+    ("no-kk(1)", lambda b: b == ""),
+    ("no-kk(2)", lambda b: "00" not in b and "11" not in b),
+    ("no-kk(3)", lambda b: "000" not in b and "111" not in b),
+    ("halfline", lambda b: b in {"01", "011", "0101", "0011", "0110",
+                                 "10", "100", "1010", "1100", "1001"}),
+]
+
+CONTEXT_FREE = {"palindrome", "dyck", "balanced", "0n1n"}
+OPAQUE = {"copy", "lyndon", "lyndon-odd"}
+
+
+def form_test(form):
+    # a form's own membership test: a Dfa run or an Earley parse
+    return form.accepts if isinstance(form, Dfa) else form.contains
+
+
+@pytest.mark.parametrize("name, ref", BUILTIN_REFERENCES)
 def test_builtin_matches_reference(name, ref):
     lang = builtin(name)
     for b in WORDS8:
         assert lang.contains(b) == ref(b), (name, b)
+
+
+@pytest.mark.parametrize("spec, ref", SPEC_REFERENCES, ids=[s for s, _ in SPEC_REFERENCES])
+def test_builtin_form_agrees_with_contains_and_reference(spec, ref):
+    lang = parse_language(spec)
+    form = lang.form
+    if spec in OPAQUE:
+        assert form is None
+    else:
+        assert isinstance(form, Cfg if spec in CONTEXT_FREE else Dfa)
+    for b in WORDS10:
+        expected = ref(b)
+        assert lang.contains(b) == expected, (spec, b)
+        assert form is None or form_test(form)(b) == expected, (spec, b)
+
+
+@pytest.mark.parametrize("spec", [s for s, _ in SPEC_REFERENCES])
+def test_builtin_dfa_forms_are_swap_invariant(spec):
+    lang = parse_language(spec)
+    assert lang.symmetric
+    if isinstance(lang.form, Dfa):
+        assert lang.form.equivalent(lang.form.swap01())
+
+
+def test_builtin_parameter_is_capped_before_any_allocation():
+    assert len(parse_language(f"no-kk({MAX_BUILTIN_PARAM})").form) == 2 * MAX_BUILTIN_PARAM
+    for name in ("uniform", "k11", "no-kk"):
+        with pytest.raises(FormatError):
+            parse_language(f"{name}({MAX_BUILTIN_PARAM + 1})")
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError):
+            parse_language("no-kk(100000000)")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _long_lyndon_cases():
@@ -183,15 +251,15 @@ def test_spot_memberships():
 
 def test_finite_language_checked_eagerly():
     with pytest.raises(NotSymmetricError) as exc:
-        FiniteLanguage({"01"})
+        finite_language({"01"})
     assert exc.value.witness == "01"
-    ok = FiniteLanguage({"01", "10"})
+    ok = finite_language({"01", "10"})
     assert ok.symmetric
     require_symmetric(ok)
 
 
 def test_empty_finite_language_is_symmetric():
-    lang = FiniteLanguage(frozenset())
+    lang = finite_language(frozenset())
     assert lang.symmetric and not lang.contains("") and lang.describe() == "{}"
 
 
@@ -209,7 +277,7 @@ def test_grammar_language_needs_attestation(tmp_path):
     path = tmp_path / "anbn.cfg"
     path.write_text("S -> 0 S 1 | eps\n")
     raw = parse_language(f"cfg:{path}")
-    assert isinstance(raw, GrammarLanguage) and not raw.symmetric
+    assert isinstance(raw.form, Cfg) and not raw.symmetric
     with pytest.raises(NotSymmetricError):
         require_symmetric(raw)
     hulled = parse_language(f"hull(cfg:{path})")
@@ -247,6 +315,69 @@ def test_negate_conjoin_disjoin_pointwise(b):
     assert disjoin(pal, wrep).contains(b) == (pal.contains(b) or wrep.contains(b))
 
 
+@pytest.mark.parametrize(
+    "spec, kind",
+    [
+        ("not(<01>)", Dfa),
+        ("and(<0101>,re:(0|1)*)", Dfa),
+        ("or(<01>,wrep)", Dfa),
+        ("hull(re:0*1)", Dfa),
+        ("rev(re:0*(1|e))", Dfa),
+        ("and(palindrome,wrep)", Cfg),
+        ("and(re:0*1*,dyck)", Cfg),
+        ("or(dyck,palindrome)", Cfg),
+        ("rev(palindrome)", Cfg),
+        ("not(dyck)", None),
+        ("or(dyck,wrep)", None),
+        ("and(copy,wrep)", None),
+        ("trash-ext(<0101>)", None),
+    ],
+)
+def test_combinators_close_forms(spec, kind):
+    lang = parse_language(spec)
+    form = lang.form
+    assert form is None if kind is None else isinstance(form, kind)
+    pal, wrep, dyck = builtin("palindrome"), builtin("wrep"), builtin("dyck")
+    for b in WORDS8:
+        expected = _pointwise(spec, b, pal, wrep, dyck)
+        assert lang.contains(b) == expected, (spec, b)
+        assert form is None or form_test(form)(b) == expected, (spec, b)
+
+
+def _pointwise(spec, b, pal, wrep, dyck):
+    # the spec's meaning composed from its parts' memberships
+    return {
+        "not(<01>)": b not in ("01", "10"),
+        "and(<0101>,re:(0|1)*)": b in ("0101", "1010"),
+        "or(<01>,wrep)": b in ("01", "10") or wrep.contains(b),
+        "hull(re:0*1)": re.fullmatch("0*1|1*0", b) is not None,
+        "rev(re:0*(1|e))": re.fullmatch("1?0*", b) is not None,
+        "and(palindrome,wrep)": pal.contains(b) and wrep.contains(b),
+        "and(re:0*1*,dyck)": re.fullmatch("0*1*", b) is not None and dyck.contains(b),
+        "or(dyck,palindrome)": dyck.contains(b) or pal.contains(b),
+        "rev(palindrome)": pal.contains(b),
+        "not(dyck)": not dyck.contains(b),
+        "or(dyck,wrep)": dyck.contains(b) or wrep.contains(b),
+        "and(copy,wrep)": ref_copy(b) and wrep.contains(b),
+        "trash-ext(<0101>)": b in ("0101", "1010") or b.count("0") != 2 or b.count("1") != 2,
+    }[spec]
+
+
+def test_grammar_product_past_its_budget_stays_opaque():
+    # about 900 automaton states: the triple product would hold ~10^9 bodies
+    lang = parse_language("and(dyck,k11(20))")
+    assert lang.form is None
+    dyck, k11 = builtin("dyck"), builtin("k11", 20)
+    for b in WORDS8:
+        assert lang.contains(b) == (dyck.contains(b) and k11.contains(b))
+
+
+def test_finite_combinations_stay_finite():
+    assert parse_language("and(<01,0101>,<0101>)").words == frozenset({"0101", "1010"})
+    assert parse_language("or(<01>,<0101>)").words == frozenset({"01", "10", "0101", "1010"})
+    assert parse_language("rev(<001>)").words == frozenset({"100", "011"})
+
+
 def test_negate_finite_and_regular():
     lang = negate(parse_language("<01>"))
     assert not lang.contains("01") and not lang.contains("10")
@@ -256,11 +387,17 @@ def test_negate_finite_and_regular():
         assert reg.contains(b) == (len(b) != 2)
 
 
-def test_negate_rejects_grammars(tmp_path):
+def test_negate_of_a_grammar_is_opaque(tmp_path):
+    # context-free languages are not closed under complement
     path = tmp_path / "g.cfg"
     path.write_text("S -> 0 S 1 | eps\n")
+    hulled = parse_language(f"hull(cfg:{path})")
+    lang = parse_language(f"not(hull(cfg:{path}))")
+    assert lang.form is None and lang.symmetric
+    for b in WORDS8:
+        assert lang.contains(b) == (not hulled.contains(b))
     with pytest.raises(ValueError):
-        negate(parse_language(f"hull(cfg:{path})"))
+        decide(lang)
 
 
 def test_reverse_language_kinds():
@@ -296,7 +433,7 @@ def test_freq_and_trash_finite():
 
 
 def test_freq_ignores_words_without_zeros():
-    freq, _, _ = freq_and_trash(FiniteLanguage({"", "01", "10"}))
+    freq, _, _ = freq_and_trash(finite_language({"", "01", "10"}))
     assert freq == frozenset({1})
 
 

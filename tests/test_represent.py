@@ -5,12 +5,13 @@ enumeration of all candidate words on small instances."""
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import filter_project, gnp, graph_from_mask
+from conftest import all_binary_words, filter_project, gnp, graph_from_mask
 from langrep.constructions import _copy_halves
 from langrep.errors import CapacityError, NotSymmetricError
 from langrep.graphs import (
@@ -23,7 +24,7 @@ from langrep.graphs import (
 )
 from langrep.grammar import Cfg
 from langrep.isomorphism import enumerate_graphs
-from langrep.languages import GrammarLanguage, parse_language
+from langrep.languages import Language, parse_language
 from langrep.represent import (
     check,
     decompose,
@@ -309,17 +310,59 @@ def test_pair_nonempty_regular():
 
 def test_pair_nonempty_grammar():
     cfg = Cfg.parse("S -> 0 S 1 | 1 S 0 | eps")
-    lang = GrammarLanguage(cfg, assume_symmetric=True)
+    lang = Language(cfg, "cfg", symmetric=True)
     assert pair_nonempty(lang, 3, 3)
     assert not pair_nonempty(lang, 2, 3)
 
 
+def test_pair_nonempty_context_free_builtins_beyond_enumeration():
+    # C(50, 25) words per profile: past the enumeration budget, while the
+    # grammar's count vectors answer at once
+    assert pair_nonempty(parse_language("dyck"), 25, 25)
+    assert not pair_nonempty(parse_language("dyck"), 24, 25)
+    assert not pair_nonempty(parse_language("palindrome"), 25, 25)
+    assert pair_nonempty(parse_language("palindrome"), 25, 24)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["<01>", "<01,001>", "halfline", "not(<01>)", "wrep", "re:0*1*", "re:0*1", "even-counts",
+     "uniform(2)", "k11(1)", "no-kk(3)", "and(<0101>,re:(0|1)*)", "dyck", "palindrome"],
+)
+def test_pair_nonempty_matches_enumeration(spec):
+    lang = parse_language(spec)
+    for k in range(6):
+        for ell in range(6):
+            expected = any(
+                lang.contains(b) for b in all_binary_words(k + ell)
+                if len(b) == k + ell and sorted((b.count("0"), b.count("1"))) == sorted((k, ell))
+            )
+            assert pair_nonempty(lang, k, ell) == expected, (spec, k, ell)
+
+
+def test_pair_nonempty_finite_at_large_multiplicity_stays_in_the_trie():
+    tracemalloc.start()
+    try:
+        assert not pair_nonempty(parse_language("<01>"), 3000, 3000)
+        assert pair_nonempty(parse_language("<01>"), 1, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_pair_nonempty_regular_combinations_beyond_enumeration():
+    assert pair_nonempty(parse_language("not(<01>)"), 12, 12)
+    assert not pair_nonempty(parse_language("and(<0101>,re:(0|1)*)"), 12, 12)
+    assert pair_nonempty(parse_language("and(<0101>,re:(0|1)*)"), 2, 2)
+
+
 def test_pair_nonempty_opaque():
-    dyck = parse_language("dyck")
-    assert pair_nonempty(dyck, 2, 2)
-    assert not pair_nonempty(dyck, 1, 2)
+    copy = parse_language("copy")
+    assert pair_nonempty(copy, 2, 2)
+    assert not pair_nonempty(copy, 1, 2)
     with pytest.raises(CapacityError):
-        pair_nonempty(dyck, 25, 25)
+        pair_nonempty(copy, 25, 25)
 
 
 def test_decompose_star_example():
