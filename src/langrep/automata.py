@@ -52,29 +52,11 @@ class Dfa:
 
     def product(self, other: "Dfa", combine) -> "Dfa":
         """Reachable pair construction; ``combine`` joins acceptance bits."""
-        index = {}
-        trans = []
-        accept = set()
-        todo = deque()
-
-        def key(p, q):
-            if (p, q) not in index:
-                index[(p, q)] = len(trans)
-                trans.append(None)
-                if combine(p in self.accept, q in other.accept):
-                    accept.add(index[(p, q)])
-                todo.append((p, q))
-            return index[(p, q)]
-
-        start = key(self.start, other.start)
-        while todo:
-            p, q = todo.popleft()
-            i = index[(p, q)]
-            trans[i] = (
-                key(self.trans[p][0], other.trans[q][0]),
-                key(self.trans[p][1], other.trans[q][1]),
-            )
-        return Dfa(trans, start, accept)
+        return explore(
+            (self.start, other.start),
+            lambda s, c: (self.trans[s[0]][c], other.trans[s[1]][c]),
+            lambda s: combine(s[0] in self.accept, s[1] in other.accept),
+        )
 
     def intersect(self, other):
         return self.product(other, lambda a, b: a and b)

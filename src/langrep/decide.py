@@ -75,7 +75,7 @@ def _both_symbols_witness(form):
     if length is None:
         return form.contains, None
     # checked on the length, before a witness of that length is built
-    cap = 2 * len(product.binarized().nonterminals) + 2
+    cap = 2 * len(product.binarized().productions) + 2
     if length > cap:
         raise CapacityError(
             f"witness of length {length} exceeds the derivation cap {cap}"

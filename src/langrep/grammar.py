@@ -13,9 +13,6 @@ from .errors import CapacityError, FormatError
 
 TERMINALS = ("0", "1")
 
-# bodies a grammar-automaton product may hold (see intersect_regular)
-PRODUCT_BUDGET = 2 * 10**5
-
 
 class Cfg:
     """Productions map a nonterminal to a tuple of bodies; a body is a tuple
@@ -38,10 +35,6 @@ class Cfg:
                 for sym in body:
                     if sym not in TERMINALS and sym not in prods:
                         raise ValueError(f"undefined nonterminal {sym!r} in {head!r}")
-
-    @property
-    def nonterminals(self):
-        return tuple(self.productions)
 
     @staticmethod
     def parse(text: str) -> "Cfg":
@@ -167,33 +160,43 @@ class Cfg:
         """True when the start symbol generates no word at all."""
         return self.shortest_length() is None
 
-    def count_vectors(self, bound: int, budget: int) -> set:
-        """The letter counts (zeros, ones), neither above ``bound``, of the
-        generated words: a least fixpoint over the binarized grammar.
-        Raises CapacityError once it has formed more than ``budget`` sums
-        of count vectors."""
+    def count_vectors(self, fits, budget: int) -> set:
+        """The letter counts (zeros, ones) of the generated words that
+        satisfy ``fits(zeros, ones)``, a test that holds below every vector
+        it holds of, as a count window does.  A semi-naive least fixpoint
+        over the binarized grammar: each round sums only combinations that
+        take some symbol's gain of the round before, so a pair of vectors is
+        summed at most twice.  Raises CapacityError once it has formed more
+        than ``budget`` sums of count vectors."""
         g = self.binarized()
-        unit = {"0": {(1, 0)}, "1": {(0, 1)}}
-        vecs = {h: set() for h in g.productions}
+        vecs = {"0": {(1, 0)}, "1": {(0, 1)}}
+        for head, bodies in g.productions.items():
+            vecs[head] = {(0, 0)} if () in bodies else set()
+        # what each symbol gained in the last round; the first round takes
+        # the letters and the empty bodies as new
+        fresh = {s: set(v) for s, v in vecs.items()}
         work = 0
-        changed = True
-        while changed:
-            changed = False
+        while any(fresh.values()):
+            gained = {h: set() for h in g.productions}
             for head, bodies in g.productions.items():
                 for body in bodies:
-                    acc = {(0, 0)}
-                    for sym in body:
-                        step = unit.get(sym) or vecs[sym]
-                        work += len(acc) * len(step)
-                        if work > budget:
-                            raise CapacityError(
-                                f"count-vector fixpoint exceeds its budget of {budget} sums"
-                            )
-                        acc = {(a + c, b + d) for a, b in acc for c, d in step
-                               if a + c <= bound and b + d <= bound}
-                    if not acc <= vecs[head]:
-                        vecs[head] |= acc
-                        changed = True
+                    for i, pivot in enumerate(body):
+                        if not fresh[pivot]:
+                            continue
+                        acc = {(0, 0)}
+                        for m, sym in enumerate(body):
+                            step = fresh[sym] if m == i else vecs[sym]
+                            work += len(acc) * len(step)
+                            if work > budget:
+                                raise CapacityError(
+                                    f"count-vector fixpoint exceeds its budget of {budget} sums"
+                                )
+                            acc = {(a + c, b + d) for a, b in acc for c, d in step
+                                   if fits(a + c, b + d)}
+                        gained[head] |= acc
+            fresh = {s: gained.get(s, set()) - v for s, v in vecs.items()}
+            for s, new in fresh.items():
+                vecs[s] |= new
         return vecs[g.start]
 
     def _min_lengths(self) -> dict:
@@ -266,20 +269,25 @@ def _binarize_map(productions, start):
     return prods
 
 
-def intersect_regular(g: Cfg, d: Dfa) -> Cfg:
+def intersect_regular(g: Cfg, d: Dfa, budget=None) -> Cfg:
     """Product grammar for L(g) intersected with L(d), by the classic
     (state, symbol, state) triple construction on the binarized grammar.
 
-    A binarized rule yields at most |Q|^3 product bodies; when that bound
-    over all rules exceeds PRODUCT_BUDGET, CapacityError is raised before
-    any body is built."""
+    A binarized body with m nonterminals yields |Q|^(1+m) product bodies.
+    When ``budget`` is given and their total exceeds it, CapacityError is
+    raised before any body is built."""
     g = Cfg(g.start, _binarize_map(g.productions, g.start))
     states = range(len(d))
-    size = len(d) ** 3 * sum(len(bodies) for bodies in g.productions.values())
-    if size > PRODUCT_BUDGET:
-        raise CapacityError(
-            f"grammar-automaton product of {size} bodies exceeds the budget {PRODUCT_BUDGET}"
+    if budget is not None:
+        size = sum(
+            len(d) ** (1 + sum(s not in TERMINALS for s in body))
+            for bodies in g.productions.values()
+            for body in bodies
         )
+        if size > budget:
+            raise CapacityError(
+                f"grammar-automaton product of {size} bodies exceeds the budget {budget}"
+            )
 
     def tname(p, sym, q):
         return f"[{p},{sym},{q}]"

@@ -46,6 +46,10 @@ HALFLINE_WORDS = ("01", "011", "0101", "0011", "0110")
 # (k+1)^2 + 1 for uniform(k), about 2(k+1)^2 for k11(k)
 MAX_BUILTIN_PARAM = 64
 
+# bodies the grammar-automaton product built for and(grammar, automaton) may
+# hold; past it the conjunction stays opaque
+PRODUCT_BUDGET = 2 * 10**5
+
 
 class Language:
     """A binary language: membership, 0-1-symmetry and an exact form.
@@ -54,11 +58,14 @@ class Language:
     the frozenset of a finite language, else None; a finite language builds
     its form, the minimized trie, on first use.  Membership is a set
     lookup for a finite language, ``member`` when given, and otherwise the
-    form's own test.  ``symmetric`` is given, or, for a Dfa form, decided on
-    first use, which leaves a shortest asymmetric word in ``sym_witness``.
+    form's own test.  ``symmetric`` is given, or, for a Dfa form only, left
+    out and decided on first use, which leaves a shortest asymmetric word in
+    ``sym_witness``.
     """
 
     def __init__(self, form, label, *, member=None, symmetric=None, words=None):
+        if symmetric is None and not isinstance(form, Dfa):
+            raise TypeError(f"{label}: symmetric must be given for a language without a Dfa form")
         if words is not None:
             member = words.__contains__
         elif member is None:
@@ -134,11 +141,8 @@ def _dyck(b: str) -> bool:
 
 
 def _0n1n(b: str) -> bool:
-    n2 = len(b)
-    if n2 % 2:
-        return False
-    n = n2 // 2
-    return b == "0" * n + "1" * n or b == "1" * n + "0" * n
+    n = len(b) // 2
+    return len(b) % 2 == 0 and b in ("0" * n + "1" * n, "1" * n + "0" * n)
 
 
 def _parity_dfa(accept: int) -> Dfa:
@@ -271,9 +275,9 @@ def conjoin(a: Language, b: Language) -> Language:
         form = f.intersect(g).minimize()
     elif isinstance(f, Cfg) and isinstance(g, Dfa):
         try:
-            form = intersect_regular(f, g)
+            form = intersect_regular(f, g, PRODUCT_BUDGET)
         except CapacityError:
-            pass  # a product past its budget leaves the result opaque
+            pass
     return _combined(
         "and", [a, b], form,
         lambda w: a.contains(w) and b.contains(w),
@@ -419,8 +423,7 @@ class _SpecParser:
             if self.text[self.pos] == close_c:
                 self.pos += 1
                 break
-            tok = self.take_until(",", close_c)
-            tok = tok.strip()
+            tok = self.take_until(",", close_c).strip()
             if tok == "e":
                 words.append("")
             elif tok and all(ch in "01" for ch in tok):

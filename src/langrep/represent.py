@@ -280,6 +280,11 @@ class Decomposition:
     whole: Graph
 
 
+def _in_windows(i: int, j: int, k: int, ell: int) -> bool:
+    # can a word with i zeros and j ones extend to counts (k, ell) or (ell, k)?
+    return (i <= k and j <= ell) or (i <= ell and j <= k)
+
+
 def pair_nonempty(lang: Language, k: int, ell: int) -> bool:
     """Does lang contain a word with letter counts {k, ell} (either
     polarity)?  Decided exactly on the language's form: a Dfa is searched
@@ -288,9 +293,9 @@ def pair_nonempty(lang: Language, k: int, ell: int) -> bool:
     enumerated.  Past ENUMERATION_BUDGET the call raises CapacityError."""
     form = lang.form
     if isinstance(form, Dfa):
-        # breadth-first over (state, zeros, ones) up to max(k, ell) each,
-        # never entering a rejecting sink, so a trie is searched within itself
-        top = max(k, ell)
+        # breadth-first over (state, zeros, ones) inside the count windows
+        # {k}x{ell} and {ell}x{k}, never entering a rejecting sink, so a
+        # trie is searched within itself
         sinks = {q for q, (a, b) in enumerate(form.trans) if a == b == q} - form.accept
         todo = [(form.start, 0, 0)]
         seen = set(todo)
@@ -298,14 +303,15 @@ def pair_nonempty(lang: Language, k: int, ell: int) -> bool:
             if q in form.accept and {i, j} == {k, ell}:
                 return True
             for nxt in ((form.trans[q][0], i + 1, j), (form.trans[q][1], i, j + 1)):
-                if nxt[0] not in sinks and max(nxt[1:]) <= top and nxt not in seen:
+                if (nxt[0] not in sinks and _in_windows(nxt[1], nxt[2], k, ell)
+                        and nxt not in seen):
                     seen.add(nxt)
                     todo.append(nxt)
             if len(seen) > ENUMERATION_BUDGET:
                 raise CapacityError(f"pair ({k},{ell}) search exceeds budget for {lang.label}")
         return False
     if isinstance(form, Cfg):
-        vecs = form.count_vectors(max(k, ell), ENUMERATION_BUDGET)
+        vecs = form.count_vectors(lambda i, j: _in_windows(i, j, k, ell), ENUMERATION_BUDGET)
         return (k, ell) in vecs or (ell, k) in vecs
     # opaque membership: enumerate all words with the two count profiles
     profiles = {(k, ell), (ell, k)}

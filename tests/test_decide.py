@@ -108,6 +108,15 @@ def test_bounded_builtin_combinations():
     assert decide(parse_language("no-kk(1)")).answer is True
 
 
+def test_grammar_with_thousands_of_terminal_heavy_bodies():
+    # 4400 binarized bodies; the product with the 4-state both-symbols
+    # automaton is linear in them and is built without a budget
+    words = [format(i, "012b") for i in range(1, 401)]
+    cfg = Cfg.parse("S -> " + " | ".join(" ".join(w) for w in words))
+    verdict = decide(cfg)
+    assert verdict.answer is False and verdict.witness == "000000000001"
+
+
 def test_verdict_to_json():
     verdict = decide(parse_language("<01>"))
     assert verdict.to_json() == {

@@ -230,7 +230,21 @@ def test_intersect_regular_pointwise():
 
 def test_intersect_regular_refuses_a_product_past_its_budget():
     with pytest.raises(CapacityError, match="budget"):
-        intersect_regular(Cfg.parse(DYCK), count_window_dfa(20, 20))
+        intersect_regular(Cfg.parse(DYCK), count_window_dfa(20, 20), 2 * 10**5)
+    # no budget, no refusal
+    assert not intersect_regular(Cfg.parse(DYCK), count_window_dfa(2, 2)).is_empty()
+
+
+def test_intersect_regular_budget_charges_what_the_product_builds():
+    # a word of length 12 binarizes to 10 bodies with one nonterminal and
+    # one with none: 10 |Q|^2 + |Q| product bodies, not 11 |Q|^3
+    words = [format(i, "012b") for i in range(1, 401)]
+    cfg = Cfg.parse("S -> " + " | ".join(" ".join(w) for w in words))
+    d = both_symbols_dfa()
+    size = len(words) * (10 * len(d) ** 2 + len(d))
+    assert not intersect_regular(cfg, d, size).is_empty()
+    with pytest.raises(CapacityError, match=f"product of {size} bodies"):
+        intersect_regular(cfg, d, size - 1)
 
 
 @pytest.mark.parametrize(
@@ -243,10 +257,25 @@ def test_count_vectors_match_the_generated_words(rules):
         for b in all_binary_words(8)
         if b.count("0") <= 4 and b.count("1") <= 4 and cfg.contains(b)
     }
-    assert cfg.count_vectors(4, 10**6) == expected
+    assert cfg.count_vectors(lambda i, j: i <= 4 and j <= 4, 10**6) == expected
+
+
+def test_count_vectors_keep_only_what_fits():
+    cfg = Cfg.parse(DYCK)
+    assert cfg.count_vectors(lambda i, j: i + j <= 6, 10**6) == {(0, 0), (1, 1), (2, 2), (3, 3)}
+    assert cfg.count_vectors(lambda i, j: i <= 1 and j <= 200, 10**6) == {(0, 0), (1, 1)}
+
+
+def test_count_vectors_sum_each_pair_a_bounded_number_of_times():
+    # about 150 rounds of the fixpoint, 900 vectors in the window: a naive
+    # fixpoint re-sums every vector every round (some 5*10^5 sums), the
+    # semi-naive one sums each vector once per body
+    cfg = Cfg.parse("S -> 0 S 0 | 1 S 1 | 0 | 1 | 0 0 | 1 1")
+    vecs = cfg.count_vectors(lambda i, j: (i <= 1 and j <= 300) or (i <= 300 and j <= 1), 10**4)
+    assert (1, 300) in vecs and (0, 300) in vecs and (1, 299) not in vecs
 
 
 def test_count_vectors_budget():
     cfg = Cfg.parse("S -> S S | 0 | 1")
     with pytest.raises(CapacityError, match="budget"):
-        cfg.count_vectors(60, 10**5)
+        cfg.count_vectors(lambda i, j: i <= 60 and j <= 60, 10**5)

@@ -17,6 +17,7 @@ from langrep.errors import FormatError, NotSymmetricError
 from langrep.grammar import Cfg
 from langrep.languages import (
     MAX_BUILTIN_PARAM,
+    Language,
     builtin,
     conjoin,
     disjoin,
@@ -284,6 +285,15 @@ def test_grammar_language_needs_attestation(tmp_path):
     assert hulled.symmetric
     assert hulled.contains("0011") and hulled.contains("1100")
     assert not hulled.contains("0101")
+
+
+def test_language_without_a_dfa_form_needs_its_symmetry_given():
+    with pytest.raises(TypeError, match="symmetric must be given"):
+        Language(Cfg.parse("S -> 0 S 1 | eps"), "anbn")
+    with pytest.raises(TypeError, match="symmetric must be given"):
+        Language(None, "opaque", member=lambda b: True)
+    assert not Language(Cfg.parse("S -> 0 S 1 | eps"), "anbn", symmetric=False).symmetric
+    assert Language(Dfa([(0, 0)], 0, {0}), "all").symmetric
 
 
 # --- combinators ------------------------------------------------------------

@@ -357,6 +357,34 @@ def test_pair_nonempty_regular_combinations_beyond_enumeration():
     assert pair_nonempty(parse_language("and(<0101>,re:(0|1)*)"), 2, 2)
 
 
+def _pair_by_enumeration(lang, k, ell):
+    # every word with counts (k, ell) or (ell, k), tried one by one
+    for zeros, ones in {(k, ell), (ell, k)}:
+        for positions in itertools.combinations(range(zeros + ones), zeros):
+            chars = ["1"] * (zeros + ones)
+            for p in positions:
+                chars[p] = "0"
+            if lang.contains("".join(chars)):
+                return True
+    return False
+
+
+def test_pair_nonempty_skewed_counts_search_only_the_two_windows():
+    # a square (1501 x 1501) count bound would pass the search budget
+    assert not pair_nonempty(parse_language("even-counts"), 1, 1500)
+    assert pair_nonempty(parse_language("even-counts"), 2, 1500)
+    assert pair_nonempty(parse_language("hull(re:0*1*)"), 3, 1000)
+    assert pair_nonempty(parse_language("hull(re:0*10*)"), 1, 1000)
+    assert not pair_nonempty(parse_language("hull(re:0*10*)"), 2, 1000)
+
+
+@pytest.mark.parametrize("spec", ["palindrome", "balanced", "dyck", "0n1n"])
+@pytest.mark.parametrize("k, ell", [(1, 200), (2, 199), (0, 200)])
+def test_pair_nonempty_skewed_grammar_counts_match_enumeration(spec, k, ell):
+    lang = parse_language(spec)
+    assert pair_nonempty(lang, k, ell) == _pair_by_enumeration(lang, k, ell)
+
+
 def test_pair_nonempty_opaque():
     copy = parse_language("copy")
     assert pair_nonempty(copy, 2, 2)
