@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import constructions, oracles
-from .codec import adjacent as codec_adjacent, decode, decode_word, encode
+from .codec import adjacent as codec_adjacent, decode, encode
 from .decide import decide as run_decide
 from .errors import BuildError, CapacityError, FormatError, LangrepError
 from .graphs import (

@@ -6,16 +6,16 @@ max(1, ceil(log2 n))-bit vertex indices packed big-endian and zero-padded
 to a byte boundary, then an optional name table (one length-prefixed UTF-8
 token per index, detected by trailing bytes being present).
 
-Sparse mode stores the copy word of the complement graph: its blocks list
-each vertex's earlier neighbors, so the word has exactly 4n + 2m symbols
-and decoding reads the edges off directly.  Dense mode stores the copy
-word of the graph itself (4n + 2 * non-edges).  Fixed-width packing keeps
-single-pair adjacency answerable by one streaming projection pass.
+The word is a copy word (``copy_word``): per vertex, in index order, one
+block listing earlier vertices.  Sparse mode lists each vertex's earlier
+neighbors, read straight off the adjacency lists, so the word has exactly
+4n + 2m symbols; it is the copy word of the complement graph.  Dense mode
+lists earlier non-neighbors (4n + 2 * non-edges): the copy word of the
+graph itself.  ``decode`` and ``adjacent`` read the same validated blocks.
 """
 
 from __future__ import annotations
 
-from .constructions import _copy_halves
 from .errors import FormatError
 from .graphs import Graph
 from .words import VertexWord, check_token
@@ -63,15 +63,41 @@ def default_names(n: int):
     return [f"{i:0{width}d}" for i in range(n)]
 
 
+def copy_word(g: Graph, complement: bool = False) -> list:
+    """Letters of the copy word of g, or with ``complement`` of g's
+    complement, built from g's adjacency without forming the complement.
+
+    Block i lists v_i's earlier non-neighbors (with ``complement``, its
+    earlier neighbors) ascending, closed by v_i; the first half is each
+    block then a lone v_i, the second a lone v_i then each block.  A pair
+    projects onto equal halves iff no block lists its earlier vertex under
+    the later one, i.e. iff it is an edge of the graph the word is of."""
+    vs = g.vertices
+    first = []
+    second = []
+    for i, v in enumerate(vs):
+        if complement:
+            # vertices are sorted tokens, so token order is index order
+            block = sorted(u for u in g.neighbors(v) if u < v)
+        else:
+            block = [u for u in vs[:i] if not g.has_edge(v, u)]
+        block.append(v)
+        first += block
+        first.append(v)
+        second.append(v)
+        second += block
+    return first + second
+
+
 def encode(g: Graph, mode: str = "sparse", include_names: bool = True) -> bytes:
-    """Serialize a graph; the stored word is the deterministic copy-word
-    builder output, so equal labeled graphs encode byte-for-byte equal."""
+    """Serialize a graph; the stored word is ``copy_word`` of g (dense) or
+    of its complement (sparse, O(n + m) symbols), so equal labeled graphs
+    encode byte-for-byte equal."""
     if mode not in _MODES:
         raise ValueError(f"unknown codec mode {mode!r}")
     n = g.order
     index = {v: i for i, v in enumerate(g.vertices)}
-    source = g.complement() if mode == "sparse" else g
-    letters = _copy_halves(source)
+    letters = copy_word(g, complement=mode == "sparse")
     if mode == "sparse" and len(letters) != 4 * n + 2 * g.size:
         raise AssertionError("sparse word violates the 4n+2m length law")
 
@@ -139,7 +165,10 @@ class _Reader:
             length, pos = _read_varint(self.data, pos)
             if pos + length > len(self.data):
                 raise FormatError("truncated name table", offset=len(self.data))
-            tok = self.data[pos:pos + length].decode("utf-8")
+            try:
+                tok = self.data[pos:pos + length].decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError("vertex name is not UTF-8", offset=pos) from None
             names.append(check_token(tok))
             pos += length
         if pos != len(self.data):
@@ -169,14 +198,18 @@ class _Reader:
         if rest:
             raise FormatError("nonzero padding bits", offset=pos)
 
+    def blocks(self):
+        """Per vertex index, the set of earlier indices its block lists,
+        after checking the whole word is a well-formed copy word."""
+        return _parse_copy_blocks(list(self.symbols()), self.n, self.payload_start)
+
 
 def decode(data: bytes) -> Graph:
     """Structural decode: the copy word's first half is blocks of earlier
     non-neighbors (of the stored graph) each closed by a doubled vertex, so
     one pass recovers the adjacency without any language evaluation."""
     r = _Reader(data)
-    word = list(r.symbols())
-    blocks = _parse_copy_blocks(word, r.n, r.payload_start)
+    blocks = r.blocks()
     names = r.names
     if r.mode == "sparse":
         edges = [(names[i], names[j]) for i in range(r.n) for j in blocks[i]]
@@ -198,25 +231,25 @@ def _parse_copy_blocks(word, n, offset):
         raise FormatError("copy word has odd length", offset=offset)
     half = len(word) // 2
     blocks = []
+    expected = []
     pos = 0
     for i in range(n):
-        start = pos
-        while pos < half and word[pos] != i:
-            pos += 1
-        if pos == half or pos + 1 >= half or word[pos + 1] != i:
+        try:
+            end = word.index(i, pos, half - 1)  # leaves room for the lone i
+        except ValueError:
+            end = None
+        if end is None or word[end + 1] != i:
             raise FormatError(f"block of vertex {i} is malformed", offset=offset)
-        listed = word[start:pos]
-        if listed != sorted(set(listed)) or any(j >= i for j in listed):
+        listed = word[pos:end]
+        if listed != sorted(set(listed)) or listed and listed[-1] > i:
             raise FormatError(f"block of vertex {i} lists bad vertices", offset=offset)
         blocks.append(set(listed))
-        pos += 2
+        expected.append(i)
+        expected += listed
+        expected.append(i)
+        pos = end + 2
     if pos != half:
         raise FormatError("copy word halves misaligned", offset=offset)
-    expected = []
-    for i, blk in enumerate(blocks):
-        expected.append(i)
-        expected.extend(sorted(blk))
-        expected.append(i)
     if word[half:] != expected:
         raise FormatError("copy word second half is inconsistent", offset=offset)
     return blocks
@@ -233,21 +266,15 @@ def stored_mode(data: bytes) -> str:
 
 
 def adjacent(data: bytes, u, v) -> bool:
-    """Single-pair adjacency straight from the stored word: one streaming
-    projection pass, no graph materialization."""
+    """Single-pair adjacency from the same validated blocks as ``decode``,
+    without building the graph: a malformed payload raises FormatError."""
     r = _Reader(data)
     try:
         iu, iv = r.names.index(u), r.names.index(v)
     except ValueError:
         raise FormatError(f"unknown vertex in pair ({u!r},{v!r})")
+    blocks = r.blocks()
     if iu == iv:
         return False
-    pattern = []
-    for idx in r.symbols():
-        if idx == iu:
-            pattern.append("0")
-        elif idx == iv:
-            pattern.append("1")
-    half = len(pattern) // 2
-    in_copy = pattern[:half] == pattern[half:]
-    return not in_copy if r.mode == "sparse" else in_copy
+    lo, hi = sorted((iu, iv))
+    return (lo in blocks[hi]) == (r.mode == "sparse")

@@ -16,6 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import oracles
+from .codec import copy_word
 from .errors import BuildError
 from .graphs import Graph
 from .languages import Language, parse_language
@@ -85,32 +86,15 @@ def build_palindrome(g: Graph) -> VertexWord:
     return _verify(word, "palindrome", g)
 
 
-def _copy_halves(g: Graph):
-    # block u_i: non-neighbors of v_i among v_1..v_i, ascending (v_i itself
-    # is always last); the two halves interleave blocks and separators in
-    # opposite order, so a pair projects onto equal halves iff it is an edge
-    vs = list(g.vertices)
-    blocks = []
-    for i, v in enumerate(vs):
-        blocks.append([x for x in vs[:i] if not g.has_edge(v, x)] + [v])
-    first = []
-    second = []
-    for v, blk in zip(vs, blocks):
-        first.extend(blk)
-        first.append(v)
-        second.append(v)
-        second.extend(blk)
-    return first + second
-
-
 def build_copy(g: Graph) -> VertexWord:
-    return _verify(_copy_halves(g), "copy", g)
+    return _verify(copy_word(g), "copy", g)
 
 
 def build_copy_complement(g: Graph) -> VertexWord:
-    """Copy word of the complement graph; under the complement language it
+    """Copy word of the complement graph, written from g's own adjacency
+    (each block lists earlier neighbors); under the complement language it
     represents g itself, with length exactly 4n + 2m."""
-    letters = _copy_halves(g.complement())
+    letters = copy_word(g, complement=True)
     if len(letters) != 4 * g.order + 2 * g.size:
         raise BuildError("copy-complement: length bookkeeping is off")
     return _verify(letters, "copy-complement", g)

@@ -505,7 +505,7 @@ class _SpecParser:
             if self.pos >= len(self.text):
                 self.error("missing ')'")
             self.pos += 1
-            if not arg.isdigit():
+            if not (arg.isascii() and arg.isdigit()):
                 self.error(f"parameter of {name} must be a nonnegative integer")
             return builtin(name, int(arg))
         if name in self.COMBINATORS:

@@ -114,9 +114,9 @@ def is_complete_multipartite(g: Graph) -> bool:
 # --- intersection models ----------------------------------------------------
 
 
-def interval_event_sequence(g: Graph):
-    """A distinct-endpoint interval model as a sequence of (vertex, 'open' or
-    'close') events, or None.  Opening v while u is open forces an edge uv;
+def _event_sequence(g: Graph, constrains):
+    """Open/close events of a distinct-endpoint interval model, or None.
+    Opening v needs an edge to every open u with ``constrains(u, v)``;
     closing v is legal once every neighbor of v has been opened."""
     vs = g.vertices
     all_closed = frozenset(vs)
@@ -132,18 +132,24 @@ def interval_event_sequence(g: Graph):
         for v in vs:
             if v in open_set or v in closed:
                 continue
-            if all(g.has_edge(v, u) for u in open_set):
+            if all(g.has_edge(v, u) for u in open_set if constrains(u, v)):
                 got = rec(open_set | {v}, closed, events + [(v, "open")])
                 if got is not None:
                     return got
         for v in sorted(open_set):
-            if g.neighbors(v) <= (open_set | closed) - {v}:
+            if g.neighbors(v) <= open_set | closed:
                 got = rec(open_set - {v}, closed | {v}, events + [(v, "close")])
                 if got is not None:
                     return got
         return None
 
     return rec(frozenset(), frozenset(), [])
+
+
+def interval_event_sequence(g: Graph):
+    """A distinct-endpoint interval model as a sequence of (vertex, 'open' or
+    'close') events, or None: every overlap is an edge."""
+    return _event_sequence(g, lambda u, v: True)
 
 
 def is_interval(g: Graph) -> bool:
@@ -212,35 +218,7 @@ def interval_bigraph_model(g: Graph):
     if not is_bipartite(g):
         return None
     for left, right in _bipartitions(g):
-        side = {v: (v in left) for v in g.vertices}
-        vs = g.vertices
-        all_closed = frozenset(vs)
-        seen = set()
-
-        def rec(open_set, closed, events):
-            if closed == all_closed:
-                return events
-            key = (open_set, closed)
-            if key in seen:
-                return None
-            seen.add(key)
-            for v in vs:
-                if v in open_set or v in closed:
-                    continue
-                if all(
-                    side[u] == side[v] or g.has_edge(v, u) for u in open_set
-                ) and not any(side[u] != side[v] and g.has_edge(v, u) for u in closed):
-                    got = rec(open_set | {v}, closed, events + [(v, "open")])
-                    if got is not None:
-                        return got
-            for v in sorted(open_set):
-                if g.neighbors(v) <= open_set | closed:
-                    got = rec(open_set - {v}, closed | {v}, events + [(v, "close")])
-                    if got is not None:
-                        return got
-            return None
-
-        events = rec(frozenset(), frozenset(), [])
+        events = _event_sequence(g, lambda u, v: (u in left) != (v in left))
         if events is not None:
             return sorted(left), sorted(right), events
     return None

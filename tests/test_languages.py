@@ -523,6 +523,13 @@ def test_parse_errors():
             parse_language(bad)
 
 
+def test_builtin_parameter_takes_ascii_digits_only():
+    # str.isdigit() is also true for superscripts and other scripts' digits
+    for bad in ("uniform(²)", "k11(٣)", "no-kk(１)"):
+        with pytest.raises(FormatError, match="nonnegative integer"):
+            parse_language(bad)
+
+
 def test_parse_cfg_missing_file():
     with pytest.raises(FormatError):
         parse_language("cfg:/no/such/file.cfg")

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_binary_words, filter_project, gnp, graph_from_mask
-from langrep.constructions import _copy_halves
+from langrep.codec import copy_word
 from langrep.errors import CapacityError, NotSymmetricError
 from langrep.graphs import (
     Graph,
@@ -120,7 +120,7 @@ def test_check_match_reports_mapping():
 def test_check_identity_above_isomorphism_cap():
     # a label-for-label match needs no isomorphism test, at any order
     g = gnp(12, 0.5, 12)
-    word = VertexWord(_copy_halves(g))
+    word = VertexWord(copy_word(g))
     report = check(word, parse_language("copy"), g)
     assert report.match
     assert report.mapping == {v: v for v in g.vertices}
@@ -136,7 +136,7 @@ def test_evaluate_copy_word_of_order_200_is_fast():
     # the position index makes all pairs O(n·|w|); rescanning the word for
     # every pair took about 15 s on a 2-core x86-64 host
     g = gnp(200, 0.5, 200)
-    word = VertexWord(_copy_halves(g))
+    word = VertexWord(copy_word(g))
     start = time.perf_counter()
     produced = evaluate(word, parse_language("copy"))
     assert time.perf_counter() - start < 4
