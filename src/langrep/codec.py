@@ -256,8 +256,10 @@ def _parse_copy_blocks(word, n, offset):
 
 
 def decode_word(data: bytes) -> VertexWord:
-    """The stored representing word itself, over the stored vertex names."""
+    """The stored representing word itself, over the stored vertex names,
+    after the same copy-word check as ``decode``."""
     r = _Reader(data)
+    r.blocks()
     return VertexWord(r.names[i] for i in r.symbols())
 
 

@@ -4,8 +4,14 @@ Both properties of the induced graph class collapse to the same language
 question: the class contains only edgeless graphs exactly when no word of
 the language uses both symbols, i.e. L is a subset of 0* u 1*.  Emptiness
 of L intersected with the both-symbols filter is decidable for every
-language with a regular (Dfa) or context-free (Cfg) form; a shortest word
-of the intersection is the returned witness when the answer is negative.
+language with a regular (Dfa) or context-free (Cfg) form; the
+length-lexicographically least word of the intersection is the returned
+witness when the answer is negative.
+
+For a Cfg the intersection is the trimmed product, built within
+``PRODUCT_BUDGET`` bodies; each least fixpoint on it is one worklist pass,
+linear in it up to a heap factor; a witness past the derivation cap is
+refused by its length before it is built.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 from .automata import Dfa, both_symbols_dfa, dfa_from_finite
 from .errors import CapacityError
-from .grammar import Cfg, intersect_regular
+from .grammar import PRODUCT_BUDGET, Cfg, intersect_regular
 
 PROPERTIES = ("bounded-treewidth", "bounded-degeneracy")
 
@@ -66,16 +72,20 @@ def decide(lang, property: str = "bounded-treewidth") -> Verdict:
 
 
 def _both_symbols_witness(form):
-    # (membership oracle, a shortest word of the form's language containing
+    # (membership oracle, the least word of the form's language containing
     # both symbols or None when it lies within 0*∪1*)
+    both = both_symbols_dfa()
     if isinstance(form, Dfa):
-        return form.accepts, form.intersect(both_symbols_dfa()).shortest_accepted()
-    product = intersect_regular(form, both_symbols_dfa())
+        return form.accepts, form.intersect(both).shortest_accepted()
+    product = intersect_regular(form, both, PRODUCT_BUDGET)
     length = product.shortest_length()
     if length is None:
         return form.contains, None
-    # checked on the length, before a witness of that length is built
-    cap = 2 * len(product.binarized().productions) + 2
+    # checked on the length, before a witness of that length is built; 2n + 2
+    # for n the nonterminals of the full triple product on the binarized form
+    bodies = [b for bs in form.productions.values() for b in bs]
+    heads = len(form.productions) + sum(max(len(b) - 2, 0) for b in bodies)
+    cap = 2 * (len(both) ** 2 * heads + 2 * len(both) + 1) + 2
     if length > cap:
         raise CapacityError(
             f"witness of length {length} exceeds the derivation cap {cap}"

@@ -1,24 +1,30 @@
 """Context-free grammars over the terminal alphabet {0, 1}.
 
-Provides the textual rule format, chart-based membership (complete for
-lambda-productions), the state-symbol-state product with a Dfa, emptiness by
-the generating-nonterminal fixpoint, bounded letter-count vectors, and
-shortest-word extraction for witness reporting.
+Provides the textual rule format, Earley membership, the trimmed product with
+a Dfa, bounded letter-count vectors, and one Knuth worklist for least values
+of derivations: on lengths it gives emptiness, the shortest length and the
+nullable nonterminals; on (length, word) pairs, the witness of ``decide``.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .automata import Dfa
 from .errors import CapacityError, FormatError
 
 TERMINALS = ("0", "1")
 
+# bodies a grammar-automaton product built for and(grammar, automaton) or for
+# decide may hold; past it the conjunction stays opaque and decide refuses
+PRODUCT_BUDGET = 2 * 10**5
+
 
 class Cfg:
     """Productions map a nonterminal to a tuple of bodies; a body is a tuple
     of symbols, each either a terminal '0'/'1' or a nonterminal name."""
 
-    __slots__ = ("start", "productions")
+    __slots__ = ("start", "productions", "_nullable")
 
     def __init__(self, start, productions):
         # bodies deduplicated in order
@@ -28,6 +34,7 @@ class Cfg:
         }
         self.start = start
         self.productions = prods
+        self._nullable = None  # the nonterminals that derive the empty word
         if start not in prods:
             raise ValueError(f"start symbol {start!r} has no production entry")
         for head, bodies in prods.items():
@@ -76,53 +83,41 @@ class Cfg:
     # -- membership ---------------------------------------------------------
 
     def contains(self, b: str) -> bool:
-        """Earley chart parse, iterated to fixpoint per chart position so
-        nullable completions are not lost."""
+        """Earley chart parse; a completion advances the items waiting on its
+        nonterminal, and a nullable one is stepped over where it is predicted
+        (Aycock & Horspool, "Practical Earley Parsing", 2002)."""
+        if self._nullable is None:
+            self._nullable = {h for h, n in self._least(lambda c: 1, sum).items() if n == 0}
         n = len(b)
         charts = [set() for _ in range(n + 1)]
-        for body in self.productions[self.start]:
-            charts[0].add((self.start, body, 0, 0))
+        charts[0] = {(self.start, body, 0, 0) for body in self.productions[self.start]}
+        waiting = [{} for _ in range(n + 1)]  # nonterminal -> items with the dot before it
         for i in range(n + 1):
             queue = list(charts[i])
             while queue:
                 item = queue.pop()
                 head, body, dot, origin = item
-                if dot < len(body):
-                    sym = body[dot]
-                    if sym in TERMINALS:
-                        if i < n and b[i] == sym:
-                            charts[i + 1].add((head, body, dot + 1, origin))
-                    else:
-                        for sub in self.productions[sym]:
-                            cand = (sym, sub, 0, i)
-                            if cand not in charts[i]:
-                                charts[i].add(cand)
-                                queue.append(cand)
-                        # a nullable sym may already be complete in this set
-                        for done in [it for it in charts[i]
-                                     if it[0] == sym and it[2] == len(it[1]) and it[3] == i]:
-                            cand = (head, body, dot + 1, origin)
-                            if cand not in charts[i]:
-                                charts[i].add(cand)
-                                queue.append(cand)
+                if dot == len(body):
+                    new = [(h2, b2, d2 + 1, o2)
+                           for h2, b2, d2, o2 in waiting[origin].get(head, ())]
+                elif body[dot] in TERMINALS:
+                    if i < n and b[i] == body[dot]:
+                        charts[i + 1].add((head, body, dot + 1, origin))
+                    continue
                 else:
-                    for it in list(charts[origin]):
-                        h2, b2, d2, o2 = it
-                        if d2 < len(b2) and b2[d2] == head:
-                            cand = (h2, b2, d2 + 1, o2)
-                            if cand not in charts[i]:
-                                charts[i].add(cand)
-                                queue.append(cand)
-        return any(
-            head == self.start and dot == len(body) and origin == 0
-            for head, body, dot, origin in charts[n]
-        )
+                    sym = body[dot]
+                    waiting[i].setdefault(sym, []).append(item)
+                    new = [(sym, sub, 0, i) for sub in self.productions[sym]]
+                    if sym in self._nullable:
+                        new.append((head, body, dot + 1, origin))
+                for item in new:
+                    if item not in charts[i]:
+                        charts[i].add(item)
+                        queue.append(item)
+        return any((self.start, body, len(body), 0) in charts[n]
+                   for body in self.productions[self.start])
 
     # -- structure ----------------------------------------------------------
-
-    def binarized(self) -> "Cfg":
-        """Equivalent grammar with bodies of length at most 2."""
-        return Cfg(self.start, _binarize_map(self.productions, self.start))
 
     def swap01(self) -> "Cfg":
         m = {"0": "1", "1": "0"}
@@ -168,17 +163,17 @@ class Cfg:
         take some symbol's gain of the round before, so a pair of vectors is
         summed at most twice.  Raises CapacityError once it has formed more
         than ``budget`` sums of count vectors."""
-        g = self.binarized()
+        prods = _binarize_map(self.productions)
         vecs = {"0": {(1, 0)}, "1": {(0, 1)}}
-        for head, bodies in g.productions.items():
+        for head, bodies in prods.items():
             vecs[head] = {(0, 0)} if () in bodies else set()
         # what each symbol gained in the last round; the first round takes
         # the letters and the empty bodies as new
         fresh = {s: set(v) for s, v in vecs.items()}
         work = 0
         while any(fresh.values()):
-            gained = {h: set() for h in g.productions}
-            for head, bodies in g.productions.items():
+            gained = {h: set() for h in prods}
+            for head, bodies in prods.items():
                 for body in bodies:
                     for i, pivot in enumerate(body):
                         if not fresh[pivot]:
@@ -197,72 +192,69 @@ class Cfg:
             fresh = {s: gained.get(s, set()) - v for s, v in vecs.items()}
             for s, new in fresh.items():
                 vecs[s] |= new
-        return vecs[g.start]
+        return vecs[self.start]
 
-    def _min_lengths(self) -> dict:
-        # least generated length per nonterminal, inf when it generates nothing
-        INF = float("inf")
-        best_len = {h: INF for h in self.productions}
-        changed = True
-        while changed:
-            changed = False
-            for head, bodies in self.productions.items():
-                for body in bodies:
-                    total = 0
-                    for s in body:
-                        total += 1 if s in TERMINALS else best_len[s]
-                    if total < best_len[head]:
-                        best_len[head] = total
-                        changed = True
-        return best_len
+    def _least(self, letter, join, stop=None) -> dict:
+        """The least value each nonterminal derives, by Knuth's "A
+        generalization of Dijkstra's algorithm" (IPL 1977).  A terminal c is
+        worth ``letter(c)``, a body ``join`` of its symbols' values, at least
+        each and monotone in each.  A body is joined once, when its last
+        nonterminal is final; the run ends when ``stop`` is final.  A
+        nonterminal that derives nothing is absent."""
+        bodies, pending, waiting, heap = [], [], {}, []
+        for head, alts in self.productions.items():
+            for body in alts:
+                inner = [s for s in body if s not in TERMINALS]
+                for s in inner:
+                    waiting.setdefault(s, []).append(len(bodies))
+                if not inner:
+                    heap.append((join([letter(c) for c in body]), head))
+                bodies.append((head, body))
+                pending.append(len(inner))
+        heapq.heapify(heap)
+        final: dict = {}
+        while heap:
+            value, head = heapq.heappop(heap)
+            if head in final:
+                continue
+            final[head] = value
+            if head == stop:
+                break
+            for k in waiting.get(head, ()):
+                pending[k] -= 1
+                h, body = bodies[k]
+                if pending[k] == 0 and h not in final:
+                    parts = [letter(s) if s in TERMINALS else final[s] for s in body]
+                    heapq.heappush(heap, (join(parts), h))
+        return final
 
     def shortest_length(self):
         """The length of a shortest generated word, or None when the language
         is empty; cheap even where that word would be huge."""
-        length = self._min_lengths()[self.start]
-        return None if length == float("inf") else length
+        return self._least(lambda c: 1, sum, self.start).get(self.start)
 
     def shortest_word(self):
-        """A minimum-length generated word (lexicographically least among the
-        minimum-length ones), or None when the language is empty."""
-        best_len = self._min_lengths()
-        if best_len[self.start] == float("inf"):
-            return None
-
-        cache: dict = {}
-
-        def expand(nt):
-            if nt in cache:
-                return cache[nt]
-            options = []
-            for body in self.productions[nt]:
-                total = sum(1 if s in TERMINALS else best_len[s] for s in body)
-                if total == best_len[nt]:
-                    options.append(body)
-            words = []
-            for body in options:
-                parts = [s if s in TERMINALS else expand(s) for s in body]
-                words.append("".join(parts))
-            cache[nt] = min(words)
-            return cache[nt]
-
-        return expand(self.start)
+        """The length-lexicographically least generated word, or None when
+        the language is empty."""
+        least = self._least(
+            lambda c: (1, c),
+            lambda parts: (sum(n for n, _ in parts), "".join(w for _, w in parts)),
+            self.start,
+        )
+        return least[self.start][1] if self.start in least else None
 
 
-def _binarize_map(productions, start):
+def _binarize_map(productions):
+    # an equivalent production map with bodies of length at most 2
     prods = {h: [] for h in productions}
-    counter = [0]
-
-    def aux_name(head):
-        counter[0] += 1
-        return f"{head}%{counter[0]}"
-
     for head, bodies in productions.items():
         for body in bodies:
             cur_head, cur_body = head, tuple(body)
             while len(cur_body) > 2:
-                nxt = aux_name(head)
-                prods.setdefault(nxt, [])
+                nxt = f"{head}%{len(prods)}"
+                while nxt in prods:  # a name the grammar already uses
+                    nxt += "%"
+                prods[nxt] = []
                 prods[cur_head].append((cur_body[0], nxt))
                 cur_head, cur_body = nxt, cur_body[1:]
             prods[cur_head].append(cur_body)
@@ -270,68 +262,66 @@ def _binarize_map(productions, start):
 
 
 def intersect_regular(g: Cfg, d: Dfa, budget=None) -> Cfg:
-    """Product grammar for L(g) intersected with L(d), by the classic
-    (state, symbol, state) triple construction on the binarized grammar.
-
-    A binarized body with m nonterminals yields |Q|^(1+m) product bodies.
-    When ``budget`` is given and their total exceeds it, CapacityError is
-    raised before any body is built."""
-    g = Cfg(g.start, _binarize_map(g.productions, g.start))
-    states = range(len(d))
-    if budget is not None:
-        size = sum(
-            len(d) ** (1 + sum(s not in TERMINALS for s in body))
-            for bodies in g.productions.values()
-            for body in bodies
-        )
-        if size > budget:
-            raise CapacityError(
-                f"grammar-automaton product of {size} bodies exceeds the budget {budget}"
-            )
+    """Product grammar for L(g) intersected with L(d): the (state, symbol,
+    state) triples of Bar-Hillel, Perles and Shamir (1961) over the binarized
+    grammar, built bottom-up from the automaton's moves (a terminal stands
+    for its own move), so only triples that generate a word get bodies, then
+    trimmed to what the start reaches.  Two triples are joined once, when
+    the later is reached.  CapacityError is raised once more than ``budget``
+    bodies, when given, have been built."""
+    prods = _binarize_map(g.productions)
+    uses: dict = {}  # symbol -> (head, body, position) of each occurrence
+    for head, bodies in prods.items():
+        for body in bodies:
+            for i, sym in enumerate(body):
+                uses.setdefault(sym, []).append((head, body, i))
 
     def tname(p, sym, q):
-        return f"[{p},{sym},{q}]"
+        return sym if sym in TERMINALS else f"[{p},{sym},{q}]"
 
-    def targets(p, sym):
-        # the states where a derivation of sym started in p may end
-        return (d.trans[p][TERMINALS.index(sym)],) if sym in TERMINALS else states
+    built: dict = {}  # triple name -> its product bodies
+    queue = [(p, c, d.trans[p][i]) for p in range(len(d)) for i, c in enumerate(TERMINALS)]
+    size = 0
 
-    prods: dict = {}
+    def add(p, head, q, body):
+        nonlocal size
+        name = tname(p, head, q)
+        if name not in built:
+            built[name] = []
+            queue.append((p, head, q))
+        built[name].append(body)
+        size += 1
+        if budget is not None and size > budget:
+            raise CapacityError(
+                f"grammar-automaton product exceeds the budget of {budget} bodies"
+            )
 
-    def entry(name):
-        return prods.setdefault(name, [])
-
-    # terminal bridges follow the automaton's moves
-    for p in states:
-        for c in TERMINALS:
-            entry(tname(p, c, targets(p, c)[0])).append((c,))
-    # every nonterminal triple exists, possibly with no bodies, so bodies
-    # may reference state pairs that turn out non-generating
-    for nt in g.productions:
-        for p in states:
-            for q in states:
-                entry(tname(p, nt, q))
-    for head, bodies in g.productions.items():
-        for body in bodies:
-            if len(body) == 0:
-                for p in states:
-                    entry(tname(p, head, p)).append(())
-            elif len(body) == 1:
-                for p in states:
-                    for q in targets(p, body[0]):
-                        entry(tname(p, head, q)).append((tname(p, body[0], q),))
+    for head, bodies in prods.items():
+        if () in bodies:
+            for p in range(len(d)):
+                add(p, head, p, ())
+    ends: dict = {}  # (symbol, p) -> each q of a reached triple (p, symbol, q)
+    starts: dict = {}  # (symbol, q) -> each p of a reached triple (p, symbol, q)
+    while queue:
+        p, x, q = queue.pop()
+        t = tname(p, x, q)
+        ends.setdefault((x, p), []).append(q)
+        for head, body, i in uses.get(x, ()):
+            if len(body) == 1:
+                add(p, head, q, (t,))
+            elif i == 0:
+                for r in ends.get((body[1], q), ()):
+                    add(p, head, r, (t, tname(q, body[1], r)))
             else:
-                x, y = body
-                for p in states:
-                    for r in targets(p, x):
-                        for q in targets(r, y):
-                            entry(tname(p, head, q)).append(
-                                (tname(p, x, r), tname(r, y, q))
-                            )
-    start = "S%product"
-    entry(start)
-    for f in d.accept:
-        name = tname(d.start, g.start, f)
-        entry(name)
-        prods[start].append((name,))
-    return Cfg(start, prods)
+                for o in starts.get((body[0], p), ()):
+                    add(o, head, q, (tname(o, body[0], p), t))
+        # registered last, so a body x x joins t with itself only once
+        starts.setdefault((x, q), []).append(p)
+    roots = [r for r in (tname(d.start, g.start, f) for f in d.accept) if r in built]
+    trimmed = {"S%product": [(r,) for r in roots]}
+    while roots:
+        name = roots.pop()
+        if name not in trimmed:
+            trimmed[name] = built[name]
+            roots.extend(s for body in built[name] for s in body if s not in TERMINALS)
+    return Cfg("S%product", trimmed)

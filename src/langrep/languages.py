@@ -37,7 +37,7 @@ import itertools
 
 from .automata import Dfa, compile_regex, count_window_dfa, dfa_from_finite, explore
 from .errors import CapacityError, FormatError, NotSymmetricError
-from .grammar import Cfg, intersect_regular
+from .grammar import PRODUCT_BUDGET, Cfg, intersect_regular
 from .words import complement_word
 
 HALFLINE_WORDS = ("01", "011", "0101", "0011", "0110")
@@ -45,10 +45,6 @@ HALFLINE_WORDS = ("01", "011", "0101", "0011", "0110")
 # a builtin's parameter fixes its automaton's size: 2k states for no-kk(k),
 # (k+1)^2 + 1 for uniform(k), about 2(k+1)^2 for k11(k)
 MAX_BUILTIN_PARAM = 64
-
-# bodies the grammar-automaton product built for and(grammar, automaton) may
-# hold; past it the conjunction stays opaque
-PRODUCT_BUDGET = 2 * 10**5
 
 
 class Language:

@@ -194,6 +194,13 @@ def test_decide_cfg_file(capsys, tmp_path):
     }
 
 
+def test_decide_cfg_file_with_a_unit_cycle(capsys, tmp_path):
+    path = tmp_path / "cycle.cfg"
+    path.write_text("S -> A\nA -> S | 0 1\n")
+    code, out, _ = run_cli(capsys, "decide", "--cfg", str(path), "--json")
+    assert code == 1 and json.loads(out)["witness"] == "01"
+
+
 def test_decide_regular_builtin(capsys):
     code, out, _ = run_cli(capsys, "decide", "--lang", "wrep", "--json")
     assert code == 1 and json.loads(out)["witness"] == "01"

@@ -212,6 +212,8 @@ def _non_utf8_name():
 def test_adjacent_rejects_what_decode_rejects(blob, u, v):
     with pytest.raises(FormatError):
         decode(blob)
+    with pytest.raises(FormatError):
+        decode_word(blob)
     for pair in ((u, v), (v, u), (u, u)):
         with pytest.raises(FormatError):
             adjacent(blob, *pair)

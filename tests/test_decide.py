@@ -1,6 +1,7 @@
 """Edgeless-class decision over finite, regular, and grammar specs, and
 over every builtin with a regular or context-free form."""
 
+import time
 import tracemalloc
 
 import pytest
@@ -115,6 +116,23 @@ def test_grammar_with_thousands_of_terminal_heavy_bodies():
     cfg = Cfg.parse("S -> " + " | ".join(" ".join(w) for w in words))
     verdict = decide(cfg)
     assert verdict.answer is False and verdict.witness == "000000000001"
+
+
+def test_dyck_and_k11_decides_in_under_a_second():
+    t0 = time.monotonic()
+    verdict = decide(parse_language("and(dyck,k11(3))"))
+    assert (verdict.answer, verdict.witness) == (False, "01")
+    assert time.monotonic() - t0 < 1.0
+    assert isinstance(parse_language("and(dyck,k11(4))").form, Cfg)
+
+
+def test_cyclic_and_deep_grammars_decide():
+    # a unit cycle at equal length, and a derivation 1501 steps deep
+    assert decide(Cfg.parse("S -> A\nA -> S | 0 1")).witness == "01"
+    chain = Cfg.parse(
+        "\n".join([f"N{i} -> 0 N{i + 1}" for i in range(1500)] + ["N1500 -> 1"])
+    )
+    assert decide(chain).witness == "0" * 1500 + "1"
 
 
 def test_verdict_to_json():

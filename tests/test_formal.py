@@ -3,6 +3,7 @@ minimization, Earley membership, emptiness, shortest words, and the
 regular product."""
 
 import itertools
+import random
 import re
 
 import pytest
@@ -16,6 +17,7 @@ from langrep.automata import (
     count_window_dfa,
     dfa_from_finite,
 )
+from langrep.decide import decide
 from langrep.errors import CapacityError, FormatError
 from langrep.grammar import Cfg, intersect_regular
 
@@ -195,6 +197,13 @@ def test_cfg_shortest_word():
     assert Cfg.parse("S -> S").shortest_word() is None
 
 
+def test_cfg_shortest_word_without_recursion():
+    # a unit cycle at equal length, and a derivation 1501 steps deep
+    assert Cfg.parse("S -> A\nA -> S | 0 1").shortest_word() == "01"
+    lines = [f"N{i} -> 0 N{i + 1}" for i in range(1500)] + ["N1500 -> 1"]
+    assert Cfg.parse("\n".join(lines)).shortest_word() == "0" * 1500 + "1"
+
+
 def test_cfg_swap_union_reverse():
     anbn = Cfg.parse(ANBN)
     swapped = anbn.swap01()
@@ -229,22 +238,37 @@ def test_intersect_regular_pointwise():
 
 
 def test_intersect_regular_refuses_a_product_past_its_budget():
+    # S -> S S joins every two reached triples that meet in a state of the
+    # 442-state window; the Dyck grammar's product there stays far smaller
     with pytest.raises(CapacityError, match="budget"):
-        intersect_regular(Cfg.parse(DYCK), count_window_dfa(20, 20), 2 * 10**5)
+        intersect_regular(Cfg.parse("S -> S S | 0 | 1"), count_window_dfa(20, 20), 2 * 10**5)
     # no budget, no refusal
     assert not intersect_regular(Cfg.parse(DYCK), count_window_dfa(2, 2)).is_empty()
 
 
 def test_intersect_regular_budget_charges_what_the_product_builds():
-    # a word of length 12 binarizes to 10 bodies with one nonterminal and
-    # one with none: 10 |Q|^2 + |Q| product bodies, not 11 |Q|^3
+    # a word of length 12 binarizes to 11 two-symbol bodies, each with at
+    # most one nonterminal.  Bottom-up from the automaton's moves, such a
+    # body is built once per state it starts in: from p the first symbol
+    # leads to one state, where the rest has, by induction, one triple.  So
+    # 11 |Q| bodies per word are built, not 10 |Q|^2 + |Q| as in the full
+    # triple product.
     words = [format(i, "012b") for i in range(1, 401)]
     cfg = Cfg.parse("S -> " + " | ".join(" ".join(w) for w in words))
     d = both_symbols_dfa()
-    size = len(words) * (10 * len(d) ** 2 + len(d))
+    size = len(words) * 11 * len(d)
     assert not intersect_regular(cfg, d, size).is_empty()
-    with pytest.raises(CapacityError, match=f"product of {size} bodies"):
+    with pytest.raises(CapacityError, match=f"budget of {size - 1} bodies"):
         intersect_regular(cfg, d, size - 1)
+
+
+@pytest.mark.parametrize("rules", ["S -> 0 0 1 | 1 S%1\nS%1 -> 1", "S -> 0 0 1 | 1 S%2\nS%2 -> 1"])
+def test_binarizing_keeps_nonterminals_named_like_its_helpers(rules):
+    # the language is {001, 11}; binarizing 0 0 1 adds a helper named S%k
+    cfg = Cfg.parse(rules)
+    prod = intersect_regular(cfg, both_symbols_dfa())
+    assert [b for b in WORDS7 if prod.contains(b)] == ["001"]
+    assert cfg.count_vectors(lambda i, j: i <= 4 and j <= 4, 10**5) == {(2, 1), (0, 2)}
 
 
 @pytest.mark.parametrize(
@@ -279,3 +303,68 @@ def test_count_vectors_budget():
     cfg = Cfg.parse("S -> S S | 0 | 1")
     with pytest.raises(CapacityError, match="budget"):
         cfg.count_vectors(lambda i, j: i <= 60 and j <= 60, 10**5)
+
+
+def _random_cfg(rng):
+    heads = [f"N{i}" for i in range(rng.randint(1, 3))]
+    symbols = heads + ["0", "1"]
+    prods = {
+        h: [tuple(rng.choice(symbols) for _ in range(rng.randint(0, 3)))
+            for _ in range(rng.randint(1, 3))]
+        for h in heads
+    }
+    return Cfg(heads[0], prods)
+
+
+def _random_dfa(rng):
+    n = rng.randint(1, 4)
+    trans = [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
+    return Dfa(trans, 0, [q for q in range(n) if rng.random() < 0.5])
+
+
+def _generated_up_to(cfg, n):
+    # every generated word of length at most n, by a least fixpoint on sets
+    words = {h: set() for h in cfg.productions}
+    changed = True
+    while changed:
+        changed = False
+        for head, bodies in cfg.productions.items():
+            for body in bodies:
+                acc = {""}
+                for sym in body:
+                    parts = {sym} if sym in "01" else words[sym]
+                    acc = {a + w for a in acc for w in parts if len(a) + len(w) <= n}
+                if not acc <= words[head]:
+                    words[head] |= acc
+                    changed = True
+    return words[cfg.start]
+
+
+def _check_least(cfg, words):
+    # shortest_word is the length-lexicographically least word, or else
+    # lies beyond the enumerated lengths
+    got = cfg.shortest_word()
+    if words:
+        assert got == min(words, key=lambda b: (len(b), b))
+    else:
+        assert got is None or len(got) > 7 and cfg.contains(got)
+
+
+def test_grammar_core_against_brute_force():
+    rng = random.Random(2024)
+    for _ in range(100):
+        g, d = _random_cfg(rng), _random_dfa(rng)
+        in_g = _generated_up_to(g, 7)
+        in_both = {b for b in in_g if d.accepts(b)}
+        prod = intersect_regular(g, d)
+        for b in WORDS7:
+            assert g.contains(b) == (b in in_g), (g.productions, b)
+            assert prod.contains(b) == (b in in_both), (g.productions, d.trans, b)
+        _check_least(g, in_g)
+        _check_least(prod, in_both)
+        verdict = decide(g)
+        mixed = {b for b in in_g if "0" in b and "1" in b}
+        if mixed:
+            assert verdict.witness == min(mixed, key=lambda b: (len(b), b))
+        else:
+            assert verdict.answer or len(verdict.witness) > 7

@@ -374,12 +374,22 @@ def _pointwise(spec, b, pal, wrep, dyck):
 
 
 def test_grammar_product_past_its_budget_stays_opaque():
-    # about 900 automaton states: the triple product would hold ~10^9 bodies
-    lang = parse_language("and(dyck,k11(20))")
+    # about 1250 automaton states: even the trimmed product passes the budget
+    lang = parse_language("and(dyck,k11(24))")
     assert lang.form is None
-    dyck, k11 = builtin("dyck"), builtin("k11", 20)
+    dyck, k11 = builtin("dyck"), builtin("k11", 24)
     for b in WORDS8:
         assert lang.contains(b) == (dyck.contains(b) and k11.contains(b))
+
+
+def test_grammar_product_within_its_budget_gets_a_grammar():
+    # about 900 automaton states: the full triple product would hold ~10^9
+    # bodies, the trimmed one fits in the budget
+    lang = parse_language("and(dyck,k11(20))")
+    assert isinstance(lang.form, Cfg)
+    dyck, k11 = builtin("dyck"), builtin("k11", 20)
+    for b in WORDS8:
+        assert lang.form.contains(b) == (dyck.contains(b) and k11.contains(b))
 
 
 def test_finite_combinations_stay_finite():
