@@ -56,7 +56,8 @@ class Language:
     lookup for a finite language, ``member`` when given, and otherwise the
     form's own test.  ``symmetric`` is given, or, for a Dfa form only, left
     out and decided on first use, which leaves a shortest asymmetric word in
-    ``sym_witness``.
+    ``sym_witness``.  ``pair_automata`` is search's cache of this language's
+    pair automata, keyed by multiplicity pair.
     """
 
     def __init__(self, form, label, *, member=None, symmetric=None, words=None):
@@ -72,6 +73,7 @@ class Language:
         self._member = member
         self._symmetric = symmetric
         self.sym_witness = None
+        self.pair_automata = {}
 
     @property
     def form(self):

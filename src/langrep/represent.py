@@ -6,8 +6,8 @@ a vertex alphabet, u and v are adjacent iff the pairwise projection of w
 
 Search works on the target graph's own vertex names.  A multiplicity CSP
 first gives each vertex a letter count, keeping only counts that every pair
-can still realize; then one DFS per surviving assignment builds the word
-letter by letter, pruning on the same per-pair feasibility table.  Twins
+can still realize; then one DFS per assignment builds the word letter by
+letter, each pair stepping a pair automaton of L by one table lookup.  Twins
 with equal bounds are interchangeable, so their multiplicities are taken in
 non-decreasing vertex order and, when equal, they start in vertex order.
 """
@@ -117,6 +117,75 @@ def _twin_predecessors(g: Graph, bounds: dict) -> list:
     return prev
 
 
+class _Moves(dict):
+    """State id to successor on letter b, or -1 if that cannot end in verdict v."""
+
+    def __init__(self, pa, v: int, b: int):
+        self.pa, self.v, self.b = pa, v, b
+
+    def __missing__(self, s: int) -> int:
+        q, r0, r1 = self.pa.keys[s]
+        t = self.pa.state(self.pa.step(q, self.b), r0 - 1 + self.b, r1 - self.b)
+        t = self[s] = t if self.pa.reaches(t, self.v) else -1
+        return t
+
+
+class _PairAutomaton:
+    """The pair automaton of lang at letter counts (k0, k1).  States (q, r0,
+    r1), a run state q (the Dfa state, else the prefix read) and the zeros
+    and ones left, are numbered as reached, the start 0; a Dfa sink is one
+    state at any counts.  moves[v][b] is the table on letter b for verdict v
+    (0: in L, 1: not in L).  Each new state draws a number from meter, and
+    one past ENUMERATION_BUDGET raises CapacityError."""
+
+    def __init__(self, lang: Language, k0: int, k1: int, meter):
+        form = lang.form
+        if isinstance(form, Dfa):
+            self.step, self.accepts = (lambda q, b: form.trans[q][b]), form.accept.__contains__
+            self.sinks = {q for q, (x, y) in enumerate(form.trans) if x == y == q}
+        else:
+            self.step, self.accepts = (lambda q, b: q + "01"[b]), (lambda q: lang.contains(q))
+            self.sinks = ()
+        self.counts, self.meter = (k0, k1), meter
+        self.keys, self.ids, self.live = [], {}, ({}, {})
+        self.moves = tuple(tuple(_Moves(self, v, b) for b in (0, 1)) for v in (0, 1))
+        self.state(form.start if isinstance(form, Dfa) else "", k0, k1)
+
+    def state(self, q, r0: int, r1: int) -> int:
+        key = (q, 0, 0) if q in self.sinks else (q, r0, r1)
+        s = self.ids.get(key)
+        if s is None:
+            if next(self.meter) > ENUMERATION_BUDGET:
+                raise CapacityError(f"over {ENUMERATION_BUDGET} pair automaton states "
+                                    f"at multiplicities {self.counts}")
+            s = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+        return s
+
+    def reaches(self, s: int, v: int) -> bool:
+        """Can state s still end with verdict v?  An iterative, memoized DFS."""
+        live = self.live[v]
+        todo = [s]
+        while todo:
+            x = todo[-1]
+            if x in live:
+                todo.pop()
+                continue
+            q, r0, r1 = self.keys[x]
+            if q in self.sinks or r0 == r1 == 0:
+                live[x] = self.accepts(q) == (v == 0)
+                continue
+            kids = [self.state(self.step(q, b), r0 - 1 + b, r1 - b)
+                    for b, r in ((0, r0), (1, r1)) if r]
+            if any(live.get(t) for t in kids):
+                live[x] = True
+            elif all(t in live for t in kids):
+                live[x] = False
+            else:
+                todo.append(next(t for t in kids if t not in live))
+        return live[s]
+
+
 def search(
     g: Graph,
     lang: Language,
@@ -133,11 +202,10 @@ def search(
 
     1. a multiplicity CSP assigns each vertex a multiplicity by
        backtracking, keeping a value only if every pair with an earlier
-       vertex admits some interleaving of those counts that agrees with g;
+       vertex has, at those counts, a start state live for g's verdict;
     2. for each surviving assignment, one DFS builds words letter by letter,
-       where any vertex with letters left (started or not) may come next,
-       and a pair prunes the branch as soon as no completion of its
-       projection can agree with g.
+       where any vertex with letters left (started or not) may come next;
+       each pair with that letter takes one move, and a -1 move prunes.
 
     Twins with equal bounds are interchangeable (swapping them is an
     automorphism of g that respects the bounds), so within such a class the
@@ -145,7 +213,10 @@ def search(
     multiplicity start in vertex order.
 
     node_budget counts CSP nodes and DFS nodes together; running out raises
-    CapacityError.
+    CapacityError.  The pair automata are kept on lang, one per multiplicity
+    pair.  A call that builds over ENUMERATION_BUDGET states raises
+    CapacityError naming both pairs, and it first drops a cache holding
+    more, so a cache stays under twice ENUMERATION_BUDGET states.
     """
     require_symmetric(lang)
     bounds = _normalize_bounds(g, freq_bounds)
@@ -157,20 +228,13 @@ def search(
     least_rest = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         least_rest[i] = least_rest[i + 1] + allowed[i][0]
-    # per unordered pair a < b: which entry of feasible_pair agrees with g
+    # per pair: the verdict that agrees with g (0: in L, 1: not in L)
     agree = [[0 if g.has_edge(u, v) else 1 for v in vs] for u in vs]
-    # links[c]: for each pair with c, (pair slot, c's bit, a, b, agree entry)
-    links = [
-        [
-            (min(c, d) * n + max(c, d), "0" if c < d else "1",
-             min(c, d), max(c, d), agree[c][d])
-            for d in range(n) if d != c
-        ]
-        for c in range(n)
-    ]
-    spent = 0
-    tried = 0
-    feas_cache: dict = {}
+    cache = lang.pair_automata
+    if sum(len(pa.keys) for pa in cache.values()) > ENUMERATION_BUDGET:
+        cache.clear()
+    meter = itertools.count(1)
+    spent = tried = 0
 
     def tick():
         nonlocal spent
@@ -181,33 +245,17 @@ def search(
                 f"({tried} multiplicity assignments tried)"
             )
 
-    def feasible_pair(prefix: str, r0: int, r1: int):
-        # (can reach lang, can avoid lang) over all interleavings of the
-        # remaining r0 zeros and r1 ones appended to prefix
-        key = (prefix, r0, r1)
-        got = feas_cache.get(key)
-        if got is None:
-            if r0 == 0 and r1 == 0:
-                inside = lang.contains(prefix)
-                got = (inside, not inside)
-            else:
-                can_in = can_out = False
-                if r0:
-                    a, b = feasible_pair(prefix + "0", r0 - 1, r1)
-                    can_in |= a
-                    can_out |= b
-                if r1 and not (can_in and can_out):
-                    a, b = feasible_pair(prefix + "1", r0, r1 - 1)
-                    can_in |= a
-                    can_out |= b
-                got = (can_in, can_out)
-            feas_cache[key] = got
-        return got
+    def automaton(a: int, b: int) -> _PairAutomaton:
+        # the pair automaton of vertices a and b, the smaller one's letters as 0
+        key = (mults[min(a, b)], mults[max(a, b)])
+        if key not in cache:
+            cache[key] = _PairAutomaton(lang, *key, meter)
+        cache[key].meter = meter
+        return cache[key]
 
     mults = [0] * n
     remaining = [0] * n
-    proj = [""] * (n * n)  # slot a*n + b, a < b: a's letters as 0, b's as 1
-    word: list = []
+    trail: list = []  # (letter, its pairs' states before it) per letter placed
 
     def assign(i: int, total: int) -> bool:
         # stage 1: multiplicities of vertices i.. given those before i
@@ -223,53 +271,62 @@ def search(
             p = twin_prev[i]
             if p >= 0 and k < mults[p]:
                 continue
-            if all(feasible_pair("", mults[j], k)[agree[j][i]] for j in range(i)):
-                mults[i] = k
+            mults[i] = k
+            for j in range(i):
+                try:
+                    if not automaton(j, i).reaches(0, agree[j][i]):
+                        break
+                except CapacityError as e:
+                    raise CapacityError(f"{e}, vertex pair ({vs[j]},{vs[i]})") from None
+            else:
                 if assign(i + 1, total + k):
                     return True
         return False
 
-    def place(c: int) -> bool:
-        # append c to each pair projection with c; on failure undo and
-        # report that some pair can no longer agree with g
-        for m, (slot, bit, a, b, want) in enumerate(links[c]):
-            bits = proj[slot] + bit
-            if not feasible_pair(bits, remaining[a], remaining[b])[want]:
-                unplace(links[c][:m])
-                return False
-            proj[slot] = bits
-        return True
-
-    def unplace(pairs):
-        for slot, *_ in pairs:
-            proj[slot] = proj[slot][:-1]
-
     def dfs(total: int) -> bool:
         # stage 2: any vertex with letters left may come next, except that
         # a twin waits for its interchangeable predecessor of equal
-        # multiplicity to start
+        # multiplicity to start; state[a * n + b] is pair a < b's state
+        links = [[(min(c, d) * n + max(c, d), automaton(c, d).moves[agree[c][d]][c > d])
+                  for d in range(n) if d != c] for c in range(n)]
+        state, first = [0] * (n * n), 0
         tick()
-        if len(word) == total:
-            return True
-        for c in range(n):
-            if remaining[c] == 0:
-                continue
-            p = twin_prev[c]
-            if (remaining[c] == mults[c] and p >= 0 and mults[p] == mults[c]
-                    and remaining[p] == mults[p]):
+        while len(trail) < total:
+            for c in range(first, n):
+                p = twin_prev[c]
+                if remaining[c] == 0 or (remaining[c] == mults[c] and p >= 0
+                                         and mults[p] == mults[c] and remaining[p] == mults[p]):
+                    continue
+                try:
+                    for s, move in links[c]:
+                        if move[state[s]] < 0:
+                            break
+                    else:
+                        break
+                except CapacityError as e:
+                    raise CapacityError(f"{e}, vertex pair ({vs[s // n]},{vs[s % n]})") from None
+            else:
+                # no letter fits: take back the last one
+                if not trail:
+                    return False
+                c, old = trail.pop()
+                for (s, _), q in zip(links[c], old):
+                    state[s] = q
+                remaining[c] += 1
+                first = c + 1
                 continue
             remaining[c] -= 1
-            if place(c):
-                word.append(c)
-                if dfs(total):
-                    return True
-                word.pop()
-                unplace(links[c])
-            remaining[c] += 1
-        return False
+            old = []
+            for s, move in links[c]:
+                old.append(state[s])
+                state[s] = move[state[s]]
+            trail.append((c, old))
+            first = 0
+            tick()
+        return True
 
     if assign(0, 0):
-        return VertexWord([vs[c] for c in word])
+        return VertexWord([vs[c] for c, _ in trail])
     return None
 
 
@@ -280,38 +337,21 @@ class Decomposition:
     whole: Graph
 
 
-def _in_windows(i: int, j: int, k: int, ell: int) -> bool:
-    # can a word with i zeros and j ones extend to counts (k, ell) or (ell, k)?
-    return (i <= k and j <= ell) or (i <= ell and j <= k)
-
-
 def pair_nonempty(lang: Language, k: int, ell: int) -> bool:
     """Does lang contain a word with letter counts {k, ell} (either
-    polarity)?  Decided exactly on the language's form: a Dfa is searched
-    with the letter counts in its state, a Cfg yields its bounded count
+    polarity)?  Decided exactly on the language's form: a Dfa by its pair
+    automata at (k, ell) and (ell, k), a Cfg yields its bounded count
     vectors, and an opaque language has its words of those counts
     enumerated.  Past ENUMERATION_BUDGET the call raises CapacityError."""
     form = lang.form
     if isinstance(form, Dfa):
-        # breadth-first over (state, zeros, ones) inside the count windows
-        # {k}x{ell} and {ell}x{k}, never entering a rejecting sink, so a
-        # trie is searched within itself
-        sinks = {q for q, (a, b) in enumerate(form.trans) if a == b == q} - form.accept
-        todo = [(form.start, 0, 0)]
-        seen = set(todo)
-        for q, i, j in todo:
-            if q in form.accept and {i, j} == {k, ell}:
-                return True
-            for nxt in ((form.trans[q][0], i + 1, j), (form.trans[q][1], i, j + 1)):
-                if (nxt[0] not in sinks and _in_windows(nxt[1], nxt[2], k, ell)
-                        and nxt not in seen):
-                    seen.add(nxt)
-                    todo.append(nxt)
-            if len(seen) > ENUMERATION_BUDGET:
-                raise CapacityError(f"pair ({k},{ell}) search exceeds budget for {lang.label}")
-        return False
+        # a sink is one pair automaton state, so a trie is searched within itself
+        meter = itertools.count(1)
+        return any(_PairAutomaton(lang, a, b, meter).reaches(0, 0)
+                   for a, b in {(k, ell), (ell, k)})
     if isinstance(form, Cfg):
-        vecs = form.count_vectors(lambda i, j: _in_windows(i, j, k, ell), ENUMERATION_BUDGET)
+        vecs = form.count_vectors(lambda i, j: (i <= k and j <= ell) or (i <= ell and j <= k),
+                                  ENUMERATION_BUDGET)
         return (k, ell) in vecs or (ell, k) in vecs
     # opaque membership: enumerate all words with the two count profiles
     profiles = {(k, ell), (ell, k)}

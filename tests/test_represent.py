@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_binary_words, filter_project, gnp, graph_from_mask
+from langrep import represent
 from langrep.codec import copy_word
 from langrep.errors import CapacityError, NotSymmetricError
 from langrep.graphs import (
@@ -285,6 +286,92 @@ def test_search_budget_covers_all_work():
 def test_search_requires_symmetric():
     with pytest.raises(NotSymmetricError):
         search(path_graph(2), parse_language("re:01"), {1, 2})
+
+
+def _timed_peak(fn):
+    """fn's result, wall seconds and tracemalloc peak in bytes."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, time.perf_counter() - start, peak
+
+
+def test_search_at_large_multiplicities_stays_shallow():
+    # a Dfa sink settles its verdict at once, and liveness is walked on an
+    # explicit stack, so hundreds of letters per vertex raise no
+    # RecursionError
+    edge = complete_graph(2)
+    found, seconds, _ = _timed_peak(lambda: search(edge, parse_language("<0110>"), {600}))
+    assert found is None and seconds < 1
+    found, seconds, peak = _timed_peak(lambda: search(edge, parse_language("wrep"), {200}))
+    assert found == VertexWord(["v1", "v2"] * 200)
+    assert seconds < 2 and peak < 64 * 2**20
+
+
+def test_search_budget_covers_pair_automaton_states(monkeypatch):
+    # a copy word with 12 zeros and 12 ones lies deep in the prefix tree;
+    # the states built on the way are charged to ENUMERATION_BUDGET
+    monkeypatch.setattr(represent, "ENUMERATION_BUDGET", 10**4)
+    copy = parse_language("copy")
+
+    def over_budget():
+        with pytest.raises(CapacityError, match=r"multiplicities \(12, 12\), vertex pair \(v1,v2\)"):
+            search(complete_graph(2), copy, {12})
+
+    _, seconds, peak = _timed_peak(over_budget)
+    assert seconds < 1 and peak < 16 * 2**20
+    # a non-edge needs one non-copy word, the first leaf of its tree
+    assert search(null_graph(2), copy, {12}) is not None
+
+
+def test_search_drops_a_cache_past_the_budget(monkeypatch):
+    monkeypatch.setattr(represent, "ENUMERATION_BUDGET", 40)
+    lang, edge = parse_language("copy"), complete_graph(2)
+    assert search(edge, lang, {2}) is not None
+    for k in (3, 4):
+        with pytest.raises(CapacityError):
+            search(edge, lang, {k})
+        assert sum(len(pa.keys) for pa in lang.pair_automata.values()) <= 2 * 40
+    # the call at {4} found 10 + 40 states cached and started afresh
+    assert list(lang.pair_automata) == [(4, 4)]
+
+
+# class-sweep rows and multiplicities; wrep is not a row and takes {1, 2}
+_DIFFERENTIAL_ROWS = (
+    ("<0110>", {2}), ("<01,001>", {1, 2}), ("re:0110|1001", {2}),
+    ("halfline", {1, 2, 3}), ("wrep", {1, 2}),
+)
+
+
+@pytest.mark.parametrize("spec, freqs", _DIFFERENTIAL_ROWS, ids=[r[0] for r in _DIFFERENTIAL_ROWS])
+def test_search_on_dfa_states_matches_the_prefix_path(spec, freqs):
+    # the same language as an opaque predicate runs on prefixes and
+    # membership calls; both paths must return the very same word
+    lang = parse_language(spec)
+    twin = Language(None, f"opaque {spec}", member=lang.contains, symmetric=True)
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            assert search(g, lang, freqs) == search(g, twin, freqs), (spec, g.edges)
+
+
+def test_search_on_a_dfa_form_makes_no_membership_calls():
+    lang = parse_language("<0110>")
+    calls = []
+    member = lang._member
+    lang._member = lambda b: calls.append(b) or member(b)
+    graphs = enumerate_graphs(4)
+    words = [search(g, lang, {2}) for g in graphs]
+    assert calls == [] and any(words)
+    built = sum(len(pa.keys) for pa in lang.pair_automata.values())
+    assert [search(g, lang, {2}) for g in graphs] == words
+    assert sum(len(pa.keys) for pa in lang.pair_automata.values()) == built
+    # the opaque twin goes through the same wrapped membership test
+    twin = Language(None, "opaque <0110>", member=lang.contains, symmetric=True)
+    assert [search(g, twin, {2}) for g in graphs] == words and calls
 
 
 # --- decomposition ----------------------------------------------------------
