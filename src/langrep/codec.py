@@ -11,10 +11,24 @@ block listing earlier vertices.  Sparse mode lists each vertex's earlier
 neighbors, read straight off the adjacency lists, so the word has exactly
 4n + 2m symbols; it is the copy word of the complement graph.  Dense mode
 lists earlier non-neighbors (4n + 2 * non-edges): the copy word of the
-graph itself.  ``decode`` and ``adjacent`` read the same validated blocks.
+graph itself.
+
+``decode``, ``decode_word``, ``adjacent`` and ``stored_mode`` read one
+validated index per distinct payload: a payload is parsed once, through
+every check, into its names, symbols and blocks.  The indexes of the last
+``_CACHED_PAYLOADS`` payloads are kept, keyed by the payload's content
+(never by object identity), so a repeated query on identical bytes is a
+lookup, and a bytearray changed in place is read afresh.  A payload that
+raises is not kept, so it raises again on every call.  Symbols are packed
+and unpacked in chunks of lcm(width, 8) * ``_CHUNK`` bits, one int
+conversion per chunk.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from math import lcm
+from typing import NamedTuple
 
 from .errors import FormatError
 from .graphs import Graph
@@ -23,10 +37,19 @@ from .words import VertexWord, check_token
 MAGIC = b"LGR1"
 _MODES = {"sparse": 0, "dense": 1}
 _MODE_NAMES = {v: k for k, v in _MODES.items()}
+_CACHED_PAYLOADS = 4  # validated indexes kept, least recently used dropped
+_CHUNK = 4  # lcm(width, 8)-bit units per int conversion
 
 
 def _width(n: int) -> int:
     return max(1, (n - 1).bit_length())
+
+
+def _chunking(width: int):
+    """Bytes and symbols per packing chunk, and each symbol's shift in it."""
+    step = lcm(width, 8) * _CHUNK // 8
+    per = step * 8 // width
+    return step, per, range((per - 1) * width, -1, -width)
 
 
 def _write_varint(out: bytearray, value: int) -> None:
@@ -89,6 +112,21 @@ def copy_word(g: Graph, complement: bool = False) -> list:
     return first + second
 
 
+def _pack(indices: list, width: int) -> bytearray:
+    """The indices as big-endian width-bit fields, zero-padded to a byte."""
+    step, per, _ = _chunking(width)
+    size = (len(indices) * width + 7) // 8
+    padded = indices + [0] * (-len(indices) % per)
+    out = bytearray()
+    for p in range(0, len(padded), per):
+        acc = 0
+        for i in padded[p:p + per]:
+            acc = acc << width | i
+        out += acc.to_bytes(step, "big")
+    del out[size:]  # only zero fill lies past the last symbol's byte
+    return out
+
+
 def encode(g: Graph, mode: str = "sparse", include_names: bool = True) -> bytes:
     """Serialize a graph; the stored word is ``copy_word`` of g (dense) or
     of its complement (sparse, O(n + m) symbols), so equal labeled graphs
@@ -105,18 +143,7 @@ def encode(g: Graph, mode: str = "sparse", include_names: bool = True) -> bytes:
     out.append(_MODES[mode])
     _write_varint(out, n)
     _write_varint(out, len(letters))
-    width = _width(n)
-    acc = 0
-    bits = 0
-    for tok in letters:
-        acc = (acc << width) | index[tok]
-        bits += width
-        while bits >= 8:
-            bits -= 8
-            out.append((acc >> bits) & 0xFF)
-        acc &= (1 << bits) - 1  # keep the accumulator bounded
-    if bits:
-        out.append((acc << (8 - bits)) & 0xFF)
+    out += _pack([index[tok] for tok in letters], _width(n))
     if include_names:
         for v in g.vertices:
             raw = str(v).encode("utf-8")
@@ -125,100 +152,105 @@ def encode(g: Graph, mode: str = "sparse", include_names: bool = True) -> bytes:
     return bytes(out)
 
 
-class _Reader:
-    """Parsed header plus lazy access to payload symbols and names."""
+def _unpack(data: bytes, start: int, count: int, n: int) -> list:
+    """The count payload symbols at data[start:], each checked below n,
+    then the padding bits after them checked zero."""
+    width = _width(n)
+    step, _, shifts = _chunking(width)
+    size = (count * width + 7) // 8
+    payload = data[start:start + size] + bytes(-size % step)
+    mask = (1 << width) - 1
+    chunks = (int.from_bytes(payload[p:p + step], "big") for p in range(0, size, step))
+    word = [acc >> s & mask for acc in chunks for s in shifts]
+    del word[count:]
+    if max(word) >= n:
+        k = next(k for k, i in enumerate(word) if i >= n)
+        raise FormatError(
+            f"symbol {k} is {word[k]}, beyond n={n}",
+            offset=start + ((k + 1) * width + 7) // 8,
+        )
+    if data[start + size - 1] & ((1 << (size * 8 - count * width)) - 1):
+        raise FormatError("nonzero padding bits", offset=start + size)
+    return word
 
-    __slots__ = ("data", "mode", "n", "wordlen", "width", "payload_start", "names")
 
-    def __init__(self, data: bytes):
-        if data[:4] != MAGIC:
-            raise FormatError("bad magic; not an LGR1 stream", offset=0)
-        if len(data) < 5:
-            raise FormatError("missing mode byte", offset=4)
-        if data[4] not in _MODE_NAMES:
-            raise FormatError(f"unknown mode byte {data[4]}", offset=4)
-        self.mode = _MODE_NAMES[data[4]]
-        self.n, pos = _read_varint(data, 5)
-        self.wordlen, pos = _read_varint(data, pos)
-        if self.n < 1:
-            raise FormatError("vertex count must be positive", offset=5)
-        # every copy word has at least 4n symbols; checked before anything
-        # is allocated in proportion to the untrusted n
-        if self.wordlen < 4 * self.n:
-            raise FormatError(
-                f"word length {self.wordlen} is below 4n = {4 * self.n}", offset=5
-            )
-        self.width = _width(self.n)
-        self.payload_start = pos
-        payload_bytes = (self.wordlen * self.width + 7) // 8
-        end = pos + payload_bytes
-        if end > len(data):
-            raise FormatError("truncated payload", offset=len(data))
-        self.data = data
-        self.names = self._read_names(end)
+def _read_names(data: bytes, pos: int, n: int):
+    if pos == len(data):
+        return default_names(n)
+    names = []
+    for _ in range(n):
+        length, pos = _read_varint(data, pos)
+        if pos + length > len(data):
+            raise FormatError("truncated name table", offset=len(data))
+        try:
+            tok = data[pos:pos + length].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("vertex name is not UTF-8", offset=pos) from None
+        names.append(check_token(tok))
+        pos += length
+    if pos != len(data):
+        raise FormatError("trailing bytes after name table", offset=pos)
+    if len(set(names)) != n:
+        raise FormatError("duplicate vertex names", offset=pos)
+    return names
 
-    def _read_names(self, pos: int):
-        if pos == len(self.data):
-            return default_names(self.n)
-        names = []
-        for _ in range(self.n):
-            length, pos = _read_varint(self.data, pos)
-            if pos + length > len(self.data):
-                raise FormatError("truncated name table", offset=len(self.data))
-            try:
-                tok = self.data[pos:pos + length].decode("utf-8")
-            except UnicodeDecodeError:
-                raise FormatError("vertex name is not UTF-8", offset=pos) from None
-            names.append(check_token(tok))
-            pos += length
-        if pos != len(self.data):
-            raise FormatError("trailing bytes after name table", offset=pos)
-        if len(set(names)) != self.n:
-            raise FormatError("duplicate vertex names", offset=pos)
-        return names
 
-    def symbols(self):
-        """Stream payload indices; constant extra memory."""
-        data, width, start = self.data, self.width, self.payload_start
-        acc = 0
-        bits = 0
-        pos = start
-        for k in range(self.wordlen):
-            while bits < width:
-                acc = (acc << 8) | data[pos]
-                pos += 1
-                bits += 8
-            bits -= width
-            idx = (acc >> bits) & ((1 << width) - 1)
-            acc &= (1 << bits) - 1
-            if idx >= self.n:
-                raise FormatError(f"symbol {k} is {idx}, beyond n={self.n}", offset=pos)
-            yield idx
-        rest = acc & ((1 << bits) - 1)
-        if rest:
-            raise FormatError("nonzero padding bits", offset=pos)
+class _Index(NamedTuple):
+    mode: str
+    names: tuple
+    where: dict  # name -> vertex index
+    word: list  # the stored symbols as vertex indices
+    blocks: list  # per vertex index, the set of earlier indices its block lists
 
-    def blocks(self):
-        """Per vertex index, the set of earlier indices its block lists,
-        after checking the whole word is a well-formed copy word."""
-        return _parse_copy_blocks(list(self.symbols()), self.n, self.payload_start)
+
+@lru_cache(maxsize=_CACHED_PAYLOADS)
+def _read(data: bytes) -> _Index:
+    """Every check of the format (header, name table, symbols, copy-word
+    blocks, in that order), then the index."""
+    if data[:4] != MAGIC:
+        raise FormatError("bad magic; not an LGR1 stream", offset=0)
+    if len(data) < 5:
+        raise FormatError("missing mode byte", offset=4)
+    if data[4] not in _MODE_NAMES:
+        raise FormatError(f"unknown mode byte {data[4]}", offset=4)
+    n, pos = _read_varint(data, 5)
+    wordlen, start = _read_varint(data, pos)
+    if n < 1:
+        raise FormatError("vertex count must be positive", offset=5)
+    # every copy word has at least 4n symbols; checked before anything is
+    # allocated in proportion to the untrusted n
+    if wordlen < 4 * n:
+        raise FormatError(f"word length {wordlen} is below 4n = {4 * n}", offset=5)
+    end = start + (wordlen * _width(n) + 7) // 8
+    if end > len(data):
+        raise FormatError("truncated payload", offset=len(data))
+    names = _read_names(data, end, n)
+    word = _unpack(data, start, wordlen, n)
+    blocks = _parse_copy_blocks(word, n, start)
+    where = {v: i for i, v in enumerate(names)}
+    return _Index(_MODE_NAMES[data[4]], tuple(names), where, word, blocks)
+
+
+def _index(data) -> _Index:
+    # keyed by content: bytes(memoryview(...)) snapshots a bytearray, and
+    # refuses a non-buffer such as an int (bytes(k) would allocate k bytes)
+    return _read(data if isinstance(data, bytes) else bytes(memoryview(data)))
 
 
 def decode(data: bytes) -> Graph:
     """Structural decode: the copy word's first half is blocks of earlier
     non-neighbors (of the stored graph) each closed by a doubled vertex, so
     one pass recovers the adjacency without any language evaluation."""
-    r = _Reader(data)
-    blocks = r.blocks()
-    names = r.names
-    if r.mode == "sparse":
-        edges = [(names[i], names[j]) for i in range(r.n) for j in blocks[i]]
+    ix = _index(data)
+    names = ix.names
+    if ix.mode == "sparse":
+        edges = [(names[i], names[j]) for i, block in enumerate(ix.blocks) for j in block]
     else:
         edges = [
             (names[i], names[j])
-            for i in range(r.n)
+            for i, block in enumerate(ix.blocks)
             for j in range(i)
-            if j not in blocks[i]
+            if j not in block
         ]
     return Graph(names, edges)
 
@@ -241,9 +273,10 @@ def _parse_copy_blocks(word, n, offset):
         if end is None or word[end + 1] != i:
             raise FormatError(f"block of vertex {i} is malformed", offset=offset)
         listed = word[pos:end]
-        if listed != sorted(set(listed)) or listed and listed[-1] > i:
+        block = set(listed)
+        if listed != sorted(block) or listed and listed[-1] > i:
             raise FormatError(f"block of vertex {i} lists bad vertices", offset=offset)
-        blocks.append(set(listed))
+        blocks.append(block)
         expected.append(i)
         expected += listed
         expected.append(i)
@@ -258,25 +291,22 @@ def _parse_copy_blocks(word, n, offset):
 def decode_word(data: bytes) -> VertexWord:
     """The stored representing word itself, over the stored vertex names,
     after the same copy-word check as ``decode``."""
-    r = _Reader(data)
-    r.blocks()
-    return VertexWord(r.names[i] for i in r.symbols())
+    ix = _index(data)
+    return VertexWord(map(ix.names.__getitem__, ix.word))
 
 
 def stored_mode(data: bytes) -> str:
-    return _Reader(data).mode
+    return _index(data).mode
 
 
 def adjacent(data: bytes, u, v) -> bool:
     """Single-pair adjacency from the same validated blocks as ``decode``,
     without building the graph: a malformed payload raises FormatError."""
-    r = _Reader(data)
+    ix = _index(data)
     try:
-        iu, iv = r.names.index(u), r.names.index(v)
-    except ValueError:
-        raise FormatError(f"unknown vertex in pair ({u!r},{v!r})")
-    blocks = r.blocks()
+        iu, iv = ix.where[u], ix.where[v]
+    except (KeyError, TypeError):  # TypeError: an unhashable vertex
+        raise FormatError(f"unknown vertex in pair ({u!r},{v!r})") from None
     if iu == iv:
         return False
-    lo, hi = sorted((iu, iv))
-    return (lo in blocks[hi]) == (r.mode == "sparse")
+    return (min(iu, iv) in ix.blocks[max(iu, iv)]) == (ix.mode == "sparse")

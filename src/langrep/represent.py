@@ -246,8 +246,8 @@ def search(
             )
 
     def automaton(a: int, b: int) -> _PairAutomaton:
-        # the pair automaton of vertices a and b, the smaller one's letters as 0
-        key = (mults[min(a, b)], mults[max(a, b)])
+        # the pair automaton of vertices a < b, a's letters as 0
+        key = (mults[a], mults[b])
         if key not in cache:
             cache[key] = _PairAutomaton(lang, *key, meter)
         cache[key].meter = meter
@@ -257,38 +257,59 @@ def search(
     remaining = [0] * n
     trail: list = []  # (letter, its pairs' states before it) per letter placed
 
-    def assign(i: int, total: int) -> bool:
-        # stage 1: multiplicities of vertices i.. given those before i
+    def assign() -> bool:
+        # stage 1: multiplicities vertex by vertex, backtracking on an
+        # explicit stack; level i tries allowed[i] from choice[i] on
         nonlocal tried
+        choice = [0] * (n + 1)
+        totals = [0] * (n + 1)  # word length of the vertices before i
+        i = 0
         tick()
-        if i == n:
-            tried += 1
-            remaining[:] = mults
-            return dfs(total)
-        for k in allowed[i]:
-            if max_len is not None and total + k + least_rest[i + 1] > max_len:
-                break
-            p = twin_prev[i]
-            if p >= 0 and k < mults[p]:
-                continue
-            mults[i] = k
-            for j in range(i):
-                try:
-                    if not automaton(j, i).reaches(0, agree[j][i]):
-                        break
-                except CapacityError as e:
-                    raise CapacityError(f"{e}, vertex pair ({vs[j]},{vs[i]})") from None
-            else:
-                if assign(i + 1, total + k):
+        while i >= 0:
+            if i == n:
+                tried += 1
+                remaining[:] = mults
+                if dfs(totals[n]):
                     return True
+                i -= 1
+                continue
+            options = allowed[i]
+            while choice[i] < len(options):
+                k = options[choice[i]]
+                choice[i] += 1
+                if max_len is not None and totals[i] + k + least_rest[i + 1] > max_len:
+                    choice[i] = len(options)  # the options ascend
+                    continue
+                p = twin_prev[i]
+                if p >= 0 and k < mults[p]:
+                    continue
+                mults[i] = k
+                for j in range(i):
+                    try:
+                        if not automaton(j, i).reaches(0, agree[j][i]):
+                            break
+                    except CapacityError as e:
+                        raise CapacityError(f"{e}, vertex pair ({vs[j]},{vs[i]})") from None
+                else:
+                    totals[i + 1] = totals[i] + k
+                    i += 1
+                    choice[i] = 0
+                    tick()
+                    break
+            else:
+                i -= 1
         return False
 
     def dfs(total: int) -> bool:
         # stage 2: any vertex with letters left may come next, except that
         # a twin waits for its interchangeable predecessor of equal
         # multiplicity to start; state[a * n + b] is pair a < b's state
-        links = [[(min(c, d) * n + max(c, d), automaton(c, d).moves[agree[c][d]][c > d])
-                  for d in range(n) if d != c] for c in range(n)]
+        links = [[] for _ in range(n)]  # per c, (pair state slot, move on c) by d
+        for a in range(n):
+            for b in range(a + 1, n):
+                moves = automaton(a, b).moves[agree[a][b]]
+                links[a].append((a * n + b, moves[0]))
+                links[b].append((a * n + b, moves[1]))
         state, first = [0] * (n * n), 0
         tick()
         while len(trail) < total:
@@ -325,7 +346,7 @@ def search(
             tick()
         return True
 
-    if assign(0, 0):
+    if assign():
         return VertexWord([vs[c] for c, _ in trail])
     return None
 

@@ -7,8 +7,11 @@ import tracemalloc
 
 import pytest
 
+from langrep import codec
 from langrep.codec import (
     MAGIC,
+    _pack,
+    _unpack,
     _write_varint,
     adjacent,
     decode,
@@ -210,19 +213,153 @@ def _non_utf8_name():
     ],
 )
 def test_adjacent_rejects_what_decode_rejects(blob, u, v):
-    with pytest.raises(FormatError):
-        decode(blob)
-    with pytest.raises(FormatError):
-        decode_word(blob)
-    for pair in ((u, v), (v, u), (u, u)):
+    # a payload that raises is never cached, so it raises on every call
+    for _ in range(3):
         with pytest.raises(FormatError):
-            adjacent(blob, *pair)
+            decode(blob)
+        with pytest.raises(FormatError):
+            decode_word(blob)
+        for pair in ((u, v), (v, u), (u, u)):
+            with pytest.raises(FormatError):
+                adjacent(blob, *pair)
 
 
 def test_adjacent_unknown_vertex():
     blob = encode(path_graph(2))
     with pytest.raises(FormatError):
         adjacent(blob, "v1", "nope")
+    with pytest.raises(FormatError):
+        adjacent(blob, ["x"], "v1")  # unhashable
+
+
+# --- the payload index cache --------------------------------------------------
+
+
+def test_cache_is_keyed_by_content():
+    # a bytearray changed in place after a query is read afresh
+    blob = bytearray(encode(Graph("abc", [("a", "b")])))
+    assert adjacent(blob, "a", "b") and not adjacent(blob, "a", "c")
+    blob[:] = encode(Graph("abc", [("a", "c")]))
+    assert not adjacent(blob, "a", "b") and adjacent(blob, "a", "c")
+    assert decode(blob) == Graph("abc", [("a", "c")])
+    blob[0] ^= 0xFF
+    with pytest.raises(FormatError, match="magic"):
+        adjacent(blob, "a", "b")
+    blob[0] ^= 0xFF
+    assert adjacent(blob, "a", "c")
+
+
+def test_cache_hits_on_equal_bytes_and_stays_bounded():
+    g = path_graph(5)
+    blob = encode(g)
+    adjacent(blob, "v1", "v2")
+    before = codec._read.cache_info()
+    # an equal payload in a new object is a hit: nothing is parsed again
+    assert adjacent(bytes(bytearray(blob)), "v2", "v3")
+    assert decode(bytes(blob)) == g
+    after = codec._read.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+    for k in range(3 * codec._CACHED_PAYLOADS):
+        assert decode(encode(path_graph(k + 1))) == path_graph(k + 1)
+        assert codec._read.cache_info().currsize <= codec._CACHED_PAYLOADS
+    assert codec._read.cache_info().maxsize == codec._CACHED_PAYLOADS
+
+
+def test_non_buffer_payload_is_refused_without_allocating():
+    # bytes(10**12) would allocate a terabyte
+    with pytest.raises(TypeError):
+        decode(10**12)
+
+
+# --- bit packing ------------------------------------------------------------
+
+
+def _ref_pack(indices, width):
+    out, acc, bits = bytearray(), 0, 0
+    for i in indices:
+        acc = (acc << width) | i
+        bits += width
+        while bits >= 8:
+            bits -= 8
+            out.append((acc >> bits) & 0xFF)
+        acc &= (1 << bits) - 1
+    if bits:
+        out.append((acc << (8 - bits)) & 0xFF)
+    return bytes(out)
+
+
+def _ref_unpack(data, start, count, n, width):
+    """The per-symbol reader, with its messages and offsets."""
+    acc = bits = 0
+    pos = start
+    out = []
+    for k in range(count):
+        while bits < width:
+            acc = (acc << 8) | data[pos]
+            pos += 1
+            bits += 8
+        bits -= width
+        idx = (acc >> bits) & ((1 << width) - 1)
+        acc &= (1 << bits) - 1
+        if idx >= n:
+            raise FormatError(f"symbol {k} is {idx}, beyond n={n}", offset=pos)
+        out.append(idx)
+    if acc & ((1 << bits) - 1):
+        raise FormatError("nonzero padding bits", offset=pos)
+    return out
+
+
+# both sides of each power of two, so every width from 1 to 12 occurs
+_PACK_ORDERS = sorted(
+    {1, 2, 3, 4, 5, 8, 9, 256, 257, 2048, 2049}
+    | {m for w in range(1, 13) for m in (2 ** (w - 1) + 1, 2 ** w)}
+)
+
+
+def _error(fn, *args):
+    with pytest.raises(FormatError) as err:
+        fn(*args)
+    return str(err.value), err.value.offset
+
+
+@pytest.mark.parametrize("n", _PACK_ORDERS)
+def test_pack_and_unpack_match_the_per_symbol_loop(n):
+    width = codec._width(n)
+    assert width == max(1, (n - 1).bit_length())
+    rng = random.Random(n)
+    # lengths across chunk boundaries, with and without padding bits
+    for count in [1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129, 300] + rng.sample(range(1, 1000), 5):
+        word = [rng.randrange(n) for _ in range(count)]
+        if count > 2:
+            word[:2] = [0, n - 1]
+        packed = bytes(_pack(word, width))
+        assert packed == _ref_pack(word, width)
+        data = b"head" + packed + b"tail"
+        assert _unpack(data, 4, count, n) == word == _ref_unpack(data, 4, count, n, width)
+
+
+@pytest.mark.parametrize("n", _PACK_ORDERS)
+def test_unpack_errors_match_the_per_symbol_loop(n):
+    width = codec._width(n)
+    rng = random.Random(-n)
+    count = 11  # odd, so the payload ends in padding bits unless width is 8
+    word = [rng.randrange(n) for _ in range(count)]
+    packed = bytearray(_pack(word, width))
+    if count * width % 8:
+        padding = b"x" + packed[:-1] + bytes([packed[-1] | 1]) + b"y"
+        assert _error(_unpack, padding, 1, count, n) == _error(
+            _ref_unpack, padding, 1, count, n, width
+        ) == (f"nonzero padding bits (at offset {1 + len(packed)})", 1 + len(packed))
+    if n == 2**width:
+        return  # every width-bit symbol is below n
+    for k in (0, rng.randrange(count), count - 1):
+        high = list(word)
+        high[-1] = 2**width - 1  # a later bad symbol is not the one named
+        high[k] = rng.randrange(n, 2**width)
+        data = b"x" + _pack(high, width) + b"y"
+        got = _error(_unpack, data, 1, count, n)
+        assert got == _error(_ref_unpack, data, 1, count, n, width)
+        assert got[0] == f"symbol {k} is {high[k]}, beyond n={n} (at offset {got[1]})"
 
 
 # --- corruption diagnostics -------------------------------------------------

@@ -4,6 +4,7 @@ enumeration of all candidate words on small instances."""
 
 import itertools
 import random
+import sys
 import time
 import tracemalloc
 
@@ -310,6 +311,21 @@ def test_search_at_large_multiplicities_stays_shallow():
     found, seconds, peak = _timed_peak(lambda: search(edge, parse_language("wrep"), {200}))
     assert found == VertexWord(["v1", "v2"] * 200)
     assert seconds < 2 and peak < 64 * 2**20
+
+
+def test_search_above_the_recursion_limit():
+    # the multiplicity CSP backtracks on an explicit stack, so an order past
+    # the interpreter's recursion limit is searched, not refused
+    n = sys.getrecursionlimit() + 50
+    g, lang = null_graph(n), parse_language("<01,001>")
+    start = time.perf_counter()
+    found = search(g, lang, {2})
+    assert found is not None and time.perf_counter() - start < 30
+    assert sorted(found) == sorted(g.vertices * 2)
+    rng = random.Random(12)
+    for _ in range(50):
+        u, v = rng.sample(g.vertices, 2)
+        assert not lang.contains(found.project(u, v))
 
 
 def test_search_budget_covers_pair_automaton_states(monkeypatch):
