@@ -1,8 +1,26 @@
-"""Graph isomorphism testing and exhaustive small-graph enumeration.
+"""Graph isomorphism, automorphism counts and small-graph enumeration, all
+from one canonical labeling: individualization-refinement (McKay & Piperno,
+"Practical graph isomorphism II", 2014).
 
-Both are exact and deliberately independent of the language machinery so
-they can serve as cross-validation oracles.  Sizes are capped: isomorphism
-at order 10, enumeration at order 7 (1044 classes).
+Colour refinement splits the degree cells until the partition is equitable;
+the search then individualizes each vertex of the first smallest
+non-singleton cell in turn.  A discrete partition is a leaf, whose form is
+the relabeled adjacency; the canonical form is the greatest leaf form.  Two
+facts keep this exact:
+
+- The twin skip is sound.  A vertex whose twin (same open or same closed
+  neighbourhood) in the cell was already tried is skipped: swapping twins
+  is an automorphism fixing every other vertex, so its subtree is an
+  isomorphic copy of the tried one, with the same leaf forms.
+- The weighted best-leaf count is |Aut|.  The unpruned tree's leaves that
+  reach the greatest form correspond one to one with automorphisms; the
+  pruned search counts them by weighting each leaf with the product of the
+  twin-class sizes along its path.
+
+Enumeration keeps the first augmentation with each canonical form (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 1998).  Nothing here
+uses the language machinery, so it can cross-validate it.  Sizes are capped:
+isomorphism and automorphisms at order 10, enumeration at order 7.
 """
 
 from __future__ import annotations
@@ -16,90 +34,80 @@ ISO_ORDER_CAP = 10
 ENUM_ORDER_CAP = 7
 
 
-def _refine_invariant(g: Graph, v) -> tuple:
-    deg = g.degree(v)
-    nbr_degs = tuple(sorted(g.degree(u) for u in g.neighbors(v)))
-    return (deg, nbr_degs)
+def _masks(g: Graph) -> list:
+    index = {v: i for i, v in enumerate(g.vertices)}
+    return [sum(1 << index[u] for u in g.neighbors(v)) for v in g.vertices]
+
+
+def _refine(adj, cells):
+    """Split each cell by its vertices' neighbour counts in every cell,
+    until no cell splits.  Parts are ordered by those counts."""
+    while True:
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            parts: dict = {}
+            for v in cell:
+                key = tuple((adj[v] & m).bit_count() for m in masks)
+                parts.setdefault(key, []).append(v)
+            out += [parts[key] for key in sorted(parts)]
+        if len(out) == len(cells):
+            return cells
+        cells = out
+
+
+def _canon(adj):
+    """(canonical form, a vertex order giving it, |Aut|) of the graph with
+    int adjacency masks adj; the form is adj relabeled by that order."""
+    closed = [m | 1 << v for v, m in enumerate(adj)]
+    best = [(), None, 0]
+
+    def visit(cells, weight):
+        cells = _refine(adj, cells)
+        target = min((c for c in cells if len(c) > 1), key=len, default=None)
+        if target is None:
+            order = [c[0] for c in cells]
+            form = tuple(sum(1 << k for k, u in enumerate(order) if adj[v] >> u & 1)
+                         for v in order)
+            if form > best[0]:
+                best[:] = [form, order, weight]
+            elif form == best[0]:
+                best[2] += weight
+            return
+        i = cells.index(target)
+        classes: dict = {}
+        for v in target:
+            rep = next((u for u in classes if adj[u] == adj[v] or closed[u] == closed[v]), v)
+            classes[rep] = classes.get(rep, 0) + 1
+        for v, size in classes.items():
+            split = [[v], [u for u in target if u != v]]
+            visit(cells[:i] + split + cells[i + 1:], weight * size)
+
+    visit([list(range(len(adj)))], 1)  # its first refinement gives the degree cells
+    return tuple(best)
 
 
 def isomorphic(g: Graph, h: Graph):
-    """A vertex bijection turning g into h, or None.
-
-    Backtracking over degree-compatible candidates; feasible up to the
-    order cap, which errs on the side of exactness over speed."""
+    """A vertex bijection turning g into h, or None: g's canonical order
+    mapped position by position onto h's when the canonical forms agree."""
     if g.order != h.order or g.size != h.size:
         return None
     if g.order > ISO_ORDER_CAP:
         raise CapacityError(f"isomorphism test capped at order {ISO_ORDER_CAP}")
-    if g.degree_sequence() != h.degree_sequence():
+    gform, gorder, _ = _canon(_masks(g))
+    hform, horder, _ = _canon(_masks(h))
+    if gform != hform:
         return None
-
-    ginv = {v: _refine_invariant(g, v) for v in g.vertices}
-    hinv = {v: _refine_invariant(h, v) for v in h.vertices}
-    if sorted(ginv.values()) != sorted(hinv.values()):
-        return None
-
-    # match highest-degree vertices first to fail fast
-    gorder = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
-    candidates = {
-        v: [u for u in h.vertices if hinv[u] == ginv[v]] for v in gorder
-    }
-
-    mapping: dict = {}
-    used: set = set()
-
-    def extend(i: int):
-        if i == len(gorder):
-            return True
-        v = gorder[i]
-        for u in candidates[v]:
-            if u in used:
-                continue
-            ok = True
-            for w, uw in mapping.items():
-                if g.has_edge(v, w) != h.has_edge(u, uw):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = u
-                used.add(u)
-                if extend(i + 1):
-                    return True
-                del mapping[v]
-                used.remove(u)
-        return False
-
-    if extend(0):
-        return dict(mapping)
-    return None
+    return {g.vertices[a]: h.vertices[b] for a, b in zip(gorder, horder)}
 
 
 def automorphism_count(g: Graph) -> int:
-    count = 0
-    inv = {v: _refine_invariant(g, v) for v in g.vertices}
-    gorder = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
-    candidates = {v: [u for u in g.vertices if inv[u] == inv[v]] for v in gorder}
-    mapping: dict = {}
-    used: set = set()
-
-    def extend(i: int):
-        nonlocal count
-        if i == len(gorder):
-            count += 1
-            return
-        v = gorder[i]
-        for u in candidates[v]:
-            if u in used:
-                continue
-            if all(g.has_edge(v, w) == g.has_edge(u, uw) for w, uw in mapping.items()):
-                mapping[v] = u
-                used.add(u)
-                extend(i + 1)
-                del mapping[v]
-                used.remove(u)
-
-    extend(0)
-    return count
+    if g.order > ISO_ORDER_CAP:
+        raise CapacityError(f"automorphism count capped at order {ISO_ORDER_CAP}")
+    return _canon(_masks(g))[2]
 
 
 def distinct_labelings(g: Graph):
@@ -116,27 +124,13 @@ def distinct_labelings(g: Graph):
     return list(seen.values())
 
 
-def _triangle_count(g: Graph) -> int:
-    t = 0
-    for u, v in g.edges:
-        t += len(g.neighbors(u) & g.neighbors(v))
-    return t // 3
-
-
-def _enum_invariant(g: Graph) -> tuple:
-    return (
-        g.degree_sequence(),
-        tuple(sorted(tuple(sorted(g.degree(u) for u in g.neighbors(v))) for v in g.vertices)),
-        _triangle_count(g),
-    )
-
-
 _ENUM_CACHE: dict = {}
 
 
 def enumerate_graphs(n: int):
-    """One representative per isomorphism class of order n, by augmenting
-    the (n-1)-representatives with one vertex over every neighborhood."""
+    """One representative per isomorphism class of order n: the first
+    augmentation of an (n-1)-representative, by one vertex over every
+    neighborhood, with each canonical form."""
     if n < 1:
         raise ValueError("order must be positive")
     if n > ENUM_ORDER_CAP:
@@ -146,21 +140,20 @@ def enumerate_graphs(n: int):
     if n == 1:
         result = [Graph(["v1"])]
     else:
-        smaller = enumerate_graphs(n - 1)
-        new = f"v{n}"
-        buckets: dict = {}
-        for g in smaller:
-            old = g.vertices
+        kept: dict = {}
+        for g in enumerate_graphs(n - 1):
+            base = _masks(g)
             for bits in range(1 << (n - 1)):
-                nbrs = [old[i] for i in range(n - 1) if bits >> i & 1]
-                cand = Graph(
-                    old + (new,), list(g.edges) + [(new, u) for u in nbrs]
-                )
-                key = _enum_invariant(cand)
-                group = buckets.setdefault(key, [])
-                if not any(isomorphic(cand, other) for other in group):
-                    group.append(cand)
-        result = [g for group in buckets.values() for g in group]
+                adj = [m | (bits >> i & 1) << (n - 1) for i, m in enumerate(base)]
+                kept.setdefault(_canon(adj + [bits])[0], (g, bits))
+        new = f"v{n}"
+        result = [
+            Graph(
+                g.vertices + (new,),
+                list(g.edges) + [(new, v) for i, v in enumerate(g.vertices) if bits >> i & 1],
+            )
+            for g, bits in kept.values()
+        ]
         result.sort(key=lambda g: (g.size, sorted(g.edges)))
     _ENUM_CACHE[n] = result
     return list(result)

@@ -35,6 +35,27 @@ def gnp(n, p, seed):
     return Graph(vs, [e for e in itertools.combinations(vs, 2) if rng.random() < p])
 
 
+def symmetric_order_ten():
+    """Seven highly symmetric graphs of order 10 by name, each with its
+    automorphism count, on names v0..v9."""
+    vs = [f"v{i}" for i in range(10)]
+
+    def on(pairs):
+        return Graph(vs, [(vs[a], vs[b]) for a, b in pairs])
+
+    ring = [(i, (i + 1) % 5) for i in range(5)]
+    return {
+        "K10": (on(itertools.combinations(range(10), 2)), 3628800),
+        "null 10": (on([]), 3628800),
+        "Petersen": (on(ring + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                        + [(i, i + 5) for i in range(5)]), 120),
+        "5K2": (on([(i, i + 1) for i in range(0, 10, 2)]), 3840),
+        "2C5": (on(ring + [(a + 5, b + 5) for a, b in ring]), 200),
+        "K5,5": (on([(a, b) for a in range(5) for b in range(5, 10)]), 28800),
+        "C10(1,3)": (on([(i, (i + s) % 10) for i in range(10) for s in (1, 3)]), 240),
+    }
+
+
 @st.composite
 def small_graphs(draw, min_order=1, max_order=5):
     n = draw(st.integers(min_value=min_order, max_value=max_order))

@@ -2,15 +2,18 @@
 recognition oracles cross-checked against one another and against
 induced-subgraph scans."""
 
+import hashlib
 import itertools
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import graph_from_mask, small_graphs
+from conftest import graph_from_mask, small_graphs, symmetric_order_ten
 from langrep import oracles
-from langrep.errors import FormatError
+from langrep.errors import CapacityError, FormatError
 from langrep.graphs import (
     Graph,
     complete_bipartite,
@@ -138,6 +141,20 @@ def test_enumeration_counts_small():
     assert [len(enumerate_graphs(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
 
 
+# sha256 prefixes of [(g.vertices, sorted(g.edges)) for g in enumerate_graphs(n)]
+# for n = 1..7: the class-table, codec and builder tests iterate these graphs
+ENUM_DIGESTS = [
+    "8b37cb03e527d9c6", "e17e1d7844939417", "68b42131dfda986a", "4c779957cfc16b20",
+    "38d2021d3e3425f4", "45879f6f568495f5", "f300e3629c2400cd",
+]
+
+
+def test_enumeration_representatives_are_pinned():
+    for n, prefix in enumerate(ENUM_DIGESTS, 1):
+        reps = [(g.vertices, sorted(g.edges)) for g in enumerate_graphs(n)]
+        assert hashlib.sha256(repr(reps).encode()).hexdigest().startswith(prefix), n
+
+
 def test_enumeration_is_pairwise_nonisomorphic():
     reps = enumerate_graphs(4)
     for a, b in itertools.combinations(reps, 2):
@@ -174,6 +191,24 @@ def test_automorphism_counts():
     assert automorphism_count(complete_graph(4)) == 24
     assert automorphism_count(path_graph(3)) == 2
     assert automorphism_count(null_graph(3)) == 6
+    named = symmetric_order_ten()
+    for name in ("K10", "5K2", "Petersen"):
+        g, count = named[name]
+        assert automorphism_count(g) == count, name
+    with pytest.raises(CapacityError):
+        automorphism_count(path_graph(11))
+
+
+def test_symmetric_order_ten_stays_fast():
+    # an exponential regression in the canonical-labeling search fails here
+    rng = random.Random(10)
+    t0 = time.monotonic()
+    for name, (g, count) in symmetric_order_ten().items():
+        names = list(g.vertices)
+        rng.shuffle(names)
+        assert isomorphic(g, g.relabel(dict(zip(g.vertices, names)))) is not None, name
+        assert automorphism_count(g) == count, name
+    assert time.monotonic() - t0 < 5.0
 
 
 def test_distinct_labelings_count():

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from conftest import gnp
+from conftest import gnp, symmetric_order_ten
 from langrep import oracles
-from langrep.isomorphism import enumerate_graphs, isomorphic
+from langrep.graphs import Graph
+from langrep.isomorphism import automorphism_count, enumerate_graphs, isomorphic
 
 nx = pytest.importorskip("networkx")
 
@@ -49,6 +50,54 @@ def test_isomorphic_agrees_on_seeded_relabelings(n):
             mapping = isomorphic(g, h)
             assert (mapping is not None) == nx.is_isomorphic(to_nx(g), to_nx(h))
             assert mapping is None or is_isomorphism(mapping, g, h)
+
+
+def nx_automorphisms(g):
+    h = to_nx(g)
+    return sum(1 for _ in nx.vf2pp_all_isomorphisms(h, h))
+
+
+def test_automorphism_count_agrees_up_to_order_6():
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            assert automorphism_count(g) == nx_automorphisms(g), g
+
+
+def test_automorphism_count_agrees_on_symmetric_order_ten():
+    # K10 and null 10 (10! each) would take minutes to list here;
+    # test_graphs pins their counts
+    for name, (g, _) in symmetric_order_ten().items():
+        if name not in ("K10", "null 10"):
+            assert automorphism_count(g) == nx_automorphisms(g), name
+
+
+def swap_two_edges(g, rng):
+    """g after one degree-preserving swap ab, cd -> ad, cb, or g itself
+    when no sampled pair of edges admits one."""
+    edges = sorted(g.edges)
+    for _ in range(50 if len(edges) > 1 else 0):
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if len({a, b, c, d}) == 4 and not g.has_edge(a, d) and not g.has_edge(c, b):
+            return Graph(g.vertices, [e for e in edges if e not in ((a, b), (c, d))] + [(a, d), (c, b)])
+    return g
+
+
+def test_isomorphic_agrees_on_seeded_gnp_pairs():
+    # 250 graphs at orders 7-10, each paired with a relabeling of itself and
+    # with a relabeling of a degree-preserving rewiring of itself
+    rng = random.Random(710)
+    for seed in range(250):
+        g = gnp(7 + seed % 4, rng.choice([0.2, 0.35, 0.5]), seed)
+        names = list(g.vertices)
+        rng.shuffle(names)
+        relabel = dict(zip(g.vertices, names))
+        moved = g.relabel(relabel)
+        other = swap_two_edges(g, rng).relabel(relabel)
+        mapping = isomorphic(g, moved)
+        assert mapping is not None and is_isomorphism(mapping, g, moved), seed
+        mapping = isomorphic(g, other)
+        assert (mapping is not None) == nx.is_isomorphic(to_nx(g), to_nx(other)), seed
+        assert mapping is None or is_isomorphism(mapping, g, other), seed
 
 
 def _oracle_cases():
