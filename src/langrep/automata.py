@@ -1,19 +1,24 @@
 """Deterministic finite automata over the alphabet {0, 1}.
 
 Small self-contained machinery: regular-expression compilation (syntax tree
-to nondeterministic machine to determinized Dfa), product constructions,
-complement by accepting-set flip, minimization by partition refinement, and
-decision helpers (emptiness, equivalence, shortest accepted word).  States
-are integers; every Dfa is total over both input symbols.
+to position automaton to Dfa), product constructions, complement by
+accepting-set flip, minimization by partition refinement, and decision
+helpers (emptiness, equivalence, shortest accepted word).  One subset
+construction determinizes both the position automaton and the reversed
+moves of ``Dfa.reverse``.  States are integers; every Dfa is total over
+both input symbols, and none is built past ``AUTOMATON_BUDGET`` states.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .errors import FormatError
+from .errors import CapacityError, FormatError
 
 ALPHABET = ("0", "1")
+
+# states any one automaton construction may create; past it explore raises
+AUTOMATON_BUDGET = 10**5
 
 
 class Dfa:
@@ -89,12 +94,11 @@ class Dfa:
     def reverse(self) -> "Dfa":
         """Automaton for the reversal language, via reversed-edge subset
         construction starting from the accepting set."""
-        rev = {(q, c): set() for q in range(len(self)) for c in (0, 1)}
-        for q, (a, b) in enumerate(self.trans):
-            rev[(a, 0)].add(q)
-            rev[(b, 1)].add(q)
-        return explore(frozenset(self.accept), lambda s, c: frozenset(
-            x for q in s for x in rev[(q, c)]), lambda s: self.start in s)
+        moves = [([], []) for _ in self.trans]
+        for q, row in enumerate(self.trans):
+            for c, r in enumerate(row):
+                moves[r][c].append(q)
+        return _subsets(self.accept, moves, lambda s: self.start in s)
 
     def minimize(self) -> "Dfa":
         """The minimal equivalent Dfa, by Moore partition refinement (Moore
@@ -123,7 +127,8 @@ class Dfa:
 def explore(start, step, is_accept) -> Dfa:
     """The Dfa on the states reachable from ``start``, where ``step(s, c)``
     gives the successor of state s on symbol index c; states are any
-    hashable values, numbered in breadth-first order."""
+    hashable values, numbered in breadth-first order.  CapacityError is
+    raised instead of creating a state past AUTOMATON_BUDGET."""
     index = {start: 0}
     trans = [None]
     accept = set()
@@ -136,6 +141,10 @@ def explore(start, step, is_accept) -> Dfa:
         for c in (0, 1):
             t = step(s, c)
             if t not in index:
+                if len(trans) == AUTOMATON_BUDGET:
+                    raise CapacityError(
+                        f"automaton exceeds the budget of {AUTOMATON_BUDGET} states"
+                    )
                 index[t] = len(trans)
                 trans.append(None)
                 if is_accept(t):
@@ -144,6 +153,17 @@ def explore(start, step, is_accept) -> Dfa:
             row.append(index[t])
         trans[index[s]] = tuple(row)
     return Dfa(trans, 0, accept)
+
+
+def _subsets(start, moves, is_accept) -> Dfa:
+    """Subset construction: a state is a frozenset of items, entered from
+    ``start``; on symbol index c an item p goes to each item of
+    ``moves[p][c]``, and ``is_accept`` judges a whole set."""
+    return explore(
+        frozenset(start),
+        lambda s, c: frozenset(x for p in s for x in moves[p][c]),
+        is_accept,
+    )
 
 
 def dfa_from_finite(words) -> Dfa:
@@ -161,15 +181,49 @@ def dfa_from_finite(words) -> Dfa:
 # --- regular expressions ----------------------------------------------------
 #
 # Surface syntax: literals 0 and 1, e for the empty word, (), |, juxtaposition
-# for concatenation, postfix *.  Compiled through a Thompson-style epsilon
-# machine, then determinized.
+# for concatenation, postfix *.  Compiled through the position automaton
+# (Glushkov 1961; McNaughton and Yamada 1960), which has no empty moves: each
+# literal is a position, position 0 is the start, and a Dfa state is the set
+# of positions that can have just been read.
 
 
 def compile_regex(expr: str) -> Dfa:
-    ast = _RegexParser(expr).parse()
-    nfa = _Nfa()
-    s, t = nfa.build(ast)
-    return nfa.determinize(s, t)
+    letter = [None]  # symbol index of each position
+    follow = [set()]  # positions that may be read right after each position
+
+    def walk(node):
+        # (nullable, first positions, last positions) of the subexpression
+        kind = node[0]
+        if kind == "eps":
+            return True, set(), set()
+        if kind == "lit":
+            letter.append(int(node[1]))
+            follow.append(set())
+            return False, {len(letter) - 1}, {len(letter) - 1}
+        if kind == "star":
+            _, first, last = walk(node[1])
+            for p in last:
+                follow[p] |= first
+            return True, first, last
+        parts = [walk(sub) for sub in node[1]]
+        if kind == "alt":
+            nullables, firsts, lasts = zip(*parts)
+            return any(nullables), set().union(*firsts), set().union(*lasts)
+        nullable, first, last = True, set(), set()  # a concatenation
+        for sub_nullable, sub_first, sub_last in parts:
+            for p in last:
+                follow[p] |= sub_first
+            if nullable:
+                first |= sub_first
+            nullable = nullable and sub_nullable
+            last = last | sub_last if sub_nullable else sub_last
+        return nullable, first, last
+
+    nullable, follow[0], last = walk(_RegexParser(expr).parse())
+    if nullable:
+        last.add(0)
+    moves = [[[q for q in after if letter[q] == c] for c in (0, 1)] for after in follow]
+    return _subsets({0}, moves, lambda s: not last.isdisjoint(s))
 
 
 class _RegexParser:
@@ -226,70 +280,6 @@ class _RegexParser:
         if c == "e":
             return ("eps",)
         raise FormatError(f"bad regex character {c!r}", self.pos - 1)
-
-
-class _Nfa:
-    def __init__(self):
-        self.eps = []
-        self.step = []
-
-    def _state(self):
-        self.eps.append(set())
-        self.step.append({})
-        return len(self.eps) - 1
-
-    def build(self, node):
-        kind = node[0]
-        if kind == "eps":
-            s = self._state()
-            return s, s
-        if kind == "lit":
-            s, t = self._state(), self._state()
-            self.step[s][node[1]] = t
-            return s, t
-        if kind == "alt":
-            s, t = self._state(), self._state()
-            for sub in node[1]:
-                a, b = self.build(sub)
-                self.eps[s].add(a)
-                self.eps[b].add(t)
-            return s, t
-        if kind == "cat":
-            first, last = None, None
-            for sub in node[1]:
-                a, b = self.build(sub)
-                if first is None:
-                    first = a
-                else:
-                    self.eps[last].add(a)
-                last = b
-            return first, last
-        if kind == "star":
-            a, b = self.build(node[1])
-            s = self._state()
-            self.eps[s].add(a)
-            self.eps[b].add(s)
-            return s, s
-        raise AssertionError(kind)
-
-    def _closure(self, states):
-        out = set(states)
-        todo = list(states)
-        while todo:
-            q = todo.pop()
-            for r in self.eps[q]:
-                if r not in out:
-                    out.add(r)
-                    todo.append(r)
-        return frozenset(out)
-
-    def determinize(self, start, final) -> Dfa:
-        def step(s, c):
-            sym = ALPHABET[c]
-            nxt = {self.step[q][sym] for q in s if sym in self.step[q]}
-            return self._closure(nxt)
-
-        return explore(self._closure({start}), step, lambda s: final in s)
 
 
 def count_window_dfa(zeros: int, ones: int) -> Dfa:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .automata import Dfa, both_symbols_dfa, dfa_from_finite
 from .errors import CapacityError
-from .grammar import PRODUCT_BUDGET, Cfg, intersect_regular
+from .grammar import Cfg, intersect_regular
 
 PROPERTIES = ("bounded-treewidth", "bounded-degeneracy")
 
@@ -77,7 +77,7 @@ def _both_symbols_witness(form):
     both = both_symbols_dfa()
     if isinstance(form, Dfa):
         return form.accepts, form.intersect(both).shortest_accepted()
-    product = intersect_regular(form, both, PRODUCT_BUDGET)
+    product = intersect_regular(form, both)
     length = product.shortest_length()
     if length is None:
         return form.contains, None

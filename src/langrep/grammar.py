@@ -261,14 +261,14 @@ def _binarize_map(productions):
     return prods
 
 
-def intersect_regular(g: Cfg, d: Dfa, budget=None) -> Cfg:
+def intersect_regular(g: Cfg, d: Dfa, budget=PRODUCT_BUDGET) -> Cfg:
     """Product grammar for L(g) intersected with L(d): the (state, symbol,
     state) triples of Bar-Hillel, Perles and Shamir (1961) over the binarized
     grammar, built bottom-up from the automaton's moves (a terminal stands
     for its own move), so only triples that generate a word get bodies, then
     trimmed to what the start reaches.  Two triples are joined once, when
     the later is reached.  CapacityError is raised once more than ``budget``
-    bodies, when given, have been built."""
+    bodies, by default PRODUCT_BUDGET, have been built."""
     prods = _binarize_map(g.productions)
     uses: dict = {}  # symbol -> (head, body, position) of each occurrence
     for head, bodies in prods.items():
@@ -291,7 +291,7 @@ def intersect_regular(g: Cfg, d: Dfa, budget=None) -> Cfg:
             queue.append((p, head, q))
         built[name].append(body)
         size += 1
-        if budget is not None and size > budget:
+        if size > budget:
             raise CapacityError(
                 f"grammar-automaton product exceeds the budget of {budget} bodies"
             )

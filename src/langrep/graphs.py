@@ -180,9 +180,6 @@ class Graph:
         right = frozenset(v for v in self.vertices if color[v] == 1)
         return left, right
 
-    def degree_sequence(self):
-        return tuple(sorted(len(self._adj[v]) for v in self.vertices))
-
 
 # --- convenient families ----------------------------------------------------
 

@@ -37,7 +37,7 @@ import itertools
 
 from .automata import Dfa, compile_regex, count_window_dfa, dfa_from_finite, explore
 from .errors import CapacityError, FormatError, NotSymmetricError
-from .grammar import PRODUCT_BUDGET, Cfg, intersect_regular
+from .grammar import Cfg, intersect_regular
 from .words import complement_word
 
 HALFLINE_WORDS = ("01", "011", "0101", "0011", "0110")
@@ -273,7 +273,7 @@ def conjoin(a: Language, b: Language) -> Language:
         form = f.intersect(g).minimize()
     elif isinstance(f, Cfg) and isinstance(g, Dfa):
         try:
-            form = intersect_regular(f, g, PRODUCT_BUDGET)
+            form = intersect_regular(f, g)
         except CapacityError:
             pass
     return _combined(

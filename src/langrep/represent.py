@@ -404,14 +404,13 @@ def decompose(word: VertexWord, lang: Language) -> Decomposition:
         for ell in realized[i:]:
             if pair_nonempty(lang, k, ell):
                 pairs.append((k, ell))
+    # by heredity, the word restricted to a pair's members induces whole's
+    # subgraph on them, so each part's edges are read off whole
     parts = {}
     union_edges = set()
     for k, ell in pairs:
         members = [v for v in sorted(word.alphabet()) if freq[v] in (k, ell)]
-        sub = evaluate(word.project_set(members), lang)
-        cross = [
-            (u, v) for u, v in sub.edges if {freq[u], freq[v]} == ({k, ell} if k != ell else {k})
-        ]
+        cross = [(u, v) for u, v in whole.edges if {freq[u], freq[v]} == {k, ell}]
         parts[(k, ell)] = Graph(members, cross)
         union_edges.update(tuple(sorted(e)) for e in cross)
     if union_edges != set(whole.edges):

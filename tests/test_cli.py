@@ -5,8 +5,10 @@ confirm the installed entry point wires up the same way.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +69,11 @@ def test_eval_bad_word_usage_error(capsys):
 def test_eval_asymmetric_language_error(capsys):
     code, _, err = run_cli(capsys, "eval", "--lang", "re:0*", "--word", "ab")
     assert code == 2 and "symmetric" in err
+
+
+def test_eval_language_past_the_automaton_budget_exit_one(capsys):
+    code, _, err = run_cli(capsys, "eval", "--lang", "re:(0|1)*0" + "(0|1)" * 16, "--word", "ab")
+    assert code == 1 and "error:" in err and "budget" in err
 
 
 # --- check / search ---------------------------------------------------------
@@ -292,20 +299,24 @@ def test_missing_graph_file(capsys):
 # --- installed entry point --------------------------------------------------
 
 
-def test_subprocess_eval():
-    proc = subprocess.run(
-        [sys.executable, "-m", "langrep", "eval", "--lang", "<01>", "--word", "ab"],
-        capture_output=True,
-        text=True,
+def run_module(*argv):
+    # the child imports the package under test: the repository's src first
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, "-m", "langrep", *argv], capture_output=True, text=True, env=env
     )
+
+
+def test_subprocess_eval():
+    proc = run_module("eval", "--lang", "<01>", "--word", "ab")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].split() == ["2", "1"]
 
 
 def test_subprocess_decide_exit_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "langrep", "decide", "--lang", "<01>"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("decide", "--lang", "<01>")
     assert proc.returncode == 1
+    out = json.loads(proc.stdout)
+    assert out["answer"] is False and out["witness"] == "01"

@@ -2,24 +2,29 @@
 minimization, Earley membership, emptiness, shortest words, and the
 regular product."""
 
+import hashlib
 import itertools
 import random
 import re
+import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from conftest import all_binary_words
 from langrep.automata import (
+    AUTOMATON_BUDGET,
     Dfa,
     both_symbols_dfa,
     compile_regex,
     count_window_dfa,
     dfa_from_finite,
+    explore,
 )
 from langrep.decide import decide
 from langrep.errors import CapacityError, FormatError
 from langrep.grammar import Cfg, intersect_regular
+from langrep.languages import parse_language
 
 WORDS7 = list(all_binary_words(7))
 
@@ -98,6 +103,56 @@ REGEXES = st.recursive(
 WORDS8 = list(all_binary_words(8))
 
 
+def _has_star_in_star(expr):
+    opens = []
+    for i, c in enumerate(expr):
+        if c == "(":
+            opens.append(i)
+        elif c == ")":
+            j = opens.pop()
+            if expr[i + 1 : i + 2] == "*" and "*" in expr[j:i]:
+                return True
+    return False
+
+
+@given(REGEXES)
+def test_compile_regex_against_re_on_random_expressions(expr):
+    # Python's re backtracks: a star inside a star, as in ((((0)*)*)*)*, takes
+    # it seconds to minutes to reject the 511 words; such expressions are
+    # pinned by test_compile_regex_automata_are_pinned instead
+    assume(not _has_star_in_star(expr))
+    dfa = compile_regex(expr)
+    pattern = expr.replace("e", "")  # Python's re writes the empty word as nothing
+    for b in WORDS8:
+        assert dfa.accepts(b) == (re.fullmatch(pattern, b) is not None), (expr, b)
+
+
+def _random_regex(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice("01e")
+    a = _random_regex(rng, depth - 1)
+    kind = rng.randrange(3)
+    if kind == 2:
+        return f"({a})*"
+    b = _random_regex(rng, depth - 1)
+    return f"({a}|{b})" if kind == 0 else a + b
+
+
+def test_compile_regex_automata_are_pinned():
+    # the raw (unminimized) automata, state for state, over a fixed corpus:
+    # the regexes the package and its tests use, a few nested stars, and 2000
+    # seeded random ones of depth at most 7 (8693 states in all)
+    rng = random.Random(20241105)
+    corpus = [
+        "e", "0", "1", "0*", "0*1*", "0*|1*", "(0|1)*", "(0|1)*1", "0(0|1)*1", "01",
+        "0110|1001", "(01)*", "0*10*", "(1|e)(01)*(0|e)", "(0|1)(0|1)", "(0|1)*(0|e)(1|e)",
+        "(0|1)*0(0|1)*1(0|1)*|(0|1)*1(0|1)*0(0|1)*", "((e)*)*", "(e|0*)*1",
+        "(0|1)*0(0|1)(0|1)(0|1)",
+    ] + [_random_regex(rng, rng.randrange(1, 8)) for _ in range(2000)]
+    rows = [(d.trans, d.start, sorted(d.accept)) for d in map(compile_regex, corpus)]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "4635424a3a89315a"
+
+
 @given(REGEXES)
 def test_minimize_preserves_language_and_is_minimal(expr):
     dfa = compile_regex(expr)
@@ -125,6 +180,30 @@ def test_minimize_split_regex_to_four_states():
 def test_minimize_drops_unreachable_states():
     dfa = Dfa([(0, 0), (1, 1), (2, 0)], 0, {0, 2})
     assert len(dfa.minimize()) == 1
+
+
+def test_explore_stops_at_the_automaton_budget():
+    last = AUTOMATON_BUDGET - 1
+    chain = explore(0, lambda q, c: min(q + 1, last), lambda q: q == last)
+    assert len(chain) == AUTOMATON_BUDGET and chain.accepts("0" * last)
+    with pytest.raises(CapacityError, match=f"budget of {AUTOMATON_BUDGET} states"):
+        explore(0, lambda q, c: q + 1, lambda q: False)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # the minimal Dfa has 2^17 states, one per content of the last 17 symbols
+        "re:(0|1)*0" + "(0|1)" * 16,
+        "or(k11(64),no-kk(64))",
+        "and(uniform(64),k11(64))",
+    ],
+)
+def test_automaton_constructions_refuse_past_the_budget(spec):
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError, match="budget"):
+        parse_language(spec)
+    assert time.perf_counter() - t0 < 10
 
 
 def test_dfa_from_finite():
@@ -242,7 +321,7 @@ def test_intersect_regular_refuses_a_product_past_its_budget():
     # 442-state window; the Dyck grammar's product there stays far smaller
     with pytest.raises(CapacityError, match="budget"):
         intersect_regular(Cfg.parse("S -> S S | 0 | 1"), count_window_dfa(20, 20), 2 * 10**5)
-    # no budget, no refusal
+    # the default budget, PRODUCT_BUDGET, holds the Dyck product
     assert not intersect_regular(Cfg.parse(DYCK), count_window_dfa(2, 2)).is_empty()
 
 
