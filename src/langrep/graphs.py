@@ -13,12 +13,6 @@ from .errors import FormatError
 from .words import check_token
 
 
-def _edge(u, v):
-    if u == v:
-        raise ValueError(f"loop at {u!r}")
-    return (u, v) if u <= v else (v, u)
-
-
 class Graph:
     """Simple graph; vertex set nonempty, no loops, no multi-edges."""
 
@@ -30,18 +24,20 @@ class Graph:
             raise ValueError("graph needs at least one vertex")
         for v in vs:
             check_token(v)
-        vset = set(vs)
-        es = set()
-        for u, v in edges:
-            if u not in vset or v not in vset:
-                raise ValueError(f"edge endpoint {u!r}/{v!r} not a vertex")
-            es.add(_edge(u, v))
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", frozenset(es))
+        # one pass fills adj and checks each edge in input order; repeated
+        # and reversed edges land in the same two sets
         adj = {v: set() for v in vs}
-        for u, v in es:
+        for u, v in edges:
+            if u not in adj or v not in adj:
+                raise ValueError(f"edge endpoint {u!r}/{v!r} not a vertex")
+            if u == v:
+                raise ValueError(f"loop at {u!r}")
             adj[u].add(v)
             adj[v].add(u)
+        object.__setattr__(self, "vertices", vs)
+        object.__setattr__(
+            self, "edges", frozenset((u, v) for u, s in adj.items() for v in s if u < v)
+        )
         object.__setattr__(self, "_adj", {v: frozenset(s) for v, s in adj.items()})
 
     def __setattr__(self, name, value):

@@ -118,8 +118,35 @@ def finite_language(words) -> Language:
 
 def _is_lyndon(b: str) -> bool:
     # under 0 < 1: nonempty and strictly smaller than each proper suffix
-    # (Chen-Fox-Lyndon; Duval 1983)
-    return b != "" and all(b < b[i:] for i in range(1, len(b)))
+    # (Chen-Fox-Lyndon; Duval 1983).  Only a few suffixes need comparing.
+    # A longer word must start with 0 (else the suffix at its first 0, or
+    # its last letter when it has none, is smaller) and end with 1 (else
+    # its last letter 0 is a proper prefix, hence smaller).  So b is 0^r 1 ...
+    # with r >= 1, and every later run of 0s follows a 1.  A suffix starting
+    # with 1 is larger than b.  A suffix starting with 0^(r+1) is smaller,
+    # so b is rejected when it contains 0^(r+1); the loop below would find
+    # that suffix too, so this one C scan and the first-letter test are
+    # shortcuts.  Otherwise every run of 0s is at most r long and ends at a
+    # 1; a suffix starting with 0^t 1 for t < r is larger at its (t+1)-th
+    # letter.  What is left are the suffixes starting with a whole run of
+    # exactly r 0s, each right after an occurrence of 1 0^r; the first 1 is
+    # at index r, so none comes sooner.  A proper suffix is shorter than b,
+    # so it is never equal to it.
+    n = len(b)
+    if n < 2:
+        return n == 1
+    if b[0] != "0" or b[-1] != "1":
+        return False
+    r = b.index("1")
+    if "0" * (r + 1) in b:
+        return False
+    run = "1" + "0" * r
+    i = b.find(run, r)
+    while i >= 0:
+        if b[i + 1:] < b:
+            return False
+        i = b.find(run, i + 1)
+    return True
 
 
 def _lyndon(b: str) -> bool:

@@ -38,15 +38,15 @@ def evaluate(word: VertexWord, lang: Language) -> Graph:
     """The graph induced by word under lang: one membership query per
     unordered vertex pair, in the pair's ascending orientation.
 
-    Each pair is projected through the word's position index, built on the
-    first projection, so a pair costs the two letters' multiplicities and
-    the whole graph O(n·|w|) projection work rather than O(n²·|w|)."""
+    Each pair is projected through the word's position index of string
+    tags, built on the first projection: a sort of the two letters' tags, a
+    join and one extended slice.  A pair costs the two letters'
+    multiplicities and the whole graph O(n·|w|) projection work rather than
+    O(n²·|w|)."""
     require_symmetric(lang)
     vs = sorted(word.alphabet())
-    edges = []
-    for u, v in itertools.combinations(vs, 2):
-        if lang.contains(word.project(u, v)):
-            edges.append((u, v))
+    project, contains = word.project, lang.contains
+    edges = [(u, v) for u, v in itertools.combinations(vs, 2) if contains(project(u, v))]
     return Graph(vs, edges)
 
 

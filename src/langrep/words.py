@@ -6,10 +6,15 @@ become 0, occurrences of v become 1, everything else vanishes.  Binary words
 are plain strings over {0, 1} and may be empty.
 
 A word projects through a position index built once, on the first
-projection: each letter's positions i, stored as 2i (the letter on the 0
-side) and as 2i + 1 (the letter on the 1 side).  Projecting (u, v) merges
-u's 0-side list with v's 1-side list and reads each tag's parity, so it
-costs O(|u| + |v|) rather than O(|w|), and all pairs together O(n·|w|).
+projection.  Each position i of a letter is kept twice, as a string tag:
+i in decimal, zero-padded to the digit count of the word's length (one
+width for the whole word), followed by the side, "0" for the letter mapped
+to 0 or "1" for the letter mapped to 1.  Tags of one word all have the
+same length, so they sort lexicographically in position order.  Projecting (u, v) sorts u's
+0-side tags together with v's 1-side tags, joins them, and reads every
+(width + 1)-th character, the sides, with one extended slice.  A pair costs
+O(|u| + |v|) rather than O(|w|), all pairs together O(n·|w|), and the
+per-symbol work runs in C string operations.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ _BAD_TOKEN_CHARS = set(" \t\n\r,")
 
 
 def check_token(tok: str) -> str:
-    if not tok or any(c in _BAD_TOKEN_CHARS for c in tok):
+    if not tok or not _BAD_TOKEN_CHARS.isdisjoint(tok):
         raise FormatError(f"invalid vertex token {tok!r}")
     return tok
 
@@ -30,15 +35,17 @@ def check_token(tok: str) -> str:
 class VertexWord:
     """Immutable nonempty word over an arbitrary vertex alphabet."""
 
-    # _index: letter -> (0-side positions, 1-side positions), built by the
-    # first project() call; equality and hashing see only the letters
+    # _index: (width, letter -> (0-side tags, 1-side tags)), built by the
+    # first project() call.  A tag is a position zero-padded to width digits
+    # with the side as its last character; each list is ascending.  Equality
+    # and hashing see only the letters.
     __slots__ = ("letters", "_index")
 
     def __init__(self, letters):
         letters = tuple(letters)
         if not letters:
             raise ValueError("vertex word must be nonempty")
-        for tok in letters:
+        for tok in dict.fromkeys(letters):  # each distinct token once, in word order
             check_token(tok)
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "_index", None)
@@ -71,7 +78,7 @@ class VertexWord:
         text = text.strip()
         if not text:
             raise FormatError("empty word text")
-        if any(c in _BAD_TOKEN_CHARS for c in text):
+        if not _BAD_TOKEN_CHARS.isdisjoint(text):
             toks = [t for t in text.replace(",", " ").split() if t]
             return VertexWord(toks)
         return VertexWord(list(text))
@@ -104,16 +111,22 @@ class VertexWord:
         index = self._index
         if index is None:
             index = self._build_index()
+        width, tags_of = index
         # both lists are ascending, so Timsort merges the two runs in one pass
-        tags = index.get(u, _ABSENT)[0] + index.get(v, _ABSENT)[1]
+        tags = tags_of.get(u, _ABSENT)[0] + tags_of.get(v, _ABSENT)[1]
         tags.sort()
-        return "".join(["01"[t & 1] for t in tags])
+        return "".join(tags)[width::width + 1]
 
-    def _build_index(self) -> dict:
+    def _build_index(self) -> tuple:
+        width = len(str(len(self.letters)))
         positions: dict = {}
-        for i, tok in enumerate(self.letters):
-            positions.setdefault(tok, []).append(2 * i)
-        index = {tok: (even, [t + 1 for t in even]) for tok, even in positions.items()}
+        pads = [str(i).zfill(width) for i in range(len(self.letters))]
+        for pad, tok in zip(pads, self.letters):
+            positions.setdefault(tok, []).append(pad)
+        index = width, {
+            tok: ([p + "0" for p in pos], [p + "1" for p in pos])
+            for tok, pos in positions.items()
+        }
         object.__setattr__(self, "_index", index)
         return index
 

@@ -171,3 +171,12 @@ def test_derivation_cap_checked_before_witness_is_built():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("wrong", ["0", "0111"])
+def test_witness_self_check_raises(monkeypatch, wrong):
+    # the check is a raise, not an assert, so it also runs under python -O;
+    # "0" lacks a symbol and "0111" is not a Dyck word
+    monkeypatch.setattr(Cfg, "shortest_word", lambda self: wrong)
+    with pytest.raises(RuntimeError, match=repr(wrong)):
+        decide(parse_language("dyck"))

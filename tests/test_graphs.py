@@ -57,6 +57,28 @@ def test_graph_validation():
     assert Graph(["a", "a"], []).order == 1
 
 
+def test_graph_reports_its_first_bad_edge_in_input_order():
+    with pytest.raises(ValueError, match="'z' not a vertex"):
+        Graph("abc", [("a", "b"), ("a", "z"), ("c", "c")])
+    with pytest.raises(ValueError, match="loop at 'c'"):
+        Graph("abc", [("a", "b"), ("c", "c"), ("a", "z")])
+    # a loop at an unknown vertex is reported as the unknown endpoint
+    with pytest.raises(ValueError, match="not a vertex"):
+        Graph("abc", [("z", "z")])
+
+
+def test_graph_collapses_repeated_and_reversed_edges():
+    g = Graph("abc", [("b", "a"), ("a", "b"), ("b", "a"), ("c", "b")])
+    assert g.edges == frozenset({("a", "b"), ("b", "c")})
+    assert g.size == 2 and g.neighbors("b") == frozenset("ac")
+    assert g == Graph("cba", [("a", "b"), ("b", "c")])
+
+
+def test_graph_rejects_a_non_string_vertex_with_type_error():
+    with pytest.raises(TypeError):
+        Graph([5])
+
+
 def test_graph_equality_is_labeled():
     assert Graph("ab", [("a", "b")]) == Graph(["b", "a"], [("b", "a")])
     assert Graph("ab", []) != Graph("ac", [])

@@ -188,9 +188,8 @@ def _long_lyndon_cases():
     return words
 
 
-def test_lyndon_matches_reference_on_long_words():
-    words = _long_lyndon_cases()
-    assert max(map(len, words)) >= 200
+def _assert_lyndon_builtins_agree(words):
+    # lyndon and lyndon-odd against ref_lyndon; returns the Lyndon count
     lyndon, odd = builtin("lyndon"), builtin("lyndon-odd")
     hits = 0
     for b in words:
@@ -198,7 +197,54 @@ def test_lyndon_matches_reference_on_long_words():
         hits += expected
         assert lyndon.contains(b) == expected, b
         assert odd.contains(b) == (len(b) % 2 == 1 and expected), b
-    assert 0 < hits < len(words)
+    return hits
+
+
+def test_lyndon_matches_reference_on_long_words():
+    words = _long_lyndon_cases()
+    assert max(map(len, words)) >= 200
+    assert 0 < _assert_lyndon_builtins_agree(words) < len(words)
+
+
+def test_lyndon_matches_reference_on_every_word_to_sixteen():
+    assert _assert_lyndon_builtins_agree(all_binary_words(16)) == 17598
+
+
+def _with_least_rotations(b):
+    # b, and its least rotation under either order (Lyndon when primitive)
+    c = complement_word(b)
+    return [
+        b,
+        min(b[i:] + b[:i] for i in range(len(b))),
+        complement_word(min(c[i:] + c[:i] for i in range(len(c)))),
+    ]
+
+
+@pytest.mark.parametrize("density", [0.1, 0.5, 0.9])
+def test_lyndon_matches_reference_on_random_words(density):
+    rng = random.Random(int(density * 10))
+    words = []
+    for length in [1, 2, 3, 299, 300] + rng.sample(range(4, 299), 35):
+        b = "".join("1" if rng.random() < density else "0" for _ in range(length))
+        words += _with_least_rotations(b)
+    assert 0 < _assert_lyndon_builtins_agree(words) < len(words)
+
+
+def test_lyndon_matches_reference_next_to_its_run_screen():
+    # 0^r 1 ... with later runs of exactly r zeros, and some with one run of
+    # r + 1 zeros, the length at which the screen rejects outright
+    rng = random.Random(11)
+    words = []
+    for r in range(1, 7):
+        for longer in (False, True) * 10:
+            runs = [r] + [rng.choice([r, r, rng.randint(1, r)]) for _ in range(rng.randint(1, 8))]
+            if longer:
+                runs[rng.randrange(1, len(runs))] = r + 1
+            b = "".join("0" * t + "1" * rng.randint(1, 3) for t in runs)
+            assert b.startswith("0" * r + "1") and ("0" * (r + 1) in b) == longer
+            words += [b, b[:-1]] + _with_least_rotations(b)[1:]
+    hits = _assert_lyndon_builtins_agree(words + [complement_word(b) for b in words])
+    assert 0 < hits < 2 * len(words)
 
 
 def test_parametrized_builtins():

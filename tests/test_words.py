@@ -1,6 +1,8 @@
 """Vertex words: parsing, projections, frequency bookkeeping."""
 
 import collections
+import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -149,6 +151,36 @@ def test_project_absent_endpoints():
     assert w.project("zz", "v10") == "1"
     with pytest.raises(ValueError):
         w.project("zz", "zz")
+
+
+@pytest.mark.parametrize("length", [9, 10, 11, 99, 100, 101, 999, 1000, 1001, 10007])
+def test_project_across_tag_width_boundaries(length):
+    # position tags are zero-padded to the digits of the word's length, so
+    # words on either side of a power of ten use different widths
+    rng = random.Random(length)
+    tokens = rng.sample(["a", "v1", "v10", "bb", "v100", "x7y", "q"], rng.randint(3, 6))
+    letters = [rng.choice(tokens) for _ in range(length)]
+    w = VertexWord(letters)
+    for u in tokens + ["zz"]:
+        for v in tokens + ["zz"]:
+            if u != v:
+                assert w.project(u, v) == filter_project(letters, u, v), (u, v)
+
+
+def test_word_names_its_first_bad_token_in_word_order():
+    # distinct tokens are checked once each, so a repeated valid token
+    # before the bad one must not change which one is named
+    with pytest.raises(FormatError, match=re.escape("'c d'")):
+        VertexWord(["b", "a", "b", "c d", "a", ""])
+    with pytest.raises(FormatError, match=re.escape("''")):
+        VertexWord(["a", "a", "", "c d"])
+
+
+def test_word_rejects_a_non_string_token_with_type_error():
+    with pytest.raises(TypeError):
+        VertexWord(["a", 5])
+    with pytest.raises(FormatError):
+        VertexWord(["a", None])
 
 
 def test_project_index_ignored_by_equality():
