@@ -6,7 +6,8 @@ accepting-set flip, minimization by partition refinement, and decision
 helpers (emptiness, equivalence, shortest accepted word).  One subset
 construction determinizes both the position automaton and the reversed
 moves of ``Dfa.reverse``.  States are integers; every Dfa is total over
-both input symbols, and none is built past ``AUTOMATON_BUDGET`` states.
+both input symbols, and none is built past ``AUTOMATON_BUDGET`` states, nor
+a subset construction past ``SUBSET_BUDGET`` kept items.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ ALPHABET = ("0", "1")
 
 # states any one automaton construction may create; past it explore raises
 AUTOMATON_BUDGET = 10**5
+
+# items summed over the subsets one subset construction keeps (each state is
+# a frozenset, some 50 bytes an item); past it _subsets raises
+SUBSET_BUDGET = 10**6
 
 
 class Dfa:
@@ -127,8 +132,9 @@ class Dfa:
 def explore(start, step, is_accept) -> Dfa:
     """The Dfa on the states reachable from ``start``, where ``step(s, c)``
     gives the successor of state s on symbol index c; states are any
-    hashable values, numbered in breadth-first order.  CapacityError is
-    raised instead of creating a state past AUTOMATON_BUDGET."""
+    hashable values, numbered in breadth-first order; ``is_accept`` judges
+    each state once, when it is created.  CapacityError is raised instead
+    of creating a state past AUTOMATON_BUDGET."""
     index = {start: 0}
     trans = [None]
     accept = set()
@@ -158,11 +164,24 @@ def explore(start, step, is_accept) -> Dfa:
 def _subsets(start, moves, is_accept) -> Dfa:
     """Subset construction: a state is a frozenset of items, entered from
     ``start``; on symbol index c an item p goes to each item of
-    ``moves[p][c]``, and ``is_accept`` judges a whole set."""
+    ``moves[p][c]``, and ``is_accept`` judges a whole set.  explore judges
+    each state once, as it keeps it, so the judging charges the set's size
+    to SUBSET_BUDGET and raises CapacityError past it."""
+    kept = 0
+
+    def judged(s) -> bool:
+        nonlocal kept
+        kept += len(s)
+        if kept > SUBSET_BUDGET:
+            raise CapacityError(
+                f"subset construction exceeds the budget of {SUBSET_BUDGET} kept items"
+            )
+        return is_accept(s)
+
     return explore(
         frozenset(start),
         lambda s, c: frozenset(x for p in s for x in moves[p][c]),
-        is_accept,
+        judged,
     )
 
 

@@ -7,9 +7,13 @@ a vertex alphabet, u and v are adjacent iff the pairwise projection of w
 Search works on the target graph's own vertex names.  A multiplicity CSP
 first gives each vertex a letter count, keeping only counts that every pair
 can still realize; then one DFS per assignment builds the word letter by
-letter, each pair stepping a pair automaton of L by one table lookup.  Twins
-with equal bounds are interchangeable, so their multiplicities are taken in
-non-decreasing vertex order and, when equal, they start in vertex order.
+letter, each pair stepping a pair automaton of L by one table lookup.  A
+vertex waits on another while their pair's table forbids its next letter;
+vertices that wait on each other in a cycle can never move again, so a prefix
+that closes such a cycle has no completion and the DFS backtracks from it at
+once.  Twins with equal bounds are interchangeable, so their multiplicities
+are taken in non-decreasing vertex order and, when equal, they start in
+vertex order.
 """
 
 from __future__ import annotations
@@ -207,16 +211,32 @@ def search(
        where any vertex with letters left (started or not) may come next;
        each pair with that letter takes one move, and a -1 move prunes.
 
+    The DFS also cuts a prefix whose vertices wait on each other in a cycle.
+    Vertex v waits on x when pair (v, x)'s move on v's next letter is -1.
+    Only a letter of v or of x changes that pair's state, so the wait lasts
+    until x places a letter.  Around a cycle of waits, each vertex needs
+    the next one to move first, so none of them ever moves again, yet each
+    has letters left: the prefix has no completion.  The cut thus removes
+    only subtrees without a word, so the surviving nodes are visited in the
+    same order and the same first word is returned.  Every state on the DFS
+    is live, and a live state allows the letter of v once x is done and one
+    of the two letters otherwise; so only vertices with letters left are
+    waited on, and a cycle has at least three vertices.  Placing c changes
+    only the pairs (c, x), so a cycle the prefix did not have passes through
+    c; the DFS looks for one only when c waits after its placement, walking
+    back from c through the vertices that wait on it, directly or not.
+
     Twins with equal bounds are interchangeable (swapping them is an
     automorphism of g that respects the bounds), so within such a class the
     multiplicities are non-decreasing in vertex order, and twins of equal
     multiplicity start in vertex order.
 
-    node_budget counts CSP nodes and DFS nodes together; running out raises
-    CapacityError.  The pair automata are kept on lang, one per multiplicity
-    pair.  A call that builds over ENUMERATION_BUDGET states raises
-    CapacityError naming both pairs, and it first drops a cache holding
-    more, so a cache stays under twice ENUMERATION_BUDGET states.
+    node_budget counts CSP nodes and DFS nodes, cut ones included; running
+    out raises CapacityError, which also counts the prefixes cut.  The pair
+    automata are kept on lang, one per multiplicity pair.  A call that
+    builds over ENUMERATION_BUDGET states raises CapacityError naming both
+    pairs, and it first drops a cache holding more, so a cache stays under
+    twice ENUMERATION_BUDGET states.
     """
     require_symmetric(lang)
     bounds = _normalize_bounds(g, freq_bounds)
@@ -234,7 +254,7 @@ def search(
     if sum(len(pa.keys) for pa in cache.values()) > ENUMERATION_BUDGET:
         cache.clear()
     meter = itertools.count(1)
-    spent = tried = 0
+    spent = tried = cuts = 0
 
     def tick():
         nonlocal spent
@@ -242,8 +262,12 @@ def search(
         if spent > node_budget:
             raise CapacityError(
                 f"search node budget exhausted after {node_budget} nodes "
-                f"({tried} multiplicity assignments tried)"
+                f"({tried} multiplicity assignments tried, {cuts} prefixes cut "
+                f"on a cycle of waits)"
             )
+
+    def at_pair(e: CapacityError, a: int, b: int) -> CapacityError:
+        return CapacityError(f"{e}, vertex pair ({vs[a]},{vs[b]})")
 
     def automaton(a: int, b: int) -> _PairAutomaton:
         # the pair automaton of vertices a < b, a's letters as 0
@@ -262,6 +286,7 @@ def search(
         # explicit stack; level i tries allowed[i] from choice[i] on
         nonlocal tried
         choice = [0] * (n + 1)
+        starts = {}  # (j's multiplicity, i's, verdict) to a live start state
         totals = [0] * (n + 1)  # word length of the vertices before i
         i = 0
         tick()
@@ -285,11 +310,15 @@ def search(
                     continue
                 mults[i] = k
                 for j in range(i):
-                    try:
-                        if not automaton(j, i).reaches(0, agree[j][i]):
-                            break
-                    except CapacityError as e:
-                        raise CapacityError(f"{e}, vertex pair ({vs[j]},{vs[i]})") from None
+                    key = (mults[j], k, agree[j][i])
+                    live = starts.get(key)
+                    if live is None:
+                        try:
+                            live = starts[key] = automaton(j, i).reaches(0, key[2])
+                        except CapacityError as e:
+                            raise at_pair(e, j, i) from None
+                    if not live:
+                        break
                 else:
                     totals[i + 1] = totals[i] + k
                     i += 1
@@ -300,16 +329,43 @@ def search(
                 i -= 1
         return False
 
+    def waits_in_cycle(c: int, links: list, state: list) -> bool:
+        # c waits on some vertex: walk back from c through the vertices that
+        # wait on it, directly or not, until one of them is waited on by c.
+        # Every vertex on the walk has letters left
+        seen, todo = {c}, [c]
+        try:
+            while todo:
+                y = todo.pop()
+                for i, (s, _, move) in enumerate(links[y]):
+                    d = i + (i >= y)
+                    if d not in seen and remaining[d] and move[state[s]] < 0:
+                        # d waits on y; does c wait on d?
+                        s, move, _ = links[c][d - (d > c)]
+                        if move[state[s]] < 0:
+                            return True
+                        seen.add(d)
+                        todo.append(d)
+        except CapacityError as e:
+            raise at_pair(e, s // n, s % n) from None
+        return False
+
     def dfs(total: int) -> bool:
         # stage 2: any vertex with letters left may come next, except that
         # a twin waits for its interchangeable predecessor of equal
         # multiplicity to start; state[a * n + b] is pair a < b's state
-        links = [[] for _ in range(n)]  # per c, (pair state slot, move on c) by d
+        nonlocal cuts
+        links = [[] for _ in range(n)]  # per c, (slot, move on c, move on d) by partner d
+        tables = {}  # (a's multiplicity, b's, verdict) to the pair's moves
         for a in range(n):
+            ka, row = mults[a], agree[a]
             for b in range(a + 1, n):
-                moves = automaton(a, b).moves[agree[a][b]]
-                links[a].append((a * n + b, moves[0]))
-                links[b].append((a * n + b, moves[1]))
+                key = (ka, mults[b], row[b])
+                moves = tables.get(key)
+                if moves is None:
+                    moves = tables[key] = automaton(a, b).moves[row[b]]
+                links[a].append((a * n + b, moves[0], moves[1]))
+                links[b].append((a * n + b, moves[1], moves[0]))
         state, first = [0] * (n * n), 0
         tick()
         while len(trail) < total:
@@ -319,31 +375,41 @@ def search(
                                          and mults[p] == mults[c] and remaining[p] == mults[p]):
                     continue
                 try:
-                    for s, move in links[c]:
+                    for s, move, _ in links[c]:
                         if move[state[s]] < 0:
                             break
                     else:
                         break
                 except CapacityError as e:
-                    raise CapacityError(f"{e}, vertex pair ({vs[s // n]},{vs[s % n]})") from None
+                    raise at_pair(e, s // n, s % n) from None
             else:
-                # no letter fits: take back the last one
-                if not trail:
-                    return False
-                c, old = trail.pop()
-                for (s, _), q in zip(links[c], old):
-                    state[s] = q
-                remaining[c] += 1
-                first = c + 1
-                continue
-            remaining[c] -= 1
-            old = []
-            for s, move in links[c]:
-                old.append(state[s])
-                state[s] = move[state[s]]
-            trail.append((c, old))
-            first = 0
-            tick()
+                c = -1
+            if c >= 0:
+                remaining[c] -= 1
+                more, waits, old = remaining[c] > 0, False, []
+                try:
+                    for s, move, _ in links[c]:
+                        q = state[s]
+                        old.append(q)
+                        state[s] = q = move[q]
+                        if more and move[q] < 0:
+                            waits = True
+                except CapacityError as e:
+                    raise at_pair(e, s // n, s % n) from None
+                trail.append((c, old))
+                tick()
+                if not (waits and waits_in_cycle(c, links, state)):
+                    first = 0
+                    continue
+                cuts += 1
+            # no letter fits, or the last one closed a cycle of waits: take it back
+            if not trail:
+                return False
+            c, old = trail.pop()
+            for (s, _, _), q in zip(links[c], old):
+                state[s] = q
+            remaining[c] += 1
+            first = c + 1
         return True
 
     if assign():

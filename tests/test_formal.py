@@ -14,6 +14,7 @@ from hypothesis import assume, given, strategies as st
 from conftest import all_binary_words
 from langrep.automata import (
     AUTOMATON_BUDGET,
+    SUBSET_BUDGET,
     Dfa,
     both_symbols_dfa,
     compile_regex,
@@ -204,6 +205,16 @@ def test_automaton_constructions_refuse_past_the_budget(spec):
     with pytest.raises(CapacityError, match="budget"):
         parse_language(spec)
     assert time.perf_counter() - t0 < 10
+
+
+def test_subset_construction_refuses_past_its_budget():
+    # the reversal of k11(64) keeps thousands of subsets of thousands of
+    # states each; summed subset sizes bound it, not the state count
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError, match=f"budget of {SUBSET_BUDGET} kept items"):
+        parse_language("rev(k11(64))")
+    assert time.perf_counter() - t0 < 2
+    assert parse_language("rev(k11(20))").contains("0011")
 
 
 def test_dfa_from_finite():

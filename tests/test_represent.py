@@ -2,6 +2,7 @@
 decomposition.  Search completeness is cross-checked against a raw
 enumeration of all candidate words on small instances."""
 
+import hashlib
 import itertools
 import random
 import sys
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_binary_words, filter_project, gnp, graph_from_mask
-from langrep import represent
+from langrep import oracles, represent
 from langrep.codec import copy_word
 from langrep.errors import CapacityError, NotSymmetricError
 from langrep.graphs import (
@@ -199,7 +200,7 @@ _SPLIT_TWIN_BOUNDS = (
 )
 
 
-@pytest.mark.parametrize("spec", ["<01>", "<0011>", "<0101>", "wrep"])
+@pytest.mark.parametrize("spec", ["<01>", "<0011>", "<0101>", "<0110>", "wrep", "dyck"])
 def test_search_agrees_with_brute_force(spec):
     lang = parse_language(spec)
     for n in (2, 3):
@@ -282,6 +283,59 @@ def test_search_budget_covers_all_work():
     with pytest.raises(CapacityError, match=r"after 10 nodes \(1 multiplicity"):
         search(path_graph(9), parse_language("<0110>"), {2}, node_budget=10)
     assert time.perf_counter() - start < 2
+
+
+# C5 plus two isolated vertices: no permutation graph
+_C5_AND_TWO_ISOLATED = Graph([f"v{i}" for i in range(1, 8)], cycle_graph(5).edges)
+
+
+def test_search_budget_error_counts_the_cut_prefixes():
+    with pytest.raises(CapacityError, match=r"after 5000 nodes \(1 multiplicity assignments "
+                                            r"tried, 3029 prefixes cut on a cycle of waits\)"):
+        search(_C5_AND_TWO_ISOLATED, parse_language("<0110>"), {2}, node_budget=5000)
+
+
+def test_search_cuts_paths_within_a_node_budget():
+    # cutting every prefix whose vertices wait on each other in a cycle, the
+    # search finds P10 in 9 379 nodes and refutes C5 plus two isolated
+    # vertices in 9 631; without the cut they take 294 499 and 31 381
+    lang = parse_language("<0110>")
+    g = path_graph(10)
+    w = search(g, lang, {2}, node_budget=20_000)
+    assert w is not None and evaluate(w, lang) == g
+    assert search(_C5_AND_TWO_ISOLATED, lang, {2}, node_budget=15_000) is None
+
+
+# sha256 prefixes of repr([None or list(word)]) over search on every
+# enumerate_graphs(n) graph, n = 1..max order: the cut of a prefix whose
+# vertices wait in a cycle removes only subtrees without a completion, so
+# search returns these very words
+SEARCH_WORD_DIGESTS = [
+    ("<0110>", {2}, 6, "294ed267c51e1e65"),
+    ("<0101>", {2}, 5, "182aa25042c4e61e"),
+    ("dyck", {2}, 5, "0446438f7376e992"),
+]
+
+
+@pytest.mark.parametrize("spec, freqs, top, prefix", SEARCH_WORD_DIGESTS,
+                         ids=[r[0] for r in SEARCH_WORD_DIGESTS])
+def test_search_words_are_pinned(spec, freqs, top, prefix):
+    lang = parse_language(spec)
+    words = [search(g, lang, freqs) for n in range(1, top + 1) for g in enumerate_graphs(n)]
+    rows = [None if w is None else list(w) for w in words]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest().startswith(prefix)
+
+
+def test_search_permutation_row_at_order_7():
+    # the <0110> row of the class table at order 7: 776 of the 1044 graphs
+    # are permutation graphs
+    lang = parse_language("<0110>")
+    start = time.perf_counter()
+    graphs = enumerate_graphs(7)
+    found = [search(g, lang, {2}) is not None for g in graphs]
+    assert time.perf_counter() - start < 120
+    assert len(graphs) == 1044 and sum(found) == 776
+    assert found == [oracles.is_permutation(g) for g in graphs]
 
 
 def test_search_requires_symmetric():
