@@ -8,10 +8,16 @@ token per index, detected by trailing bytes being present).
 
 The word is a copy word (``copy_word``): per vertex, in index order, one
 block listing earlier vertices.  Sparse mode lists each vertex's earlier
-neighbors, read straight off the adjacency lists, so the word has exactly
+neighbors, gathered in one pass over the edges, so the word has exactly
 4n + 2m symbols; it is the copy word of the complement graph.  Dense mode
 lists earlier non-neighbors (4n + 2 * non-edges): the copy word of the
 graph itself.
+
+The codec works on vertex indices from the adjacency to the packed bits
+and back.  ``encode`` builds each block as a list of indices and packs the
+word through a cached table of width-character bit strings: one join, one
+int conversion.  A name length below 0x80 is a one-byte varint, which
+the name table is written and read with inline, outside the varint loop.
 
 ``decode``, ``decode_word``, ``adjacent`` and ``stored_mode`` read one
 validated index per distinct payload: a payload is parsed once, through
@@ -19,9 +25,10 @@ every check, into its names, symbols and blocks.  The indexes of the last
 ``_CACHED_PAYLOADS`` payloads are kept, keyed by the payload's content
 (never by object identity), so a repeated query on identical bytes is a
 lookup, and a bytearray changed in place is read afresh.  A payload that
-raises is not kept, so it raises again on every call.  Symbols are packed
-and unpacked in chunks of lcm(width, 8) * ``_CHUNK`` bits, one int
-conversion per chunk.
+raises is not kept, so it raises again on every call.  Symbols are
+unpacked in chunks of lcm(width, 8) * ``_CHUNK`` bits, one int conversion
+per chunk.  ``decode`` freezes its graph straight from the validated
+blocks; the names were checked once, while the table was read.
 """
 
 from __future__ import annotations
@@ -38,18 +45,11 @@ MAGIC = b"LGR1"
 _MODES = {"sparse": 0, "dense": 1}
 _MODE_NAMES = {v: k for k, v in _MODES.items()}
 _CACHED_PAYLOADS = 4  # validated indexes kept, least recently used dropped
-_CHUNK = 4  # lcm(width, 8)-bit units per int conversion
+_CHUNK = 4  # lcm(width, 8)-bit units per int conversion in _unpack
 
 
 def _width(n: int) -> int:
     return max(1, (n - 1).bit_length())
-
-
-def _chunking(width: int):
-    """Bytes and symbols per packing chunk, and each symbol's shift in it."""
-    step = lcm(width, 8) * _CHUNK // 8
-    per = step * 8 // width
-    return step, per, range((per - 1) * width, -1, -width)
 
 
 def _write_varint(out: bytearray, value: int) -> None:
@@ -86,45 +86,61 @@ def default_names(n: int):
     return [f"{i:0{width}d}" for i in range(n)]
 
 
+def _copy_symbols(g: Graph, complement: bool = False) -> list:
+    """The copy word of ``copy_word`` as vertex indices."""
+    vs = g.vertices
+    if complement:
+        # one pass over the edges: vertices are sorted tokens, so token
+        # order is index order and each edge (u, v) has u earlier than v
+        where = {v: i for i, v in enumerate(vs)}
+        blocks = [[] for _ in vs]
+        for u, v in g.edges:
+            blocks[where[v]].append(where[u])
+        for block in blocks:
+            block.sort()
+    else:
+        adj = g._adj
+        blocks = [[j for j in range(i) if vs[j] not in adj[v]] for i, v in enumerate(vs)]
+    first = []
+    second = []
+    for i, block in enumerate(blocks):
+        first += block
+        first += (i, i)
+        second.append(i)
+        second += block
+        second.append(i)
+    return first + second
+
+
 def copy_word(g: Graph, complement: bool = False) -> list:
     """Letters of the copy word of g, or with ``complement`` of g's
     complement, built from g's adjacency without forming the complement.
 
-    Block i lists v_i's earlier non-neighbors (with ``complement``, its
-    earlier neighbors) ascending, closed by v_i; the first half is each
-    block then a lone v_i, the second a lone v_i then each block.  A pair
-    projects onto equal halves iff no block lists its earlier vertex under
-    the later one, i.e. iff it is an edge of the graph the word is of."""
-    vs = g.vertices
-    first = []
-    second = []
-    for i, v in enumerate(vs):
-        if complement:
-            # vertices are sorted tokens, so token order is index order
-            block = sorted(u for u in g.neighbors(v) if u < v)
-        else:
-            block = [u for u in vs[:i] if not g.has_edge(v, u)]
-        block.append(v)
-        first += block
-        first.append(v)
-        second.append(v)
-        second += block
-    return first + second
+    Block i lists, as vertex indices in ascending order, v_i's earlier
+    non-neighbors (with ``complement``, its earlier neighbors, gathered in
+    one pass over g's edges), closed by i; the first half is each block
+    then a lone i, the second a lone i then each block.  A pair projects
+    onto equal halves iff no block lists its earlier vertex under the later
+    one, i.e. iff it is an edge of the graph the word is of.  ``encode``
+    packs the indices as they are; the letters are the indices mapped to
+    g's vertex names."""
+    return list(map(g.vertices.__getitem__, _copy_symbols(g, complement)))
 
 
-def _pack(indices: list, width: int) -> bytearray:
+@lru_cache(maxsize=4)
+def _codes(width: int) -> list:
+    """Every width-bit value as its width-character bit string, read and
+    never changed by ``_pack``.  Only ``encode`` asks for a table, at the
+    width of the graph it packs, so its 2**width entries are at most twice
+    that graph's order; the tables of the last four widths are kept."""
+    return [format(i, f"0{width}b") for i in range(1 << width)]
+
+
+def _pack(indices: list, width: int) -> bytes:
     """The indices as big-endian width-bit fields, zero-padded to a byte."""
-    step, per, _ = _chunking(width)
-    size = (len(indices) * width + 7) // 8
-    padded = indices + [0] * (-len(indices) % per)
-    out = bytearray()
-    for p in range(0, len(padded), per):
-        acc = 0
-        for i in padded[p:p + per]:
-            acc = acc << width | i
-        out += acc.to_bytes(step, "big")
-    del out[size:]  # only zero fill lies past the last symbol's byte
-    return out
+    bits = "".join(map(_codes(width).__getitem__, indices))
+    bits += "0" * (-len(bits) % 8)
+    return int(bits, 2).to_bytes(len(bits) // 8, "big")
 
 
 def encode(g: Graph, mode: str = "sparse", include_names: bool = True) -> bytes:
@@ -134,21 +150,23 @@ def encode(g: Graph, mode: str = "sparse", include_names: bool = True) -> bytes:
     if mode not in _MODES:
         raise ValueError(f"unknown codec mode {mode!r}")
     n = g.order
-    index = {v: i for i, v in enumerate(g.vertices)}
-    letters = copy_word(g, complement=mode == "sparse")
-    if mode == "sparse" and len(letters) != 4 * n + 2 * g.size:
+    word = _copy_symbols(g, complement=mode == "sparse")
+    if mode == "sparse" and len(word) != 4 * n + 2 * g.size:
         raise AssertionError("sparse word violates the 4n+2m length law")
 
     out = bytearray(MAGIC)
     out.append(_MODES[mode])
     _write_varint(out, n)
-    _write_varint(out, len(letters))
-    out += _pack([index[tok] for tok in letters], _width(n))
+    _write_varint(out, len(word))
+    out += _pack(word, _width(n))
     if include_names:
         for v in g.vertices:
             raw = str(v).encode("utf-8")
-            _write_varint(out, len(raw))
-            out.extend(raw)
+            if len(raw) < 0x80:  # a one-byte varint
+                out.append(len(raw))
+            else:
+                _write_varint(out, len(raw))
+            out += raw
     return bytes(out)
 
 
@@ -156,7 +174,8 @@ def _unpack(data: bytes, start: int, count: int, n: int) -> list:
     """The count payload symbols at data[start:], each checked below n,
     then the padding bits after them checked zero."""
     width = _width(n)
-    step, _, shifts = _chunking(width)
+    step = lcm(width, 8) * _CHUNK // 8  # bytes per chunk, a whole number of symbols
+    shifts = range(step * 8 - width, -1, -width)
     size = (count * width + 7) // 8
     payload = data[start:start + size] + bytes(-size % step)
     mask = (1 << width) - 1
@@ -177,18 +196,24 @@ def _unpack(data: bytes, start: int, count: int, n: int) -> list:
 def _read_names(data: bytes, pos: int, n: int):
     if pos == len(data):
         return default_names(n)
+    size = len(data)
     names = []
     for _ in range(n):
-        length, pos = _read_varint(data, pos)
-        if pos + length > len(data):
-            raise FormatError("truncated name table", offset=len(data))
+        length = data[pos] if pos < size else 0x80
+        if length < 0x80:  # a one-byte varint
+            pos += 1
+        else:
+            length, pos = _read_varint(data, pos)
+        end = pos + length
+        if end > size:
+            raise FormatError("truncated name table", offset=size)
         try:
-            tok = data[pos:pos + length].decode("utf-8")
+            tok = data[pos:end].decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError("vertex name is not UTF-8", offset=pos) from None
         names.append(check_token(tok))
-        pos += length
-    if pos != len(data):
+        pos = end
+    if pos != size:
         raise FormatError("trailing bytes after name table", offset=pos)
     if len(set(names)) != n:
         raise FormatError("duplicate vertex names", offset=pos)
@@ -240,19 +265,21 @@ def _index(data) -> _Index:
 def decode(data: bytes) -> Graph:
     """Structural decode: the copy word's first half is blocks of earlier
     non-neighbors (of the stored graph) each closed by a doubled vertex, so
-    one pass recovers the adjacency without any language evaluation."""
+    one pass recovers the adjacency without any language evaluation.  The
+    graph is frozen straight from the validated blocks: each name was
+    checked once, as the name table was read."""
     ix = _index(data)
     names = ix.names
     if ix.mode == "sparse":
-        edges = [(names[i], names[j]) for i, block in enumerate(ix.blocks) for j in block]
+        earlier = ix.blocks
     else:
-        edges = [
-            (names[i], names[j])
-            for i, block in enumerate(ix.blocks)
-            for j in range(i)
-            if j not in block
-        ]
-    return Graph(names, edges)
+        earlier = [[j for j in range(i) if j not in block] for i, block in enumerate(ix.blocks)]
+    # each edge once, as (earlier name, later name)
+    edges = [(names[j], v) for v, block in zip(names, earlier) for j in block]
+    vs = tuple(sorted(names))
+    if vs != names:  # a name table out of token order
+        edges = [(u, v) if u < v else (v, u) for u, v in edges]
+    return Graph._frozen(vs, edges)
 
 
 def _parse_copy_blocks(word, n, offset):

@@ -14,7 +14,12 @@ from .words import check_token
 
 
 class Graph:
-    """Simple graph; vertex set nonempty, no loops, no multi-edges."""
+    """Simple graph; vertex set nonempty, no loops, no multi-edges.
+
+    Every graph gets its fields from one freezing step, ``_freeze``.
+    ``Graph(vertices, edges)`` checks its input and then freezes it;
+    ``Graph._frozen`` freezes parts that their maker has already checked,
+    as ``codec.decode`` and ``represent.evaluate`` do."""
 
     __slots__ = ("vertices", "edges", "_adj")
 
@@ -24,21 +29,37 @@ class Graph:
             raise ValueError("graph needs at least one vertex")
         for v in vs:
             check_token(v)
-        # one pass fills adj and checks each edge in input order; repeated
-        # and reversed edges land in the same two sets
-        adj = {v: set() for v in vs}
+        # one pass checks each edge in input order and puts it in token order
+        known = set(vs)
+        pairs = []
         for u, v in edges:
-            if u not in adj or v not in adj:
+            if u not in known or v not in known:
                 raise ValueError(f"edge endpoint {u!r}/{v!r} not a vertex")
             if u == v:
                 raise ValueError(f"loop at {u!r}")
-            adj[u].add(v)
-            adj[v].add(u)
+            pairs.append((u, v) if u < v else (v, u))
+        self._freeze(vs, pairs)
+
+    @classmethod
+    def _frozen(cls, vs, edges) -> "Graph":
+        """A graph from parts its maker has already checked, as ``_freeze``
+        takes them; nothing is checked again."""
+        g = object.__new__(cls)
+        g._freeze(vs, edges)
+        return g
+
+    def _freeze(self, vs, edges):
+        """Set the fields, once.  vs is the sorted tuple of distinct valid
+        tokens; edges holds pairs (u, v) of them with u < v, repeats
+        allowed.  The adjacency is filled from the edge set."""
+        edges = frozenset(edges)
+        adj = {v: [] for v in vs}
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
         object.__setattr__(self, "vertices", vs)
-        object.__setattr__(
-            self, "edges", frozenset((u, v) for u, s in adj.items() for v in s if u < v)
-        )
-        object.__setattr__(self, "_adj", {v: frozenset(s) for v, s in adj.items()})
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_adj", {v: frozenset(nbrs) for v, nbrs in adj.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")

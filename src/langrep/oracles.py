@@ -261,21 +261,32 @@ def transitive_orientation(g: Graph):
     """A transitive orientation as a set of arcs, or None."""
     edges = sorted(g.edges)
 
-    def closure(arcs):
-        # propagate u->v->w with uw an edge to u->w; fail on forced conflicts
+    def closure(arcs, arc):
+        # arcs is closed; add arc and propagate u->v->w with uw an edge to
+        # u->w, failing on forced conflicts.  Only the arcs into a new arc's
+        # tail and out of its head can meet it, so each arc is looked at once
+        # per arc added beside it.  The closure is the least fixpoint, so
+        # the order arcs are taken in does not change the result.
         arcs = set(arcs)
-        changed = True
-        while changed:
-            changed = False
-            for (a, b), (c, d) in itertools.product(list(arcs), repeat=2):
-                if b == c and a != d:
-                    if not g.has_edge(a, d):
-                        return None
-                    if (d, a) in arcs:
-                        return None
-                    if (a, d) not in arcs:
-                        arcs.add((a, d))
-                        changed = True
+        into = {}
+        out = {}
+        for a, b in arcs:
+            out.setdefault(a, []).append(b)
+            into.setdefault(b, []).append(a)
+        work = [arc]
+        while work:
+            a, b = work.pop()
+            if (a, b) in arcs:
+                continue
+            if not g.has_edge(a, b) or (b, a) in arcs:
+                return None
+            arcs.add((a, b))
+            # out[b] holding a, or into[a] holding b, would mean the reversed
+            # arc (b, a), refused above: each forced arc has two distinct ends
+            work += [(a, d) for d in out.get(b, ())]
+            work += [(c, b) for c in into.get(a, ())]
+            out.setdefault(a, []).append(b)
+            into.setdefault(b, []).append(a)
         return arcs
 
     def rec(arcs, idx):
@@ -285,7 +296,7 @@ def transitive_orientation(g: Graph):
                 idx += 1
                 continue
             for arc in ((u, v), (v, u)):
-                closed = closure(arcs | {arc})
+                closed = closure(arcs, arc)
                 if closed is not None:
                     got = rec(closed, idx + 1)
                     if got is not None:

@@ -48,10 +48,11 @@ def evaluate(word: VertexWord, lang: Language) -> Graph:
     multiplicities and the whole graph O(n·|w|) projection work rather than
     O(n²·|w|)."""
     require_symmetric(lang)
-    vs = sorted(word.alphabet())
+    vs = tuple(sorted(word.alphabet()))
     project, contains = word.project, lang.contains
     edges = [(u, v) for u, v in itertools.combinations(vs, 2) if contains(project(u, v))]
-    return Graph(vs, edges)
+    # the word checked every token, and each pair is ascending
+    return Graph._frozen(vs, edges)
 
 
 @dataclass(frozen=True)

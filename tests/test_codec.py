@@ -1,6 +1,7 @@
 """Binary graph codec: round trips, determinism, the sparse length law,
 streaming adjacency, and corruption diagnostics."""
 
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -360,6 +361,80 @@ def test_unpack_errors_match_the_per_symbol_loop(n):
         got = _error(_unpack, data, 1, count, n)
         assert got == _error(_ref_unpack, data, 1, count, n, width)
         assert got[0] == f"symbol {k} is {high[k]}, beyond n={n} (at offset {got[1]})"
+
+
+# --- pinned encodings -------------------------------------------------------
+
+
+def _pinned_cases():
+    """(graph, mode, include_names): seeded graphs at every order of
+    ``_PACK_ORDERS``, so every symbol width from 1 to 12, plus order 1, an
+    edgeless graph, a complete graph and a 200-byte vertex name, whose
+    length needs a two-byte varint.  Every graph goes in sparse mode and
+    those up to order 513 (width 10) also dense, each with and without
+    names; a dense word grows with the non-edges, n^2 / 2 at these sizes."""
+    rng = random.Random(1313)
+    long_name = "x" * 200
+    graphs = [
+        Graph(["solo"]),
+        Graph([f"w{i}" for i in range(9)]),
+        complete_graph(12),
+        Graph([long_name, "b", "\u00e9\u00e9"], [(long_name, "b"), ("b", "\u00e9\u00e9")]),
+    ]
+    for n in _PACK_ORDERS:
+        names = [f"v{i}" for i in range(n)]
+        m = rng.randrange(min(2 * n, n * (n - 1) // 2) + 1)
+        edges = set()
+        while len(edges) < m:
+            u, v = rng.sample(names, 2)
+            edges.add((min(u, v), max(u, v)))
+        graphs.append(Graph(names, edges))
+    for g in graphs:
+        for mode in ("sparse", "dense") if g.order <= 513 else ("sparse",):
+            for include_names in (True, False):
+                yield g, mode, include_names
+
+
+def test_encodings_are_pinned_and_decode_to_the_validated_graph():
+    digest = hashlib.sha256()
+    for g, mode, include_names in _pinned_cases():
+        blob = encode(g, mode, include_names)
+        digest.update(len(blob).to_bytes(8, "big") + blob)
+        expected = Graph(g.vertices, g.edges)  # through the validating entry
+        if not include_names:
+            expected = expected.relabel(dict(zip(g.vertices, default_names(g.order))))
+        back = decode(blob)
+        assert back.vertices == expected.vertices
+        assert back.edges == expected.edges
+        assert back._adj == expected._adj
+        assert hash(back) == hash(expected)
+    assert digest.hexdigest() == (
+        "f09e5d27914325aabb084ccb253cde97d91443bdedbcd1fdc66759af1bb76027"
+    )
+
+
+def test_decode_puts_a_name_table_out_of_token_order_in_order():
+    # the encoder writes names sorted; a table naming vertices 0, 1, 2 as
+    # c, b, a still decodes, with each edge in token order
+    blob = encode(Graph("abc", [("a", "b")]))
+    assert blob.endswith(b"\x01a\x01b\x01c")
+    shuffled = blob[:-6] + b"\x01c\x01b\x01a"
+    back = decode(shuffled)
+    expected = Graph("cba", [("c", "b")])
+    assert (back.vertices, back.edges, back._adj) == (expected.vertices, expected.edges, expected._adj)
+    assert back.edges == frozenset({("b", "c")})
+    assert adjacent(shuffled, "b", "c") and not adjacent(shuffled, "a", "b")
+
+
+def test_decoded_graph_is_immutable():
+    back = decode(encode(path_graph(3)))
+    with pytest.raises(AttributeError):
+        back.vertices = ("x",)
+    with pytest.raises(AttributeError):
+        back._adj = {}
+    assert isinstance(back.edges, frozenset)
+    assert all(isinstance(s, frozenset) for s in back._adj.values())
+    assert back == path_graph(3) and hash(back) == hash(path_graph(3))
 
 
 # --- corruption diagnostics -------------------------------------------------

@@ -67,6 +67,13 @@ def test_graph_reports_its_first_bad_edge_in_input_order():
         Graph("abc", [("z", "z")])
 
 
+def test_graph_checks_every_token_before_any_edge():
+    with pytest.raises(FormatError, match="invalid vertex token 'b c'"):
+        Graph(["a", "b c"], [("a", "z"), ("a", "a")])
+    with pytest.raises(FormatError, match="invalid vertex token ''"):
+        Graph(["a", ""], [("a", "a")])
+
+
 def test_graph_collapses_repeated_and_reversed_edges():
     g = Graph("abc", [("b", "a"), ("a", "b"), ("b", "a"), ("c", "b")])
     assert g.edges == frozenset({("a", "b"), ("b", "c")})
@@ -284,6 +291,55 @@ def test_oracle_intersection_identities(n):
         assert oracles.is_co_interval(g) == oracles.is_interval(gc)
         assert oracles.is_co_circle(g) == oracles.is_circle(gc)
         assert oracles.is_comparability(g) == oracles.is_cocomparability(gc)
+
+
+def _rescanning_transitive_orientation(g):
+    """The reference: after each added arc the closure looks at every pair
+    of arcs again."""
+    edges = sorted(g.edges)
+
+    def closure(arcs):
+        arcs = set(arcs)
+        changed = True
+        while changed:
+            changed = False
+            for (a, b), (c, d) in itertools.product(list(arcs), repeat=2):
+                if b == c and a != d:
+                    if not g.has_edge(a, d):
+                        return None
+                    if (d, a) in arcs:
+                        return None
+                    if (a, d) not in arcs:
+                        arcs.add((a, d))
+                        changed = True
+        return arcs
+
+    def rec(arcs, idx):
+        while idx < len(edges):
+            u, v = edges[idx]
+            if (u, v) in arcs or (v, u) in arcs:
+                idx += 1
+                continue
+            for arc in ((u, v), (v, u)):
+                closed = closure(arcs | {arc})
+                if closed is not None:
+                    got = rec(closed, idx + 1)
+                    if got is not None:
+                        return got
+            return None
+        return arcs
+
+    return rec(set(), 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_transitive_orientation_matches_the_rescanning_closure(n):
+    for g in enumerate_graphs(n):
+        for h in (g, g.complement()):
+            got = oracles.transitive_orientation(h)
+            assert got == _rescanning_transitive_orientation(h)
+            if got is not None:
+                assert {frozenset(arc) for arc in got} == {frozenset(e) for e in h.edges}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
