@@ -368,11 +368,14 @@ def build_cograph(g: Graph, mode: str = "wrep-like") -> VertexWord:
     """Even-decomposition recursion: every intermediate word splits into two
     halves with each vertex once per half; x = w1 u1 w2 u2 glues parts so
     the cross pattern alternates, y = w1 u1 u2 w2 so it nests.  Which of the
-    two means union and which join depends on the language family."""
+    two means union and which join depends on the language family.  The
+    recursion splits vertex sets over g's adjacency, into components or else
+    co-components, each in order of its least vertex; it builds no subgraph."""
     if mode not in ("wrep-like", "containment-like"):
         raise ValueError(f"unknown cograph mode {mode!r}")
     tag = f"cograph-{mode}"
     alternating_joins = mode == "wrep-like"
+    adj = g._adj
 
     def glue(parts, join: bool):
         w1, w2 = parts[0]
@@ -383,19 +386,29 @@ def build_cograph(g: Graph, mode: str = "wrep-like") -> VertexWord:
                 w1, w2 = w1 + u1, u2 + w2
         return w1, w2
 
-    def rec(sub: Graph):
-        if sub.order == 1:
-            v = sub.vertices[0]
-            return [v], [v]
-        comps = sorted(sub.components(), key=min)
-        if len(comps) > 1:
-            return glue([rec(sub.induced(c)) for c in comps], join=False)
-        cocomps = sorted(sub.complement().components(), key=min)
-        if len(cocomps) > 1:
-            return glue([rec(sub.induced(c)) for c in cocomps], join=True)
+    def split(part, co: bool):
+        left = set(part)
+        parts = []
+        while left:
+            comp = [min(left)]
+            left.remove(comp[0])
+            for x in comp:  # visits what the loop appends
+                near = left - adj[x] if co else left & adj[x]
+                left -= near
+                comp += near
+            parts.append(comp)
+        return parts
+
+    def rec(part):
+        if len(part) == 1:
+            return list(part), list(part)
+        for join in (False, True):
+            parts = split(part, co=join)
+            if len(parts) > 1:
+                return glue([rec(p) for p in parts], join)
         raise BuildError("cograph: graph contains an induced P4")
 
-    half1, half2 = rec(g)
+    half1, half2 = rec(g.vertices)
     return _verify(half1 + half2, tag, g)
 
 

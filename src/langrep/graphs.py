@@ -19,7 +19,8 @@ class Graph:
     Every graph gets its fields from one freezing step, ``_freeze``.
     ``Graph(vertices, edges)`` checks its input and then freezes it;
     ``Graph._frozen`` freezes parts that their maker has already checked,
-    as ``codec.decode`` and ``represent.evaluate`` do."""
+    as ``codec.decode``, ``represent.evaluate``, ``complement`` and
+    ``induced`` do."""
 
     __slots__ = ("vertices", "edges", "_adj")
 
@@ -102,14 +103,10 @@ class Graph:
     # -- constructions -------------------------------------------------------
 
     def complement(self) -> "Graph":
-        vs = self.vertices
-        es = [
-            (u, v)
-            for i, u in enumerate(vs)
-            for v in vs[i + 1:]
-            if not self.has_edge(u, v)
-        ]
-        return Graph(vs, es)
+        vs, adj = self.vertices, self._adj
+        return Graph._frozen(
+            vs, [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:] if v not in adj[u]]
+        )
 
     def union(self, other: "Graph") -> "Graph":
         """Disjoint union; vertex sets must not overlap."""
@@ -124,9 +121,13 @@ class Graph:
 
     def induced(self, keep) -> "Graph":
         keep = set(keep)
-        if not keep <= set(self.vertices):
+        if not keep <= self._adj.keys():
             raise ValueError("induced set contains unknown vertices")
-        return Graph(keep, [(u, v) for u, v in self.edges if u in keep and v in keep])
+        if not keep:
+            raise ValueError("graph needs at least one vertex")
+        return Graph._frozen(
+            tuple(sorted(keep)), [(u, v) for u, v in self.edges if u in keep and v in keep]
+        )
 
     def relabel(self, mapping) -> "Graph":
         return Graph(

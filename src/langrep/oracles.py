@@ -254,7 +254,9 @@ def permutation_diagram(g: Graph):
 
 
 def is_permutation(g: Graph) -> bool:
-    return permutation_diagram(g) is not None
+    """Pnueli, Lempel and Even: g is a permutation graph iff g and its
+    complement are both comparability graphs."""
+    return is_comparability(g) and is_cocomparability(g)
 
 
 def transitive_orientation(g: Graph):

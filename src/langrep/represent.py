@@ -39,18 +39,24 @@ ENUMERATION_BUDGET = 2 * 10**6
 
 
 def evaluate(word: VertexWord, lang: Language) -> Graph:
-    """The graph induced by word under lang: one membership query per
+    """The graph induced by word under lang: one membership verdict per
     unordered vertex pair, in the pair's ascending orientation.
 
-    Each pair is projected through the word's position index of string
-    tags, built on the first projection: a sort of the two letters' tags, a
-    join and one extended slice.  A pair costs the two letters'
-    multiplicities and the whole graph O(n·|w|) projection work rather than
-    O(n²·|w|)."""
+    Pairs are walked row by row in ``itertools.combinations`` order: u is
+    projected onto every later vertex by ``word.project_row``, and
+    ``lang.contains`` runs once per distinct projection of the row, in order
+    of first occurrence, so a contains that raises does so at the first such
+    pair.  Projection costs O(n·|w|) over the graph; a row and its verdicts
+    hold O(n·|u| + |w|) and are dropped after it."""
     require_symmetric(lang)
     vs = tuple(sorted(word.alphabet()))
-    project, contains = word.project, lang.contains
-    edges = [(u, v) for u, v in itertools.combinations(vs, 2) if contains(project(u, v))]
+    contains = lang.contains
+    edges = []
+    for i, u in enumerate(vs):
+        later = vs[i + 1:]
+        row = word.project_row(u, later)
+        verdict = {b: contains(b) for b in dict.fromkeys(row)}
+        edges += [(u, v) for v, b in zip(later, row) if verdict[b]]
     # the word checked every token, and each pair is ascending
     return Graph._frozen(vs, edges)
 

@@ -10,11 +10,12 @@ projection.  Each position i of a letter is kept twice, as a string tag:
 i in decimal, zero-padded to the digit count of the word's length (one
 width for the whole word), followed by the side, "0" for the letter mapped
 to 0 or "1" for the letter mapped to 1.  Tags of one word all have the
-same length, so they sort lexicographically in position order.  Projecting (u, v) sorts u's
-0-side tags together with v's 1-side tags, joins them, and reads every
-(width + 1)-th character, the sides, with one extended slice.  A pair costs
-O(|u| + |v|) rather than O(|w|), all pairs together O(n·|w|), and the
-per-symbol work runs in C string operations.
+same length, so they sort lexicographically in position order.  Projecting u
+onto a row of letters v sorts, for each v, u's 0-side tags together with v's
+1-side tags, joins them, and reads every (width + 1)-th character, the sides,
+with one extended slice; ``project_row`` is that one routine and ``project``
+its one-pair case.  A pair costs O(|u| + |v|) rather than O(|w|), all pairs
+together O(n·|w|), and the per-symbol work runs in C string operations.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class VertexWord:
     """Immutable nonempty word over an arbitrary vertex alphabet."""
 
     # _index: (width, letter -> (0-side tags, 1-side tags)), built by the
-    # first project() call.  A tag is a position zero-padded to width digits
+    # first projection.  A tag is a position zero-padded to width digits
     # with the side as its last character; each list is ascending.  Equality
     # and hashing see only the letters.
     __slots__ = ("letters", "_index")
@@ -106,16 +107,21 @@ class VertexWord:
 
     def project(self, u: Vertex, v: Vertex) -> str:
         """The pair morphism h_{u,v}: u -> 0, v -> 1, other letters -> empty."""
-        if u == v:
-            raise ValueError("projection endpoints must be distinct")
-        index = self._index
-        if index is None:
-            index = self._build_index()
-        width, tags_of = index
-        # both lists are ascending, so Timsort merges the two runs in one pass
-        tags = tags_of.get(u, _ABSENT)[0] + tags_of.get(v, _ABSENT)[1]
-        tags.sort()
-        return "".join(tags)[width::width + 1]
+        return self.project_row(u, (v,))[0]
+
+    def project_row(self, u: Vertex, others) -> list:
+        """u's projection onto each v in others, in order: [h_{u,v}(w) ...]."""
+        width, tags_of = self._index or self._build_index()
+        zeros = tags_of.get(u, _ABSENT)[0]
+        row = []
+        for v in others:
+            if v == u:
+                raise ValueError("projection endpoints must be distinct")
+            # both lists are ascending, so Timsort merges the two runs in one pass
+            tags = zeros + tags_of.get(v, _ABSENT)[1]
+            tags.sort()
+            row.append("".join(tags)[width::width + 1])
+        return row
 
     def _build_index(self) -> tuple:
         width = len(str(len(self.letters)))

@@ -2,7 +2,9 @@
 sweep over every graph of order at most five, explicit-witness validation,
 interval models, and the infinite-language normal forms."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from langrep.constructions import (
     BUILDERS,
     CANONICAL_SPECS,
     build_circle,
+    build_cograph,
     build_comparability,
     build_interval,
     build_lyndon,
@@ -248,3 +251,52 @@ def test_normalize_0any1_equivalence(word):
     assert evaluate(out, parse_language("<0011,0101>")) == evaluate(
         word, parse_language("hull(re:0(0|1)*1)")
     )
+
+
+# --- cographs on vertex sets ------------------------------------------------
+
+
+def _cotree_edges(rng, names):
+    """Edges of a random cotree on names: split into 2-4 consecutive parts,
+    recurse, then join the parts or leave them apart."""
+    if len(names) == 1:
+        return []
+    k = rng.randint(2, min(4, len(names)))
+    cuts = [0] + sorted(rng.sample(range(1, len(names)), k - 1)) + [len(names)]
+    parts = [names[a:b] for a, b in zip(cuts, cuts[1:])]
+    edges = [e for p in parts for e in _cotree_edges(rng, p)]
+    if rng.random() < 0.5:
+        edges += [(u, v) for i, p in enumerate(parts) for q in parts[i + 1:] for u in p for v in q]
+    return edges
+
+
+def _seeded_cographs(count=40, top=80):
+    rng = random.Random(1411)
+    out = []
+    for i in range(count):
+        n = 1 if i == 0 else top if i == 1 else rng.randint(1, top)
+        names = [f"v{j}" for j in range(n)]
+        rng.shuffle(names)
+        out.append(Graph(names, _cotree_edges(rng, names)))
+    return out
+
+
+# sha256 of the builder's words on _seeded_cographs(), both modes
+COGRAPH_WORDS_SHA256 = "9fa02eb22201471c2077accb10b64e0139fdb8219657c701786cebb589af1494"
+
+
+def test_cograph_words_are_pinned():
+    words = [
+        list(build_cograph(g, mode))
+        for g in _seeded_cographs()
+        for mode in ("wrep-like", "containment-like")
+    ]
+    assert hashlib.sha256(repr(words).encode()).hexdigest() == COGRAPH_WORDS_SHA256
+
+
+@pytest.mark.parametrize("g", [path_graph(4), cycle_graph(5), path_graph(4).add_isolated("z")],
+                         ids=["P4", "C5", "P4+K1"])
+@pytest.mark.parametrize("mode", ["wrep-like", "containment-like"])
+def test_cograph_rejects_an_induced_p4(g, mode):
+    with pytest.raises(BuildError, match="cograph: graph contains an induced P4"):
+        build_cograph(g, mode)

@@ -104,6 +104,29 @@ def test_complement_union_join_induced():
     assert sub == path_graph(3)
 
 
+def _fields(g):
+    return g.vertices, g.edges, g._adj, hash(g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_complement_and_induced_equal_the_validating_constructor(n):
+    rng = random.Random(n)
+    for g in enumerate_graphs(n):
+        vs = g.vertices
+        missing = [(u, v) for u, v in itertools.combinations(vs, 2) if not g.has_edge(u, v)]
+        assert _fields(g.complement()) == _fields(Graph(vs, missing))
+        for keep in [vs, vs[:1]] + [rng.sample(vs, rng.randint(1, n)) for _ in range(3)]:
+            kept = [(u, v) for u, v in g.edges if u in keep and v in keep]
+            assert _fields(g.induced(keep)) == _fields(Graph(keep, kept))
+
+
+def test_induced_rejects_unknown_and_empty_vertex_sets():
+    with pytest.raises(ValueError, match="unknown vertices"):
+        path_graph(3).induced(["v1", "x"])
+    with pytest.raises(ValueError, match="at least one vertex"):
+        path_graph(3).induced([])
+
+
 def test_relabel_and_twins():
     g = cycle_graph(3).relabel({"v1": "x", "v2": "y", "v3": "z"})
     assert set(g.vertices) == {"x", "y", "z"} and g.size == 3
@@ -281,9 +304,7 @@ def test_oracle_intersection_identities(n):
         assert oracles.is_threshold(g) == (
             oracles.is_split(g) and oracles.is_cograph(g)
         )
-        assert oracles.is_permutation(g) == (
-            oracles.is_comparability(g) and oracles.is_cocomparability(g)
-        )
+        assert oracles.is_permutation(g) == (oracles.permutation_diagram(g) is not None)
         assert oracles.is_interval(g) == (
             oracles.is_chordal(g) and oracles.is_cocomparability(g)
         )
@@ -330,6 +351,10 @@ def _rescanning_transitive_orientation(g):
         return arcs
 
     return rec(set(), 0)
+
+
+def test_permutation_graphs_at_order_7():
+    assert sum(map(oracles.is_permutation, enumerate_graphs(7))) == 776
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import all_binary_words, filter_project, gnp, graph_from_mask
 from langrep import oracles, represent
 from langrep.codec import copy_word
+from langrep.constructions import build_cograph
 from langrep.errors import CapacityError, NotSymmetricError
 from langrep.graphs import (
     Graph,
@@ -89,11 +90,13 @@ _POOL = [
     "lyndon",
     "copy",
     "not(copy)",
+    "halfline",
+    "<0110>",
 ]
 
 
 @st.composite
-def words_over(draw, alphabet="abcd", max_len=9):
+def words_over(draw, alphabet="abcdef", max_len=30):
     letters = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=max_len))
     return VertexWord(letters)
 
@@ -103,6 +106,73 @@ def words_over(draw, alphabet="abcd", max_len=9):
 def test_evaluate_matches_reference(word, spec):
     lang = parse_language(spec)
     assert evaluate(word, lang) == _ref_evaluate(word, lang)
+
+
+@pytest.mark.parametrize("length", [9, 10, 99, 100, 999, 1000])
+def test_evaluate_across_tag_width_boundaries(length):
+    rng = random.Random(length)
+    tokens = ["a", "v1", "v10", "bb", "q"]
+    word = VertexWord(tokens + [rng.choice(tokens) for _ in range(length - len(tokens))])
+    for spec in _POOL:
+        lang = parse_language(spec)
+        assert evaluate(word, lang) == _ref_evaluate(word, lang), spec
+
+
+def _row_calls(word, stop=None):
+    """The membership queries of a row-by-row walk: each row's distinct
+    projections in the order they first occur, up to the first stop."""
+    calls = []
+    vs = sorted(word.alphabet())
+    for i, u in enumerate(vs):
+        row = [filter_project(word.letters, u, v) for v in vs[i + 1:]]
+        for b in dict.fromkeys(row):
+            calls.append(b)
+            if b == stop:
+                return calls
+    return calls
+
+
+def _spied(lang, calls, stop=None):
+    inner = lang.contains
+
+    def contains(b):
+        calls.append(b)
+        if b == stop:
+            raise RuntimeError(b)
+        return inner(b)
+
+    lang.contains = contains
+
+
+_ROW_WORDS = [
+    FIG_WORD,
+    VertexWord.parse("abcdabcd"),
+    VertexWord(copy_word(gnp(12, 0.3, 5))),
+    VertexWord(random.Random(7).choices("abcdefgh", k=200)),
+    build_cograph(complete_bipartite(5, 6)),  # 55 pairs, 16 distinct in their rows
+]
+
+
+@pytest.mark.parametrize("word", _ROW_WORDS, ids=range(len(_ROW_WORDS)))
+def test_evaluate_tests_each_distinct_projection_once_per_row(word):
+    lang = parse_language("copy")
+    calls = []
+    _spied(lang, calls)
+    assert evaluate(word, lang) == _ref_evaluate(word, parse_language("copy"))
+    assert calls == _row_calls(word)
+
+
+@pytest.mark.parametrize("word", _ROW_WORDS, ids=range(len(_ROW_WORDS)))
+def test_evaluate_raises_at_the_first_pair_whose_projection_raises(word):
+    # the last pair's projection; the walk stops where it first occurs
+    vs = sorted(word.alphabet())
+    stop = filter_project(word.letters, vs[-2], vs[-1])
+    lang = parse_language("copy")
+    calls = []
+    _spied(lang, calls, stop)
+    with pytest.raises(RuntimeError):
+        evaluate(word, lang)
+    assert calls == _row_calls(word, stop)
 
 
 # --- check ------------------------------------------------------------------

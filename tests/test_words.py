@@ -142,6 +142,14 @@ def test_project_matches_filter(letters, pairs):
             continue
         assert w.project(u, v) == filter_project(letters, u, v)
         assert w.project(v, u) == complement_word(w.project(u, v))
+    # a row is its pairs, in order; one endpoint equal to u rejects the row
+    others = [v for _, v in pairs]
+    for u in _TOKENS + ["zz"]:
+        if u in others:
+            with pytest.raises(ValueError, match="distinct"):
+                w.project_row(u, others)
+        else:
+            assert w.project_row(u, others) == [w.project(u, v) for v in others]
 
 
 def test_project_absent_endpoints():
@@ -162,9 +170,10 @@ def test_project_across_tag_width_boundaries(length):
     letters = [rng.choice(tokens) for _ in range(length)]
     w = VertexWord(letters)
     for u in tokens + ["zz"]:
-        for v in tokens + ["zz"]:
-            if u != v:
-                assert w.project(u, v) == filter_project(letters, u, v), (u, v)
+        others = [v for v in tokens + ["zz"] if v != u]
+        for v in others:
+            assert w.project(u, v) == filter_project(letters, u, v), (u, v)
+        assert w.project_row(u, others) == [w.project(u, v) for v in others]
 
 
 def test_word_names_its_first_bad_token_in_word_order():
