@@ -27,14 +27,18 @@ every check, into its names, symbols and blocks.  The indexes of the last
 lookup, and a bytearray changed in place is read afresh.  A payload that
 raises is not kept, so it raises again on every call.  Symbols are
 unpacked in chunks of lcm(width, 8) * ``_CHUNK`` bits, one int conversion
-per chunk.  ``decode`` freezes its graph straight from the validated
-blocks; the names were checked once, while the table was read.
+per chunk.  Each block is kept as its ascending index list, which
+``adjacent`` bisects.  ``decode`` freezes its graph straight from the
+validated blocks, with no adjacency: the graph builds that on its first
+neighbour query.  The names were checked once, while the table was read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from math import lcm
+from operator import lt
 from typing import NamedTuple
 
 from .errors import FormatError
@@ -225,7 +229,7 @@ class _Index(NamedTuple):
     names: tuple
     where: dict  # name -> vertex index
     word: list  # the stored symbols as vertex indices
-    blocks: list  # per vertex index, the set of earlier indices its block lists
+    blocks: list  # per vertex index, the ascending earlier indices its block lists
 
 
 @lru_cache(maxsize=_CACHED_PAYLOADS)
@@ -265,15 +269,16 @@ def _index(data) -> _Index:
 def decode(data: bytes) -> Graph:
     """Structural decode: the copy word's first half is blocks of earlier
     non-neighbors (of the stored graph) each closed by a doubled vertex, so
-    one pass recovers the adjacency without any language evaluation.  The
-    graph is frozen straight from the validated blocks: each name was
-    checked once, as the name table was read."""
+    one pass recovers the edges without any language evaluation.  The
+    graph is frozen straight from the validated blocks, its adjacency left
+    to its first neighbour query: each name was checked once, as the name
+    table was read."""
     ix = _index(data)
     names = ix.names
     if ix.mode == "sparse":
         earlier = ix.blocks
     else:
-        earlier = [[j for j in range(i) if j not in block] for i, block in enumerate(ix.blocks)]
+        earlier = [[j for j in range(i) if j not in s] for i, s in enumerate(map(set, ix.blocks))]
     # each edge once, as (earlier name, later name)
     edges = [(names[j], v) for v, block in zip(names, earlier) for j in block]
     vs = tuple(sorted(names))
@@ -300,10 +305,9 @@ def _parse_copy_blocks(word, n, offset):
         if end is None or word[end + 1] != i:
             raise FormatError(f"block of vertex {i} is malformed", offset=offset)
         listed = word[pos:end]
-        block = set(listed)
-        if listed != sorted(block) or listed and listed[-1] > i:
+        if listed and (listed[-1] >= i or not all(map(lt, listed, listed[1:]))):
             raise FormatError(f"block of vertex {i} lists bad vertices", offset=offset)
-        blocks.append(block)
+        blocks.append(listed)
         expected.append(i)
         expected += listed
         expected.append(i)
@@ -336,4 +340,8 @@ def adjacent(data: bytes, u, v) -> bool:
         raise FormatError(f"unknown vertex in pair ({u!r},{v!r})") from None
     if iu == iv:
         return False
-    return (min(iu, iv) in ix.blocks[max(iu, iv)]) == (ix.mode == "sparse")
+    if iu > iv:
+        iu, iv = iv, iu
+    block = ix.blocks[iv]
+    k = bisect_left(block, iu)
+    return (k < len(block) and block[k] == iu) == (ix.mode == "sparse")

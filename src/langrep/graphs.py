@@ -20,7 +20,11 @@ class Graph:
     ``Graph(vertices, edges)`` checks its input and then freezes it;
     ``Graph._frozen`` freezes parts that their maker has already checked,
     as ``codec.decode``, ``represent.evaluate``, ``complement`` and
-    ``induced`` do."""
+    ``induced`` do.  The adjacency (``_adj``, vertex -> frozenset of
+    neighbors) is built from the edges on first use, by the first
+    neighbour query, and kept; a graph that is only compared, hashed or
+    written out never builds it.  Until then the graph's class is the
+    private ``_Unbuilt`` subclass, so Graph is not meant to be subclassed."""
 
     __slots__ = ("vertices", "edges", "_adj")
 
@@ -52,15 +56,11 @@ class Graph:
     def _freeze(self, vs, edges):
         """Set the fields, once.  vs is the sorted tuple of distinct valid
         tokens; edges holds pairs (u, v) of them with u < v, repeats
-        allowed.  The adjacency is filled from the edge set."""
-        edges = frozenset(edges)
-        adj = {v: [] for v in vs}
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
+        allowed.  The adjacency is left unset, and the graph is an
+        ``_Unbuilt`` one, until the first neighbour query."""
         object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_adj", {v: frozenset(nbrs) for v, nbrs in adj.items()})
+        object.__setattr__(self, "edges", frozenset(edges))
+        object.__setattr__(self, "__class__", _Unbuilt)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -121,7 +121,7 @@ class Graph:
 
     def induced(self, keep) -> "Graph":
         keep = set(keep)
-        if not keep <= self._adj.keys():
+        if not keep.issubset(self.vertices):
             raise ValueError("induced set contains unknown vertices")
         if not keep:
             raise ValueError("graph needs at least one vertex")
@@ -138,7 +138,7 @@ class Graph:
     def add_twin(self, v, new, *, true_twin: bool) -> "Graph":
         """Add ``new`` with the same neighborhood as v; a true twin is also
         adjacent to v itself."""
-        if new in self._adj:
+        if new in self.vertices:
             raise ValueError(f"vertex {new!r} already present")
         es = list(self.edges) + [(new, u) for u in self._adj[v]]
         if true_twin:
@@ -146,12 +146,12 @@ class Graph:
         return Graph(self.vertices + (new,), es)
 
     def add_isolated(self, new) -> "Graph":
-        if new in self._adj:
+        if new in self.vertices:
             raise ValueError(f"vertex {new!r} already present")
         return Graph(self.vertices + (new,), self.edges)
 
     def add_universal(self, new) -> "Graph":
-        if new in self._adj:
+        if new in self.vertices:
             raise ValueError(f"vertex {new!r} already present")
         return Graph(
             self.vertices + (new,),
@@ -197,6 +197,30 @@ class Graph:
         left = frozenset(v for v in self.vertices if color[v] == 0)
         right = frozenset(v for v in self.vertices if color[v] == 1)
         return left, right
+
+
+class _Unbuilt(Graph):
+    """A Graph whose adjacency slot is still unset.  Its ``__getattr__``
+    builds ``_adj`` from the edges on the first read, fills the slot and
+    makes the graph a plain Graph again.  The hook lives on this class
+    alone because a type with ``__getattr__`` reads every attribute on a
+    slower path (``has_edge`` took twice as long), while a plain Graph's
+    queries pay nothing for the laziness."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        # reached only when normal lookup fails, as for the unset _adj slot
+        if name != "_adj":
+            raise AttributeError(f"'Graph' object has no attribute {name!r}", name=name, obj=self)
+        adj = {v: [] for v in self.vertices}
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        adj = {v: frozenset(nbrs) for v, nbrs in adj.items()}
+        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "__class__", Graph)
+        return adj
 
 
 # --- convenient families ----------------------------------------------------

@@ -81,30 +81,30 @@ def is_threshold(g: Graph) -> bool:
 
 def threshold_creation_sequence(g: Graph):
     """Creation sequence [(vertex, kind)] with kind 'isolated' or
-    'universal', listed in creation order, or None."""
-    remaining = set(g.vertices)
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    'universal', listed in creation order, or None.
+
+    Peels an isolated vertex, else a universal one, largest name first, so
+    the reversed sequence creates ascending.  Each peeled vertex is
+    adjacent to none or to all of those left, so every vertex left has lost
+    exactly one neighbor per universal peel so far: its degree is its
+    original degree minus that count.  Vertices are therefore kept in
+    buckets by original degree, ascending by name, and each peel pops the
+    last of one bucket."""
+    n = g.order
+    buckets = [[] for _ in range(n)]
+    for v in g.vertices:
+        buckets[g.degree(v)].append(v)
     peeled = []
-    # peel largest names first so the reversed sequence creates ascending
-    while remaining:
-        pick = kind = None
-        for v in sorted(remaining, reverse=True):
-            if not adj[v]:
-                pick, kind = v, "isolated"
-                break
-        if pick is None:
-            for v in sorted(remaining, reverse=True):
-                if len(adj[v]) == len(remaining) - 1:
-                    pick, kind = v, "universal"
-                    break
-        if pick is None:
+    universal = 0
+    for left in range(n, 0, -1):
+        if buckets[universal]:
+            peeled.append((buckets[universal].pop(), "isolated"))
+        elif buckets[universal + left - 1]:
+            peeled.append((buckets[universal + left - 1].pop(), "universal"))
+            universal += 1
+        else:
             return None
-        for u in adj[pick]:
-            adj[u].discard(pick)
-        remaining.discard(pick)
-        del adj[pick]
-        peeled.append((pick, kind))
-    return list(reversed(peeled))
+    return peeled[::-1]
 
 
 def is_complete_multipartite(g: Graph) -> bool:

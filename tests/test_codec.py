@@ -525,3 +525,35 @@ def test_garbled_word_structure():
     # decode must say so rather than guess
     with pytest.raises(FormatError):
         decode(_garbled_dense_triangle())
+
+
+def _stream(n, word):
+    """A sparse LGR1 stream of order n storing the given symbols, with no
+    name table and no check that they form a copy word."""
+    blob = bytearray(MAGIC + bytes([0]))
+    _write_varint(blob, n)
+    _write_varint(blob, len(word))
+    return bytes(blob + _pack(word, max(1, (n - 1).bit_length())))
+
+
+@pytest.mark.parametrize("word, message", [
+    # order 3; copy word 0 0 | 1 1 | 0 2 2 then 0 0 | 1 1 | 2 0 2 is sound
+    ([0, 0, 1, 1, 0, 2, 2, 0, 0, 1, 1, 2, 0, 2, 1], "copy word has odd length"),
+    ([0, 0, 1, 1, 0, 0, 2, 2, 0, 0, 1, 1, 2, 0, 0, 2], "block of vertex 2 lists bad vertices"),
+    ([0, 0, 1, 1, 1, 0, 2, 2, 0, 0, 1, 1, 2, 1, 0, 2], "block of vertex 2 lists bad vertices"),
+    ([1, 0, 0, 1, 1, 2, 2, 0, 1, 0, 1, 1, 2, 2], "block of vertex 0 lists bad vertices"),
+    ([0, 0, 2, 1, 1, 2, 2, 0, 0, 1, 2, 1, 2, 2], "block of vertex 1 lists bad vertices"),
+    ([0, 0, 1, 0, 1, 2, 2, 0, 0, 1, 1, 2, 2], "copy word has odd length"),
+    ([0, 0, 0, 0, 1, 1, 2, 2, 0, 0, 1, 0, 0, 1, 2, 2], "block of vertex 1 lists bad vertices"),
+    ([0, 0, 2, 1, 2, 2, 0, 0, 1, 1, 2, 2], "block of vertex 1 is malformed"),
+    ([0, 0, 1, 1, 0, 2, 2, 1, 0, 0, 1, 1, 2, 0, 2, 1], "copy word halves misaligned"),
+    ([0, 0, 1, 1, 0, 2, 2, 0, 0, 1, 1, 2, 2, 0], "copy word second half is inconsistent"),
+])
+def test_block_faults_name_the_block_at_the_payload_start(word, message):
+    # every copy-word check reports the offset where the symbols start
+    blob = _stream(3, word)
+    for read in (decode, decode_word, lambda b: adjacent(b, "0", "1")):
+        with pytest.raises(FormatError) as err:
+            read(blob)
+        assert str(err.value).startswith(message)
+        assert err.value.offset == len(MAGIC) + 3

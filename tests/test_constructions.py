@@ -294,6 +294,34 @@ def test_cograph_words_are_pinned():
     assert hashlib.sha256(repr(words).encode()).hexdigest() == COGRAPH_WORDS_SHA256
 
 
+def _seeded_threshold_graph(n, seed):
+    """Each vertex, in a seeded order of seeded names, joins isolated or
+    universal to those before it."""
+    rng = random.Random(seed)
+    names = [f"v{i:03d}" for i in range(n)]
+    rng.shuffle(names)
+    edges = [(v, u) for k, v in enumerate(names) if rng.random() < 0.5 for u in names[:k]]
+    return Graph(names, edges)
+
+
+# sha256 of the creation sequences (None off the class) of every graph of
+# order <= 7, and of the sequences and builder words of seeded threshold
+# graphs at n = 80 and n = 300
+THRESHOLD_SEQUENCES_SHA256 = "7134a4d2fa7b4fe943475bf5109cdce7e55fcd4e5c6acdceb144a2d619c137a2"
+THRESHOLD_WORDS_SHA256 = "a864ad86e6c187f79fe637682ad94d346c7f03ad6ce395b63628fef359a454da"
+
+
+def test_threshold_sequences_and_words_are_pinned():
+    seqs = [oracles.threshold_creation_sequence(g) for n in range(1, 8) for g in enumerate_graphs(n)]
+    assert sum(s is not None for s in seqs) == 127  # 2^(n-1) classes per order
+    assert hashlib.sha256(repr(seqs).encode()).hexdigest() == THRESHOLD_SEQUENCES_SHA256
+    rows = []
+    for n, seed in [(80, 1), (80, 2), (80, 3), (300, 4), (300, 5)]:
+        g = _seeded_threshold_graph(n, seed)
+        rows.append((oracles.threshold_creation_sequence(g), list(build_threshold(g))))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == THRESHOLD_WORDS_SHA256
+
+
 @pytest.mark.parametrize("g", [path_graph(4), cycle_graph(5), path_graph(4).add_isolated("z")],
                          ids=["P4", "C5", "P4+K1"])
 @pytest.mark.parametrize("mode", ["wrep-like", "containment-like"])

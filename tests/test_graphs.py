@@ -11,8 +11,9 @@ import time
 import pytest
 from hypothesis import given, settings
 
-from conftest import graph_from_mask, small_graphs, symmetric_order_ten
+from conftest import gnp, graph_from_mask, small_graphs, symmetric_order_ten
 from langrep import oracles
+from langrep.codec import decode, decode_word, encode
 from langrep.errors import CapacityError, FormatError
 from langrep.graphs import (
     Graph,
@@ -34,6 +35,8 @@ from langrep.isomorphism import (
     enumerate_graphs,
     isomorphic,
 )
+from langrep.languages import parse_language
+from langrep.represent import evaluate
 
 
 def test_graph_basics():
@@ -125,6 +128,92 @@ def test_induced_rejects_unknown_and_empty_vertex_sets():
         path_graph(3).induced(["v1", "x"])
     with pytest.raises(ValueError, match="at least one vertex"):
         path_graph(3).induced([])
+
+
+def _unbuilt(g):
+    """Whether g's adjacency slot is still unset."""
+    try:
+        Graph._adj.__get__(g)
+    except AttributeError:
+        return True
+    return False
+
+
+def _lazy_cases():
+    """Each graph of order <= 5 and three seeded ones of order 30, made by
+    every maker of a Graph, paired with its eager adjacency read straight
+    from the edge set."""
+    copy_lang = parse_language("copy")
+    graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    graphs += [gnp(30, p, seed) for seed, p in enumerate([0.1, 0.3, 0.6])]
+    for g in graphs:
+        vs, es = g.vertices, g.edges
+        eager = {v: frozenset(w for w in vs if (min(v, w), max(v, w)) in es) for v in vs}
+        co = [(u, v) for u, v in itertools.combinations(vs, 2) if (u, v) not in es]
+        made = {
+            "Graph": Graph(vs, es),
+            "_frozen": Graph._frozen(vs, es),
+            "decode": decode(encode(g)),
+            "evaluate": evaluate(decode_word(encode(g, "dense")), copy_lang),
+            "complement": Graph(vs, co).complement(),
+            "induced": g.induced(vs),
+        }
+        yield eager, made
+
+
+def test_lazy_adjacency_answers_like_an_eager_copy():
+    for eager, made in _lazy_cases():
+        vs = tuple(eager)
+        isolated = tuple(v for v in vs if not eager[v])
+        for how, h in made.items():
+            assert _unbuilt(h), how
+            assert h.vertices == vs, how
+            for u in vs:
+                for v in vs:
+                    assert h.has_edge(u, v) is (v in eager[u]), how
+                assert h.neighbors(u) == eager[u], how
+                assert h.degree(u) == len(eager[u]), how
+            assert h.isolated_vertices() == isolated, how
+            assert not _unbuilt(h) and h._adj == eager, how
+
+
+def test_equality_and_hash_do_not_depend_on_the_adjacency():
+    g = gnp(12, 0.4, 7)
+    blob = encode(g)
+    fresh, built = decode(blob), decode(blob)
+    built.degree(g.vertices[0])
+    assert _unbuilt(fresh) and not _unbuilt(built)
+    assert fresh == built == g and built == fresh
+    assert hash(fresh) == hash(built) == hash(g)
+    assert len({fresh, built, g}) == 1
+    assert _unbuilt(fresh)
+
+
+def test_vertex_tests_do_not_build_the_adjacency():
+    g = decode(encode(path_graph(4)))
+    sub = g.induced(["v1", "v2", "v4"])
+    with pytest.raises(ValueError, match="unknown vertices"):
+        g.induced(["v1", "x"])
+    for add in (g.add_isolated, g.add_universal):
+        with pytest.raises(ValueError, match="already present"):
+            add("v2")
+    assert g.add_isolated("w").degree("w") == 0
+    assert g.add_universal("w").degree("w") == 4
+    assert _unbuilt(g) and _unbuilt(sub)
+    assert sub == Graph(["v1", "v2", "v4"], [("v1", "v2")])
+
+
+def test_unknown_attributes_still_raise():
+    g = decode(encode(path_graph(3)))
+    for built in (False, True):
+        assert _unbuilt(g) is not built and isinstance(g, Graph)
+        with pytest.raises(AttributeError, match="'Graph' object has no attribute 'adj'") as err:
+            g.adj
+        assert err.value.name == "adj" and err.value.obj is g
+        assert getattr(g, "nope", None) is None and not hasattr(g, "_adjacency")
+        with pytest.raises(AttributeError, match="immutable"):
+            g._adj = {}
+        assert hasattr(g, "_adj") and type(g) is Graph
 
 
 def test_relabel_and_twins():

@@ -1,4 +1,4 @@
-"""Isomorphism and two class oracles checked against networkx, an
+"""Isomorphism and three class oracles checked against networkx, an
 independent implementation used only here."""
 
 import random
@@ -114,3 +114,12 @@ def test_is_chordal_agrees():
 def test_is_bipartite_agrees():
     for g in _oracle_cases():
         assert oracles.is_bipartite(g) == nx.is_bipartite(to_nx(g)), g
+
+
+def test_is_threshold_agrees():
+    # every graph of order <= 6 and the seeded G(n, p), plus order 7, where
+    # 64 of the 1044 classes are threshold graphs
+    from networkx.algorithms.threshold import is_threshold_graph
+
+    for g in _oracle_cases() + enumerate_graphs(7):
+        assert oracles.is_threshold(g) == is_threshold_graph(to_nx(g)), g
