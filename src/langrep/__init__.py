@@ -35,10 +35,6 @@ from .constructions import (
     build_split,
     build_threshold,
     canonical_language,
-    interval_model_from_word,
-    normalize_0any1,
-    normalize_0ast1ast,
-    word_from_interval_model,
 )
 from .decide import Verdict, decide
 from .errors import (

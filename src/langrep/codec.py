@@ -19,7 +19,7 @@ word through a cached table of width-character bit strings: one join, one
 int conversion.  A name length below 0x80 is a one-byte varint, which
 the name table is written and read with inline, outside the varint loop.
 
-``decode``, ``decode_word``, ``adjacent`` and ``stored_mode`` read one
+``decode``, ``decode_word`` and ``adjacent`` read one
 validated index per distinct payload: a payload is parsed once, through
 every check, into its names, symbols and blocks.  The indexes of the last
 ``_CACHED_PAYLOADS`` payloads are kept, keyed by the payload's content
@@ -324,10 +324,6 @@ def decode_word(data: bytes) -> VertexWord:
     after the same copy-word check as ``decode``."""
     ix = _index(data)
     return VertexWord(map(ix.names.__getitem__, ix.word))
-
-
-def stored_mode(data: bytes) -> str:
-    return _index(data).mode
 
 
 def adjacent(data: bytes, u, v) -> bool:

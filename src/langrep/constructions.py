@@ -480,77 +480,6 @@ def build_cluster(g: Graph) -> VertexWord:
     return _verify(word, "cluster", g)
 
 
-# --- interval models as words ----------------------------------------------
-
-
-def interval_model_from_word(word: VertexWord) -> dict:
-    """{v: (first, last)} occurrence positions; rebuilds the interval model
-    of a (1,2)-uniform or 2-uniform word."""
-    first = {}
-    last = {}
-    for i, tok in enumerate(word):
-        first.setdefault(tok, i)
-        last[tok] = i
-    return {v: (first[v], last[v]) for v in first}
-
-
-def word_from_interval_model(model: dict) -> VertexWord:
-    """Scan model endpoints left to right; point intervals contribute one
-    letter, proper intervals two."""
-    events = []
-    for v, (lo, hi) in model.items():
-        if hi < lo:
-            raise ValueError(f"interval of {v} ends before it starts")
-        events.append((lo, str(v)))
-        if hi != lo:
-            events.append((hi, str(v)))
-    events.sort()
-    return VertexWord([v for _, v in events])
-
-
-# --- infinite-language normal forms -----------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _equivalence_languages(which: str):
-    if which == "0ast1ast":
-        return parse_language("hull(re:0*1*)"), parse_language("<0011>")
-    return parse_language("hull(re:0(0|1)*1)"), parse_language("<0011,0101>")
-
-
-def _trim_to_ends(word: VertexWord, which: str) -> VertexWord:
-    infinite, finite = _equivalence_languages(which)
-    profile = word.frequency_profile()
-    lifted = []
-    for tok in word:
-        lifted.append(tok)
-        if profile[tok] == 1:
-            lifted.append(tok)
-    first = {}
-    last = {}
-    for i, tok in enumerate(lifted):
-        first.setdefault(tok, i)
-        last[tok] = i
-    out = VertexWord(
-        [tok for i, tok in enumerate(lifted) if i in (first[tok], last[tok])]
-    )
-    if evaluate(out, finite) != evaluate(word, infinite):
-        raise BuildError(f"construction-verification-failed: normalize-{which}")
-    return out
-
-
-def normalize_0ast1ast(word: VertexWord) -> VertexWord:
-    """2-uniform normal form equivalent to the word under hull(0*1*): only
-    the relative order of first and last occurrences matters there."""
-    return _trim_to_ends(word, "0ast1ast")
-
-
-def normalize_0any1(word: VertexWord) -> VertexWord:
-    """2-uniform normal form equivalent to the word under hull(0(0|1)*1):
-    membership of a pair pattern only depends on its outermost letters."""
-    return _trim_to_ends(word, "0any1")
-
-
 # builder registry for the command line and the class table
 BUILDERS = {
     "palindrome": build_palindrome,

@@ -65,6 +65,11 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the freezing step: the default
+        # reduction restores the slots through __setattr__, which refuses
+        return Graph._frozen, (self.vertices, self.edges)
+
     # -- basic queries -------------------------------------------------------
 
     @property

@@ -33,12 +33,10 @@ The spec mini-grammar understood by parse_language:
 
 from __future__ import annotations
 
-import itertools
-
 from .automata import Dfa, compile_regex, count_window_dfa, dfa_from_finite, explore
 from .errors import CapacityError, FormatError, NotSymmetricError
 from .grammar import Cfg, intersect_regular
-from .words import complement_word
+from .words import check_binary, complement_word
 
 HALFLINE_WORDS = ("01", "011", "0101", "0011", "0110")
 
@@ -105,9 +103,7 @@ def finite_language(words) -> Language:
     0-1-symmetric."""
     words = frozenset(words)
     for w in words:
-        if any(c not in "01" for c in w):
-            raise FormatError(f"not a binary word: {w!r}")
-        if complement_word(w) not in words:
+        if complement_word(check_binary(w)) not in words:
             raise NotSymmetricError(w)
     label = "{" + ",".join(w if w else "e" for w in sorted(words, key=lambda w: (len(w), w))) + "}"
     return Language(None, label, symmetric=True, words=words)
@@ -336,48 +332,18 @@ def reverse_language(lang: Language) -> Language:
     )
 
 
-def freq_and_trash(lang: Language):
-    """Frequentness set, trash-membership oracle and the extended language
-    L-hat for a finite language.  freq(L) = {n >= 1 : some word has n zeros};
-    trash words have a frequentness count outside freq(L) on either symbol."""
-    if lang.words is None:
-        raise ValueError("freq_and_trash requires a finite language")
-    freq = frozenset(w.count("0") for w in lang.words if w.count("0") >= 1)
-
-    def trash(b: str) -> bool:
-        return b.count("0") not in freq or b.count("1") not in freq
-
-    lhat = _combined("trash-ext", [lang], None, lambda b: lang.contains(b) or trash(b), True)
-    return freq, trash, lhat
-
-
 def trash_extend(lang: Language) -> Language:
-    return freq_and_trash(lang)[2]
-
-
-def shuffle_words(u: str, v: str):
-    """All interleavings of two words (the shuffle of two singletons)."""
-    out = set()
-
-    def rec(i, j, acc):
-        if i == len(u) and j == len(v):
-            out.add(acc)
-            return
-        if i < len(u):
-            rec(i + 1, j, acc + u[i])
-        if j < len(v):
-            rec(i, j + 1, acc + v[j])
-
-    rec(0, 0, "")
-    return out
-
-
-def shuffle_finite(l1, l2):
-    """Shuffle of two finite languages, given as iterables of words."""
-    out = set()
-    for u, v in itertools.product(set(l1), set(l2)):
-        out |= shuffle_words(u, v)
-    return out
+    """The trash extension L-hat of a finite language: L together with every
+    trash word, one whose count of 0s or of 1s lies outside
+    freq(L) = {n >= 1 : some word of L has n zeros}."""
+    if lang.words is None:
+        raise ValueError("trash_extend requires a finite language")
+    freq = frozenset(w.count("0") for w in lang.words if w.count("0") >= 1)
+    return _combined(
+        "trash-ext", [lang], None,
+        lambda b: lang.contains(b) or b.count("0") not in freq or b.count("1") not in freq,
+        True,
+    )
 
 
 # --- textual specs ----------------------------------------------------------
@@ -557,10 +523,3 @@ def require_symmetric(lang: Language):
             + "; wrap it in hull() or construct it with symmetric=True",
         )
 
-
-def finite_from_shuffle(*parts) -> Language:
-    """Convenience: hull of a shuffle of word lists, used in tests."""
-    acc = {""}
-    for p in parts:
-        acc = shuffle_finite(acc, p if isinstance(p, (set, list, tuple)) else [p])
-    return hull_finite(acc)

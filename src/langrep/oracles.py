@@ -20,10 +20,6 @@ from .graphs import Graph
 # --- elementary classes -----------------------------------------------------
 
 
-def is_null(g: Graph) -> bool:
-    return g.size == 0
-
-
 def is_complete(g: Graph) -> bool:
     n = g.order
     return g.size == n * (n - 1) // 2
@@ -105,10 +101,6 @@ def threshold_creation_sequence(g: Graph):
         else:
             return None
     return peeled[::-1]
-
-
-def is_complete_multipartite(g: Graph) -> bool:
-    return is_cluster(g.complement())
 
 
 # --- intersection models ----------------------------------------------------
@@ -206,10 +198,6 @@ def circle_chord_word(g: Graph):
 
 def is_circle(g: Graph) -> bool:
     return circle_chord_word(g) is not None
-
-
-def is_co_circle(g: Graph) -> bool:
-    return is_circle(g.complement())
 
 
 def interval_bigraph_model(g: Graph):
@@ -387,10 +375,6 @@ def is_bipartite_chain(g: Graph) -> bool:
     return nested_ordering(g) is not None
 
 
-def is_co_bipartite_chain(g: Graph) -> bool:
-    return is_bipartite_chain(g.complement())
-
-
 def convex_ordering(g: Graph):
     """(ordered side, other side) such that every neighborhood on the other
     side is a consecutive run, or None."""
@@ -414,22 +398,6 @@ def convex_ordering(g: Graph):
 
 def is_convex(g: Graph) -> bool:
     return convex_ordering(g) is not None
-
-
-def bipartite_complement(g: Graph, left, right) -> Graph:
-    cross = [
-        (a, b) for a in left for b in right if not g.has_edge(a, b)
-    ]
-    return Graph(g.vertices, cross)
-
-
-def is_bico_convex(g: Graph) -> bool:
-    if not is_bipartite(g):
-        return False
-    for left, right in _bipartitions(g):
-        if is_convex(bipartite_complement(g, left, right)):
-            return True
-    return False
 
 
 # --- halflines --------------------------------------------------------------
@@ -526,38 +494,3 @@ def degeneracy(g: Graph) -> int:
         del adj[v]
     return best
 
-
-_ORACLES = {
-    "null": is_null,
-    "complete": is_complete,
-    "cluster": is_cluster,
-    "cograph": is_cograph,
-    "bipartite": is_bipartite,
-    "cobipartite": is_cobipartite,
-    "chordal": is_chordal,
-    "split": is_split,
-    "threshold": is_threshold,
-    "interval": is_interval,
-    "co-interval": is_co_interval,
-    "circle": is_circle,
-    "co-circle": is_co_circle,
-    "permutation": is_permutation,
-    "comparability": is_comparability,
-    "cocomparability": is_cocomparability,
-    "bipartite-chain": is_bipartite_chain,
-    "co-bipartite-chain": is_co_bipartite_chain,
-    "convex": is_convex,
-    "bico-convex": is_bico_convex,
-    "interval-bigraph": is_interval_bigraph,
-    "halfline": is_halfline,
-    "complete-multipartite": is_complete_multipartite,
-}
-
-
-def recognize(tag: str, g: Graph) -> bool:
-    """Dispatch to the named class recognizer."""
-    try:
-        fn = _ORACLES[tag]
-    except KeyError:
-        raise ValueError(f"unknown class tag {tag!r}; known: {sorted(_ORACLES)}")
-    return fn(g)

@@ -99,9 +99,6 @@ class VertexWord:
             prof[tok] = prof.get(tok, 0) + 1
         return prof
 
-    def is_k_uniform(self, k: int) -> bool:
-        return all(c == k for c in self.frequency_profile().values())
-
     def reverse(self) -> "VertexWord":
         return VertexWord(reversed(self.letters))
 
@@ -163,14 +160,3 @@ def complement_word(b: str) -> str:
 
 
 _COMPLEMENT = str.maketrans("01", "10")
-
-
-def normal_form(b: str) -> str:
-    """Lexicographic minimum of b and its complement; a canonical
-    representative of the two-element symmetry orbit."""
-    bc = complement_word(b)
-    return b if b <= bc else bc
-
-
-def reverse_word(b: str) -> str:
-    return b[::-1]

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from langrep import cli, oracles
 from langrep.cli import main
 
 
@@ -276,6 +277,16 @@ def test_selftest_small_cap(capsys):
     payload = json.loads(out)
     assert payload["pass"] is True
     assert payload["negative_control"]["detected"] is True
+    assert [s["name"] for s in payload["suites"]] == [
+        "figure-vectors", "characterizations-n5", "properties"
+    ]
+    # the characterization suite checks these four rows against their oracles
+    assert cli._N5_ROWS == [
+        ("<0101,0110>", "interval", oracles.is_interval, {2}),
+        ("<0110>", "permutation", oracles.is_permutation, {2}),
+        ("<0101>", "circle", oracles.is_circle, {2}),
+        ("<0011>", "co-interval", oracles.is_co_interval, {2}),
+    ]
 
 
 # --- argparse plumbing ------------------------------------------------------

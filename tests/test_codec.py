@@ -19,7 +19,6 @@ from langrep.codec import (
     decode_word,
     default_names,
     encode,
-    stored_mode,
 )
 from langrep.errors import FormatError
 from langrep.graphs import Graph, complete_graph, path_graph
@@ -106,9 +105,10 @@ def test_stored_word_evaluates_back():
 
 
 def test_stored_mode():
+    # the byte after the magic: 0 sparse, 1 dense
     g = path_graph(3)
-    assert stored_mode(encode(g, "sparse")) == "sparse"
-    assert stored_mode(encode(g, "dense")) == "dense"
+    assert encode(g, "sparse")[len(MAGIC)] == 0
+    assert encode(g, "dense")[len(MAGIC)] == 1
 
 
 def test_default_names_sorted():

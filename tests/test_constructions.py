@@ -1,14 +1,12 @@
 """Word builders: frozen small outputs, the full in-domain/out-of-domain
 sweep over every graph of order at most five, explicit-witness validation,
-interval models, and the infinite-language normal forms."""
+and cograph words built on vertex sets."""
 
 import hashlib
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from langrep import oracles
 from langrep.constructions import (
@@ -23,17 +21,12 @@ from langrep.constructions import (
     build_permutation,
     build_threshold,
     canonical_language,
-    interval_model_from_word,
-    normalize_0any1,
-    normalize_0ast1ast,
-    word_from_interval_model,
 )
 from langrep.errors import BuildError
 from langrep.graphs import Graph, complete_graph, cycle_graph, null_graph, path_graph
 from langrep.isomorphism import enumerate_graphs
 from langrep.languages import parse_language
 from langrep.represent import evaluate
-from langrep.words import VertexWord
 
 
 C4 = cycle_graph(4).relabel({"v1": "1", "v2": "2", "v3": "3", "v4": "4"})
@@ -189,68 +182,6 @@ def test_comparability_witness_rejected():
     k3 = complete_graph(3)
     with pytest.raises(ValueError, match="orient every edge"):
         build_comparability(k3, order=[("v1", "v2")])
-
-
-# --- interval models --------------------------------------------------------
-
-
-def test_interval_model_round_trip():
-    for g in enumerate_graphs(4):
-        if not oracles.is_interval(g):
-            continue
-        word = build_interval(g)
-        model = interval_model_from_word(word)
-        assert word_from_interval_model(model) == word
-
-
-def test_interval_model_shape():
-    model = interval_model_from_word(VertexWord.parse("abacbc"))
-    assert model == {"a": (0, 2), "b": (1, 4), "c": (3, 5)}
-
-
-def test_word_from_interval_model_points():
-    # b is a point interval and contributes a single letter
-    w = word_from_interval_model({"a": (0, 3), "b": (1, 1)})
-    assert "".join(w) == "aba"
-
-
-def test_word_from_interval_model_rejects_reversed():
-    with pytest.raises(ValueError):
-        word_from_interval_model({"a": (2, 1)})
-
-
-# --- normal forms -----------------------------------------------------------
-
-
-def test_normalize_examples():
-    assert "".join(normalize_0ast1ast(VertexWord.parse("aabbb"))) == "aabb"
-    assert "".join(normalize_0any1(VertexWord.parse("abcabcabc"))) == "abcabc"
-
-
-@st.composite
-def short_words(draw):
-    letters = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=8))
-    return VertexWord(letters)
-
-
-@given(short_words())
-@settings(max_examples=120)
-def test_normalize_0ast1ast_equivalence(word):
-    out = normalize_0ast1ast(word)
-    assert out.is_k_uniform(2)
-    assert evaluate(out, parse_language("<0011>")) == evaluate(
-        word, parse_language("hull(re:0*1*)")
-    )
-
-
-@given(short_words())
-@settings(max_examples=120)
-def test_normalize_0any1_equivalence(word):
-    out = normalize_0any1(word)
-    assert out.is_k_uniform(2)
-    assert evaluate(out, parse_language("<0011,0101>")) == evaluate(
-        word, parse_language("hull(re:0(0|1)*1)")
-    )
 
 
 # --- cographs on vertex sets ------------------------------------------------

@@ -21,17 +21,13 @@ from langrep.languages import (
     builtin,
     conjoin,
     disjoin,
-    finite_from_shuffle,
     finite_language,
-    freq_and_trash,
     hull,
     hull_finite,
     negate,
     parse_language,
     require_symmetric,
     reverse_language,
-    shuffle_finite,
-    shuffle_words,
     trash_extend,
 )
 from langrep.words import complement_word
@@ -490,38 +486,22 @@ def test_reverse_grammar(tmp_path):
 
 
 def test_freq_and_trash_finite():
-    freq, trash, lhat = freq_and_trash(parse_language("<0101>"))
-    assert freq == frozenset({2})
-    assert trash("000111") and trash("0") and not trash("0110")
-    assert lhat.contains("0101") and lhat.contains("000111")
+    # freq(<0101>) = {2}: a word is trash when it has other than two 0s or 1s
+    lhat = trash_extend(parse_language("<0101>"))
+    assert lhat.contains("000111") and lhat.contains("0")
+    assert lhat.contains("0101")
     assert not lhat.contains("0110") and not lhat.contains("0011")
     assert lhat.symmetric
 
 
 def test_freq_ignores_words_without_zeros():
-    freq, _, _ = freq_and_trash(finite_language({"", "01", "10"}))
-    assert freq == frozenset({1})
+    # freq is {1}, not {0, 1}: "1" has no 0s, so it is trash
+    assert trash_extend(finite_language({"", "01", "10"})).contains("1")
 
 
 def test_trash_extend_requires_finite():
     with pytest.raises(ValueError):
         trash_extend(builtin("dyck"))
-
-
-# --- shuffles ---------------------------------------------------------------
-
-
-def test_shuffle_words():
-    assert shuffle_words("00", "11") == {
-        "0011", "0101", "0110", "1001", "1010", "1100"
-    }
-    assert shuffle_words("", "1") == {"1"}
-
-
-def test_shuffle_finite_and_hull_helper():
-    assert shuffle_finite({"0"}, {"1"}) == {"01", "10"}
-    lang = finite_from_shuffle(["00"], ["11"])
-    assert lang.words == frozenset(shuffle_words("00", "11"))
 
 
 # --- textual specs ----------------------------------------------------------

@@ -13,8 +13,6 @@ from langrep.words import (
     VertexWord,
     check_binary,
     complement_word,
-    normal_form,
-    reverse_word,
 )
 
 
@@ -199,19 +197,9 @@ def test_project_index_ignored_by_equality():
     assert w == fresh and hash(w) == hash(fresh)
 
 
-def test_is_k_uniform():
-    assert VertexWord.parse("abab").is_k_uniform(2)
-    assert not VertexWord.parse("abab").is_k_uniform(1)
-    assert not VertexWord.parse("aab").is_k_uniform(2)
-
-
 def test_binary_helpers():
     assert check_binary("0101") == "0101"
     with pytest.raises(FormatError):
         check_binary("01a")
     assert complement_word("0011") == "1100"
     assert complement_word(complement_word("0110")) == "0110"
-    assert reverse_word("001") == "100"
-    assert normal_form("1100") == "0011"
-    assert normal_form("0011") == "0011"
-    assert normal_form("") == ""
