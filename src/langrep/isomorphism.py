@@ -17,6 +17,15 @@ facts keep this exact:
   pruned search counts them by weighting each leaf with the product of the
   twin-class sizes along its path.
 
+So ``_canon`` also yields the orders of all best leaves after the first, and
+each gives the automorphism from the first best leaf's order to its own.
+These, with the swaps of twins, generate Aut(g): an automorphism maps the
+first best leaf to a best leaf of the unpruned tree, and swapping twins, one
+level at a time down its path, moves that leaf into the pruned tree.
+``automorphisms`` returns them, and nothing when every cell of the first
+refinement is one class of twins (same open, or same closed,
+neighbourhoods), since then the twin swaps generate Aut(g) alone.
+
 Enumeration keeps the first augmentation with each canonical form (McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 1998).  Nothing here
 uses the language machinery, so it can cross-validate it.  Sizes are capped:
@@ -43,7 +52,7 @@ def _refine(adj, cells):
     """Split each cell by its vertices' neighbour counts in every cell,
     until no cell splits.  Parts are ordered by those counts."""
     while True:
-        masks = [sum(1 << v for v in cell) for cell in cells]
+        masks = [sum([1 << v for v in cell]) for cell in cells]
         out = []
         for cell in cells:
             if len(cell) == 1:
@@ -51,8 +60,8 @@ def _refine(adj, cells):
                 continue
             parts: dict = {}
             for v in cell:
-                key = tuple((adj[v] & m).bit_count() for m in masks)
-                parts.setdefault(key, []).append(v)
+                a = adj[v]
+                parts.setdefault(tuple([(a & m).bit_count() for m in masks]), []).append(v)
             out += [parts[key] for key in sorted(parts)]
         if len(out) == len(cells):
             return cells
@@ -60,10 +69,11 @@ def _refine(adj, cells):
 
 
 def _canon(adj):
-    """(canonical form, a vertex order giving it, |Aut|) of the graph with
-    int adjacency masks adj; the form is adj relabeled by that order."""
+    """(canonical form, a vertex order giving it, |Aut|, the orders of the
+    later leaves with that form) of the graph with int adjacency masks adj;
+    the form is adj relabeled by the first order."""
     closed = [m | 1 << v for v, m in enumerate(adj)]
-    best = [(), None, 0]
+    best = [(), None, 0, []]
 
     def visit(cells, weight):
         cells = _refine(adj, cells)
@@ -73,9 +83,10 @@ def _canon(adj):
             form = tuple(sum(1 << k for k, u in enumerate(order) if adj[v] >> u & 1)
                          for v in order)
             if form > best[0]:
-                best[:] = [form, order, weight]
+                best[:] = [form, order, weight, []]
             elif form == best[0]:
                 best[2] += weight
+                best[3].append(order)
             return
         i = cells.index(target)
         classes: dict = {}
@@ -97,8 +108,8 @@ def isomorphic(g: Graph, h: Graph):
         return None
     if g.order > ISO_ORDER_CAP:
         raise CapacityError(f"isomorphism test capped at order {ISO_ORDER_CAP}")
-    gform, gorder, _ = _canon(_masks(g))
-    hform, horder, _ = _canon(_masks(h))
+    gform, gorder, _, _ = _canon(_masks(g))
+    hform, horder, _, _ = _canon(_masks(h))
     if gform != hform:
         return None
     return {g.vertices[a]: h.vertices[b] for a, b in zip(gorder, horder)}
@@ -108,6 +119,22 @@ def automorphism_count(g: Graph) -> int:
     if g.order > ISO_ORDER_CAP:
         raise CapacityError(f"automorphism count capped at order {ISO_ORDER_CAP}")
     return _canon(_masks(g))[2]
+
+
+def automorphisms(g: Graph) -> list:
+    """Automorphisms of g on vertex indices (sigma[i] is the index of the
+    image of g.vertices[i]) that, with the swaps of twins, generate Aut(g):
+    one per best leaf of the canonical search after the first, or none,
+    before any individualization, when the twin swaps generate Aut(g)."""
+    if g.order > ISO_ORDER_CAP:
+        raise CapacityError(f"automorphisms capped at order {ISO_ORDER_CAP}")
+    adj = _masks(g)
+    cells = _refine(adj, [list(range(g.order))])
+    if all(len({adj[v] for v in c}) == 1 or len({adj[v] | 1 << v for v in c}) == 1
+           for c in cells):
+        return []
+    _, first, _, leaves = _canon(adj)
+    return [tuple(v for _, v in sorted(zip(first, order))) for order in leaves]
 
 
 def distinct_labelings(g: Graph):

@@ -13,7 +13,11 @@ vertices that wait on each other in a cycle can never move again, so a prefix
 that closes such a cycle has no completion and the DFS backtracks from it at
 once.  Twins with equal bounds are interchangeable, so their multiplicities
 are taken in non-decreasing vertex order and, when equal, they start in
-vertex order.
+vertex order.  Beyond twins, an unstarted vertex waits when an automorphism
+of g that keeps the assignment and fixes every started vertex maps it to a
+smaller one.  Both rules let the lexicographically least word of each
+assignment through, and the DFS, trying letters in ascending order, returns
+that word first, as it would without them.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from math import comb
 
 from .errors import CapacityError
 from .graphs import Graph
-from .isomorphism import isomorphic
+from .isomorphism import ISO_ORDER_CAP, automorphisms, isomorphic
 from .languages import Language, require_symmetric
 from .automata import Dfa
 from .grammar import Cfg
@@ -238,12 +242,34 @@ def search(
     multiplicities are non-decreasing in vertex order, and twins of equal
     multiplicity start in vertex order.
 
+    Other automorphisms prune the DFS too.  An unstarted candidate letter c
+    is skipped when some automorphism sigma of g keeps the assignment
+    (mults[sigma(x)] == mults[x] for every x), fixes every vertex with a
+    letter in the prefix, and has sigma(c) < c.  Any set of automorphisms
+    may be used.  Let w* be the least valid word of the assignment, compared
+    by vertex indices.  Applying sigma to w* gives a valid word of the same
+    assignment: sigma maps pair (u, v) to (sigma(u), sigma(v)) with the same
+    projection, and lang is symmetric, so the word evaluates to sigma(g) = g.
+    Were sigma to skip c after a prefix of w* whose next letter is c, that
+    word would keep the prefix and go on with sigma(c) < c, so it would be
+    smaller than w*.  So w* passes this rule at every prefix, and, by the
+    same argument, the twin rule.  The DFS tries letters in ascending order
+    and the cycle cut removes only subtrees without a word, so the DFS
+    still returns w* first, as it does without either rule.
+
+    The automorphisms come from ``isomorphism.automorphisms``, for g up to
+    order ISO_ORDER_CAP, the first time a DFS returns to the root, so a word
+    found under the first letter costs nothing extra.  Each assignment keeps
+    those that keep its multiplicities, and its skip masks are memoized by
+    the set of started vertices.
+
     node_budget counts CSP nodes and DFS nodes, cut ones included; running
-    out raises CapacityError, which also counts the prefixes cut.  The pair
-    automata are kept on lang, one per multiplicity pair.  A call that
-    builds over ENUMERATION_BUDGET states raises CapacityError naming both
-    pairs, and it first drops a cache holding more, so a cache stays under
-    twice ENUMERATION_BUDGET states.
+    out raises CapacityError, which also counts the prefixes cut and the
+    candidate letters an automorphism skipped.  The pair automata are kept
+    on lang, one per multiplicity pair.  A call that builds over
+    ENUMERATION_BUDGET states raises CapacityError naming both pairs, and it
+    first drops a cache holding more, so a cache stays under twice
+    ENUMERATION_BUDGET states.
     """
     require_symmetric(lang)
     bounds = _normalize_bounds(g, freq_bounds)
@@ -261,7 +287,8 @@ def search(
     if sum(len(pa.keys) for pa in cache.values()) > ENUMERATION_BUDGET:
         cache.clear()
     meter = itertools.count(1)
-    spent = tried = cuts = 0
+    spent = tried = cuts = skips = 0
+    autos = None  # g's automorphisms on indices, found on a first return to the root
 
     def tick():
         nonlocal spent
@@ -270,7 +297,7 @@ def search(
             raise CapacityError(
                 f"search node budget exhausted after {node_budget} nodes "
                 f"({tried} multiplicity assignments tried, {cuts} prefixes cut "
-                f"on a cycle of waits)"
+                f"on a cycle of waits, {skips} candidate letters skipped by an automorphism)"
             )
 
     def at_pair(e: CapacityError, a: int, b: int) -> CapacityError:
@@ -360,8 +387,10 @@ def search(
     def dfs(total: int) -> bool:
         # stage 2: any vertex with letters left may come next, except that
         # a twin waits for its interchangeable predecessor of equal
-        # multiplicity to start; state[a * n + b] is pair a < b's state
-        nonlocal cuts
+        # multiplicity to start, and an unstarted vertex that a kept
+        # automorphism maps lower waits too; state[a * n + b] is pair a < b's
+        # state, bit c of started is set once c has a letter
+        nonlocal cuts, skips, autos
         links = [[] for _ in range(n)]  # per c, (slot, move on c, move on d) by partner d
         tables = {}  # (a's multiplicity, b's, verdict) to the pair's moves
         for a in range(n):
@@ -373,13 +402,27 @@ def search(
                     moves = tables[key] = automaton(a, b).moves[row[b]]
                 links[a].append((a * n + b, moves[0], moves[1]))
                 links[b].append((a * n + b, moves[1], moves[0]))
-        state, first = [0] * (n * n), 0
+        state, first, started = [0] * (n * n), 0, 0
+        kept = None  # per automorphism keeping mults: (moved vertices, c with sigma(c) < c)
+        skip_masks = {}  # started to the vertices a kept automorphism fixing it maps lower
+        skip = 0
         tick()
         while len(trail) < total:
+            if kept:
+                skip = skip_masks.get(started)
+                if skip is None:
+                    skip = 0
+                    for moved, lower in kept:
+                        if not moved & started:
+                            skip |= lower
+                    skip_masks[started] = skip
             for c in range(first, n):
                 p = twin_prev[c]
                 if remaining[c] == 0 or (remaining[c] == mults[c] and p >= 0
                                          and mults[p] == mults[c] and remaining[p] == mults[p]):
+                    continue
+                if skip >> c & 1:
+                    skips += 1
                     continue
                 try:
                     for s, move, _ in links[c]:
@@ -392,6 +435,7 @@ def search(
             else:
                 c = -1
             if c >= 0:
+                started |= 1 << c
                 remaining[c] -= 1
                 more, waits, old = remaining[c] > 0, False, []
                 try:
@@ -416,7 +460,15 @@ def search(
             for (s, _, _), q in zip(links[c], old):
                 state[s] = q
             remaining[c] += 1
+            if remaining[c] == mults[c]:
+                started &= ~(1 << c)
             first = c + 1
+            if not trail and kept is None:
+                if autos is None:
+                    autos = automorphisms(g) if n <= ISO_ORDER_CAP else []
+                kept = [(sum(1 << x for x in range(n) if sigma[x] != x),
+                         sum(1 << x for x in range(n) if sigma[x] < x))
+                        for sigma in autos if all(mults[sigma[x]] == mults[x] for x in range(n))]
         return True
 
     if assign():

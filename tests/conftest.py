@@ -56,6 +56,49 @@ def symmetric_order_ten():
     }
 
 
+def crown_graph(k):
+    """K(k,k) less a perfect matching, on names v0..v(2k-1)."""
+    vs = [f"v{i}" for i in range(2 * k)]
+    return Graph(vs, [(vs[a], vs[k + b]) for a in range(k) for b in range(k) if a != b])
+
+
+def is_automorphism(g, sigma):
+    """Is sigma, on indices into g.vertices, an automorphism of g?"""
+    vs = g.vertices
+    return sorted(sigma) == list(range(g.order)) and all(
+        g.has_edge(vs[sigma[a]], vs[sigma[b]]) == g.has_edge(vs[a], vs[b])
+        for a, b in itertools.combinations(range(g.order), 2)
+    )
+
+
+def twin_swaps(g):
+    """The transpositions, on indices, of each two twins of g (equal open
+    or equal closed neighbourhoods)."""
+    vs = g.vertices
+    swaps = []
+    for a, b in itertools.combinations(range(g.order), 2):
+        u, v = vs[a], vs[b]
+        if g.neighbors(u) - {v} == g.neighbors(v) - {u}:
+            sigma = list(range(g.order))
+            sigma[a], sigma[b] = b, a
+            swaps.append(tuple(sigma))
+    return swaps
+
+
+def group_order(generators, n):
+    """The number of permutations of range(n) that generators generate."""
+    identity = tuple(range(n))
+    seen, todo = {identity}, [identity]
+    while todo:
+        x = todo.pop()
+        for s in generators:
+            y = tuple(s[i] for i in x)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return len(seen)
+
+
 @st.composite
 def small_graphs(draw, min_order=1, max_order=5):
     n = draw(st.integers(min_value=min_order, max_value=max_order))

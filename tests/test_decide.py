@@ -1,17 +1,22 @@
 """Edgeless-class decision over finite, regular, and grammar specs, and
 over every builtin with a regular or context-free form."""
 
+import random
 import time
 import tracemalloc
 
 import pytest
 
 from conftest import all_binary_words
+from langrep import oracles
 from langrep.automata import compile_regex
 from langrep.decide import decide
 from langrep.errors import CapacityError
 from langrep.grammar import Cfg
+from langrep.graphs import complete_graph
 from langrep.languages import parse_language
+from langrep.represent import evaluate
+from langrep.words import VertexWord
 
 
 def test_unequal_blocks_grammar_is_unbounded():
@@ -90,6 +95,32 @@ def test_regular_and_context_free_builtins_decide(spec):
     assert len(verdict.witness) == len(least) and lang.contains(verdict.witness)
     if spec not in ("dyck", "balanced", "palindrome", "0n1n"):
         assert verdict.witness == least
+
+
+@pytest.mark.parametrize("spec", ["re:0*|1*", "<00,11>", "re:(00)*|(11)*", "and(wrep,re:0*|1*)"])
+def test_bounded_verdicts_agree_with_the_oracles(spec):
+    # every graph the language represents is edgeless: treewidth and
+    # degeneracy 0 on the graphs of seeded words
+    lang = parse_language(spec)
+    assert decide(lang).answer is True
+    rng = random.Random(spec)
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        word = VertexWord([f"x{rng.randrange(n)}" for _ in range(rng.randint(1, 3 * n))])
+        g = evaluate(word, lang)
+        assert oracles.treewidth_exact(g) == oracles.degeneracy(g) == 0, word
+
+
+@pytest.mark.parametrize("spec", ["<0101>", "<0110>", "<01,001>", "wrep", "dyck", "halfline",
+                                  "even-counts", "palindrome", "uniform(2)"])
+def test_unbounded_verdicts_agree_with_the_oracles(spec):
+    # the witness, read as a word over two vertices, represents K2
+    lang = parse_language(spec)
+    verdict = decide(lang)
+    assert verdict.answer is False
+    g = evaluate(VertexWord(["v1" if b == "0" else "v2" for b in verdict.witness]), lang)
+    assert g == complete_graph(2)
+    assert oracles.treewidth_exact(g) == oracles.degeneracy(g) == 1
 
 
 @pytest.mark.parametrize("spec", ["copy", "lyndon", "lyndon-odd", "not(dyck)"])

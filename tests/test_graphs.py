@@ -13,8 +13,17 @@ import time
 import pytest
 from hypothesis import given, settings
 
-from conftest import gnp, graph_from_mask, small_graphs, symmetric_order_ten
-from langrep import oracles
+from conftest import (
+    crown_graph,
+    gnp,
+    graph_from_mask,
+    group_order,
+    is_automorphism,
+    small_graphs,
+    symmetric_order_ten,
+    twin_swaps,
+)
+from langrep import isomorphism, oracles
 from langrep.codec import decode, decode_word, encode
 from langrep.errors import CapacityError, FormatError
 from langrep.graphs import (
@@ -33,6 +42,7 @@ from langrep.graphs import (
 )
 from langrep.isomorphism import (
     automorphism_count,
+    automorphisms,
     distinct_labelings,
     enumerate_graphs,
     isomorphic,
@@ -372,6 +382,48 @@ def test_symmetric_order_ten_stays_fast():
         assert isomorphic(g, g.relabel(dict(zip(g.vertices, names)))) is not None, name
         assert automorphism_count(g) == count, name
     assert time.monotonic() - t0 < 5.0
+
+
+def test_automorphisms_with_twin_swaps_generate_the_group():
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            maps = automorphisms(g)
+            assert all(is_automorphism(g, sigma) for sigma in maps), g
+            assert group_order(maps + twin_swaps(g), n) == automorphism_count(g), g
+
+
+def test_automorphisms_at_order_7():
+    # in two of these graphs the canonical search meets a leaf equal to its
+    # best form so far before a greater one, whose map is then dropped
+    for g in enumerate_graphs(7):
+        assert all(is_automorphism(g, sigma) for sigma in automorphisms(g)), g
+
+
+def test_automorphisms_at_order_ten():
+    graphs = {
+        "C10": (cycle_graph(10), 20),
+        "Petersen": symmetric_order_ten()["Petersen"],
+        "crown": (crown_graph(5), 240),
+    }
+    for name, (g, count) in graphs.items():
+        t0 = time.perf_counter()
+        maps = automorphisms(g)
+        assert time.perf_counter() - t0 < 1.0, name
+        assert maps and all(is_automorphism(g, sigma) for sigma in maps), name
+        assert group_order(maps + twin_swaps(g), 10) == count, name
+    with pytest.raises(CapacityError):
+        automorphisms(path_graph(11))
+
+
+def test_automorphisms_skip_the_canonical_search_when_twins_suffice(monkeypatch):
+    # 96 of the 156 graphs of order 6 have only twin swaps for automorphisms;
+    # each is seen in its first refinement, before any canonical search
+    graphs = enumerate_graphs(6)
+    searched = []
+    canon = isomorphism._canon
+    monkeypatch.setattr(isomorphism, "_canon", lambda adj: searched.append(adj) or canon(adj))
+    empty = sum(automorphisms(g) == [] for g in graphs)
+    assert (len(graphs), empty, len(searched)) == (156, 96, 60)
 
 
 def test_distinct_labelings_count():

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from conftest import gnp, symmetric_order_ten
+from conftest import gnp, group_order, symmetric_order_ten, twin_swaps
 from langrep import oracles
 from langrep.graphs import Graph
-from langrep.isomorphism import automorphism_count, enumerate_graphs, isomorphic
+from langrep.isomorphism import automorphism_count, automorphisms, enumerate_graphs, isomorphic
 
 nx = pytest.importorskip("networkx")
 
@@ -69,6 +69,14 @@ def test_automorphism_count_agrees_on_symmetric_order_ten():
     for name, (g, _) in symmetric_order_ten().items():
         if name not in ("K10", "null 10"):
             assert automorphism_count(g) == nx_automorphisms(g), name
+
+
+def test_automorphisms_with_twin_swaps_generate_the_matcher_count():
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            h = to_nx(g)
+            count = sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+            assert group_order(automorphisms(g) + twin_swaps(g), n) == count, g
 
 
 def swap_two_edges(g, rng):

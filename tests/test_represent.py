@@ -360,15 +360,17 @@ _C5_AND_TWO_ISOLATED = Graph([f"v{i}" for i in range(1, 8)], cycle_graph(5).edge
 
 
 def test_search_budget_error_counts_the_cut_prefixes():
-    with pytest.raises(CapacityError, match=r"after 5000 nodes \(1 multiplicity assignments "
-                                            r"tried, 3029 prefixes cut on a cycle of waits\)"):
-        search(_C5_AND_TWO_ISOLATED, parse_language("<0110>"), {2}, node_budget=5000)
+    with pytest.raises(CapacityError, match=r"after 1000 nodes \(1 multiplicity assignments "
+                                            r"tried, 571 prefixes cut on a cycle of waits, 50 "
+                                            r"candidate letters skipped by an automorphism\)"):
+        search(_C5_AND_TWO_ISOLATED, parse_language("<0110>"), {2}, node_budget=1000)
 
 
 def test_search_cuts_paths_within_a_node_budget():
     # cutting every prefix whose vertices wait on each other in a cycle, the
     # search finds P10 in 9 379 nodes and refutes C5 plus two isolated
-    # vertices in 9 631; without the cut they take 294 499 and 31 381
+    # vertices in 1 116 (9 631 without the automorphism rule); without the
+    # cut they take 294 499 and 31 381
     lang = parse_language("<0110>")
     g = path_graph(10)
     w = search(g, lang, {2}, node_budget=20_000)
@@ -378,20 +380,47 @@ def test_search_cuts_paths_within_a_node_budget():
 
 # sha256 prefixes of repr([None or list(word)]) over search on every
 # enumerate_graphs(n) graph, n = 1..max order: the cut of a prefix whose
-# vertices wait in a cycle removes only subtrees without a completion, so
-# search returns these very words
+# vertices wait in a cycle removes only subtrees without a completion, and
+# the twin and automorphism rules keep the least word of each assignment, so
+# search returns these very words.  freqs is a set of multiplicities, or the
+# seed of one per-vertex bound dict per graph
 SEARCH_WORD_DIGESTS = [
     ("<0110>", {2}, 6, "294ed267c51e1e65"),
     ("<0101>", {2}, 5, "182aa25042c4e61e"),
     ("dyck", {2}, 5, "0446438f7376e992"),
+    ("<0101>", {2}, 6, "0eea4ef76f85ddac"),
+    ("<01,001>", {1, 2}, 5, "dd6aef595b91d63e"),
+    ("halfline", {1, 2, 3}, 5, "b04332bf741f0413"),
+    ("<0011>", {2}, 6, "baea85d5f68c13cb"),
+    # wrep words differ once an automorphism that moves a vertex of
+    # multiplicity 1 onto one of multiplicity 2 is used
+    ("wrep", {1, 2}, 5, "2e8a94b1e3af59a9"),
+    # at order 6 the DFS returns to the root under non-uniform multiplicities,
+    # where the automorphisms that move them apart are dropped
+    ("halfline", 5, 6, "dbd77f1d6f8b43be"),
+    ("<01,001>", 5, 6, "2f681ad344d0e05f"),
 ]
 
 
+def _digest_row_id(i):
+    spec, freqs, top, _ = SEARCH_WORD_DIGESTS[i]
+    if all(r[0] != spec for r in SEARCH_WORD_DIGESTS[:i]):
+        return spec
+    return f"{spec}-{'seed' if isinstance(freqs, int) else 'order'}-{top}"
+
+
 @pytest.mark.parametrize("spec, freqs, top, prefix", SEARCH_WORD_DIGESTS,
-                         ids=[r[0] for r in SEARCH_WORD_DIGESTS])
+                         ids=[_digest_row_id(i) for i in range(len(SEARCH_WORD_DIGESTS))])
 def test_search_words_are_pinned(spec, freqs, top, prefix):
     lang = parse_language(spec)
-    words = [search(g, lang, freqs) for n in range(1, top + 1) for g in enumerate_graphs(n)]
+    graphs = [g for n in range(1, top + 1) for g in enumerate_graphs(n)]
+    if isinstance(freqs, int):
+        rng = random.Random(freqs)
+        bounds = [{v: rng.choice(((2,), (1, 2), (2, 3), (1, 2, 3))) for v in g.vertices}
+                  for g in graphs]
+    else:
+        bounds = [freqs] * len(graphs)
+    words = [search(g, lang, b) for g, b in zip(graphs, bounds)]
     rows = [None if w is None else list(w) for w in words]
     assert hashlib.sha256(repr(rows).encode()).hexdigest().startswith(prefix)
 

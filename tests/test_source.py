@@ -21,8 +21,8 @@ ALLOWED = {
     "graphs.Graph.add_universal": "vertex insertion beside add_twin; tests build inputs with it",
     "isomorphism.automorphism_count": "test reference: distinct_labelings is counted against it",
     "isomorphism.distinct_labelings": "bench/workloads.py imports it",
-    "oracles.treewidth_exact": "exact treewidth of small graphs, the measure behind decide's treewidth property",
-    "oracles.degeneracy": "exact degeneracy, the measure behind decide's degeneracy property",
+    "oracles.treewidth_exact": "test reference: decide's treewidth verdicts are checked against it",
+    "oracles.degeneracy": "test reference: decide's degeneracy verdicts are checked against it",
     "oracles.is_cluster": _ORACLE,
     "oracles.is_cograph": _ORACLE,
     "oracles.is_split": _ORACLE,
