@@ -14,31 +14,44 @@ lists earlier non-neighbors (4n + 2 * non-edges): the copy word of the
 graph itself.
 
 The codec works on vertex indices from the adjacency to the packed bits
-and back.  ``encode`` builds each block as a list of indices and packs the
-word through a cached table of width-character bit strings: one join, one
-int conversion.  A name length below 0x80 is a one-byte varint, which
-the name table is written and read with inline, outside the varint loop.
+and back.  ``encode`` builds each block as a list of indices, then the
+word from the blocks; ``copy_word`` uses the same two steps.  A name
+length below 0x80 is a one-byte varint, which the name table is written
+and read with inline, outside the varint loop.
 
-``decode``, ``decode_word`` and ``adjacent`` read one
-validated index per distinct payload: a payload is parsed once, through
-every check, into its names, symbols and blocks.  The indexes of the last
-``_CACHED_PAYLOADS`` payloads are kept, keyed by the payload's content
-(never by object identity), so a repeated query on identical bytes is a
-lookup, and a bytearray changed in place is read afresh.  A payload that
-raises is not kept, so it raises again on every call.  Symbols are
-unpacked in chunks of lcm(width, 8) * ``_CHUNK`` bits, one int conversion
-per chunk.  Each block is kept as its ascending index list, which
-``adjacent`` bisects.  ``decode`` freezes its graph straight from the
+Symbols are packed and unpacked ``_FIELDS`` at a time as big ints.  A
+chunk of f fixed-width fields is whole bytes, read with one int
+conversion; log2(f) mask-and-shift steps then move field k from bit
+k * width to bit k * lane, where the lane is the smallest of 16, 32 and
+64 bits that holds the width, and one conversion to big-endian lanes
+gives an array of the indices (byte-swapped on a little-endian host).
+Packing takes the steps in reverse.  The masks of the last four widths
+are cached; their size depends on ``_FIELDS`` and the width, never on
+the payload.
+
+``decode``, ``decode_word`` and ``adjacent`` read one validated index
+per distinct payload: a payload is parsed once, through every check,
+into its names and blocks.  The indexes of the last ``_CACHED_PAYLOADS``
+payloads are kept, keyed by the payload's content (never by object
+identity), so a repeated query on identical bytes is a lookup, and a
+bytearray changed in place is read afresh.  A payload that raises is not
+kept, so it raises again on every call.  The copy-word check finds each
+block's doubled terminator, tests in one big-int pass over the first
+half that every block ascends, and compares the word with the copy word
+rebuilt from its blocks.  Each block is kept, once, as its ascending
+index list, which ``adjacent`` bisects and from which ``decode_word``
+rebuilds the word.  ``decode`` freezes its graph straight from the
 validated blocks, with no adjacency: the graph builds that on its first
 neighbour query.  The names were checked once, while the table was read.
 """
 
 from __future__ import annotations
 
+import struct
+import sys
+from array import array
 from bisect import bisect_left
 from functools import lru_cache
-from math import lcm
-from operator import lt
 from typing import NamedTuple
 
 from .errors import FormatError
@@ -49,7 +62,13 @@ MAGIC = b"LGR1"
 _MODES = {"sparse": 0, "dense": 1}
 _MODE_NAMES = {v: k for k, v in _MODES.items()}
 _CACHED_PAYLOADS = 4  # validated indexes kept, least recently used dropped
-_CHUNK = 4  # lcm(width, 8)-bit units per int conversion in _unpack
+# symbols per big-int chunk in _pack and _unpack: a power of two, so the
+# lane steps halve it down to one field, and a multiple of 8, so every
+# chunk of fixed-width symbols is whole bytes
+_FIELDS = 2048
+# lane bits -> format character: struct's standard sizes under ">", and
+# array's item sizes on every platform CPython supports
+_LANE_CODES = {16: "H", 32: "I", 64: "Q"}
 
 
 def _width(n: int) -> int:
@@ -90,8 +109,9 @@ def default_names(n: int):
     return [f"{i:0{width}d}" for i in range(n)]
 
 
-def _copy_symbols(g: Graph, complement: bool = False) -> list:
-    """The copy word of ``copy_word`` as vertex indices."""
+def _copy_blocks(g: Graph, complement: bool = False) -> list:
+    """Per vertex index i, the ascending earlier indices block i of
+    ``copy_word`` lists."""
     vs = g.vertices
     if complement:
         # one pass over the edges: vertices are sorted tokens, so token
@@ -102,18 +122,25 @@ def _copy_symbols(g: Graph, complement: bool = False) -> list:
             blocks[where[v]].append(where[u])
         for block in blocks:
             block.sort()
-    else:
-        adj = g._adj
-        blocks = [[j for j in range(i) if vs[j] not in adj[v]] for i, v in enumerate(vs)]
+        return blocks
+    adj = g._adj
+    return [[j for j in range(i) if vs[j] not in adj[v]] for i, v in enumerate(vs)]
+
+
+def _copy_symbols(blocks: list) -> list:
+    """The copy word of the blocks as vertex indices: per block i, the
+    block then i i in the first half, i, the block, i in the second."""
     first = []
     second = []
     for i, block in enumerate(blocks):
         first += block
-        first += (i, i)
+        first.append(i)
+        first.append(i)
         second.append(i)
         second += block
         second.append(i)
-    return first + second
+    first += second
+    return first
 
 
 def copy_word(g: Graph, complement: bool = False) -> list:
@@ -128,23 +155,58 @@ def copy_word(g: Graph, complement: bool = False) -> list:
     one, i.e. iff it is an edge of the graph the word is of.  ``encode``
     packs the indices as they are; the letters are the indices mapped to
     g's vertex names."""
-    return list(map(g.vertices.__getitem__, _copy_symbols(g, complement)))
+    return list(map(g.vertices.__getitem__, _copy_symbols(_copy_blocks(g, complement))))
 
 
 @lru_cache(maxsize=4)
-def _codes(width: int) -> list:
-    """Every width-bit value as its width-character bit string, read and
-    never changed by ``_pack``.  Only ``encode`` asks for a table, at the
-    width of the graph it packs, so its 2**width entries are at most twice
-    that graph's order; the tables of the last four widths are kept."""
-    return [format(i, f"0{width}b") for i in range(1 << width)]
+def _lanes(width: int) -> tuple:
+    """(lane bits, steps) for width-bit symbols in _FIELDS-symbol
+    chunks, read and never changed by ``_pack`` and ``_unpack``.  The lane
+    is the smallest of 16, 32 and 64 bits that holds width.  Step s, for
+    groups of g = _FIELDS >> s fields whose fields lie width bits apart and
+    whose groups start g lanes apart, moves each group's high half up by
+    shift = g/2 * (lane - width) bits, so its groups of g/2 fields start
+    g/2 lanes apart: after the last, field k sits at bit k * lane.  Each
+    step is (mask of the high halves, shift, that mask shifted); a chunk
+    of f < _FIELDS fields takes the last log2(f) steps.  The masks are
+    _FIELDS lanes wide whatever the payload; a width equal to its lane
+    needs no steps."""
+    lane = min(b for b in _LANE_CODES if b >= width)
+    steps = []
+    g = _FIELDS
+    while g > 1 and lane > width:
+        half = g // 2
+        group = ((1 << half * width) - 1 << half * width).to_bytes(g * lane // 8, "big")
+        mask = int.from_bytes(group * (_FIELDS // g), "big")
+        shift = half * (lane - width)
+        steps.append((mask, shift, mask << shift))
+        g = half
+    return lane, steps
+
+
+def _chunk_fields(rest: int) -> int:
+    """Fields in the chunk that holds the next rest symbols: _FIELDS, or
+    for the last chunk the least power of two at least rest and 8."""
+    return min(_FIELDS, max(8, 1 << (rest - 1).bit_length()))
 
 
 def _pack(indices: list, width: int) -> bytes:
-    """The indices as big-endian width-bit fields, zero-padded to a byte."""
-    bits = "".join(map(_codes(width).__getitem__, indices))
-    bits += "0" * (-len(bits) % 8)
-    return int(bits, 2).to_bytes(len(bits) // 8, "big")
+    """The indices as big-endian width-bit fields, zero-padded to a byte:
+    per chunk, the indices as big-endian lanes in one int (struct packs a
+    list faster than array takes one), then the ``_lanes`` steps in
+    reverse."""
+    lane, steps = _lanes(width)
+    out = []
+    for first in range(0, len(indices), _FIELDS):
+        part = indices[first:first + _FIELDS]
+        fields = _chunk_fields(len(part))
+        acc = int.from_bytes(struct.pack(f">{len(part)}{_LANE_CODES[lane]}", *part), "big")
+        acc <<= (fields - len(part)) * lane
+        for _, shift, high in reversed(steps[len(steps) + 1 - fields.bit_length():]):
+            hi = acc & high
+            acc = acc ^ hi | hi >> shift
+        out.append(acc.to_bytes(fields * width // 8, "big"))
+    return b"".join(out)[:(len(indices) * width + 7) // 8]
 
 
 def encode(g: Graph, mode: str = "sparse", include_names: bool = True) -> bytes:
@@ -154,7 +216,7 @@ def encode(g: Graph, mode: str = "sparse", include_names: bool = True) -> bytes:
     if mode not in _MODES:
         raise ValueError(f"unknown codec mode {mode!r}")
     n = g.order
-    word = _copy_symbols(g, complement=mode == "sparse")
+    word = _copy_symbols(_copy_blocks(g, complement=mode == "sparse"))
     if mode == "sparse" and len(word) != 4 * n + 2 * g.size:
         raise AssertionError("sparse word violates the 4n+2m length law")
 
@@ -176,15 +238,25 @@ def encode(g: Graph, mode: str = "sparse", include_names: bool = True) -> bytes:
 
 def _unpack(data: bytes, start: int, count: int, n: int) -> list:
     """The count payload symbols at data[start:], each checked below n,
-    then the padding bits after them checked zero."""
+    then the padding bits after them checked zero.  Per chunk, one int
+    conversion, the ``_lanes`` steps, and one conversion to big-endian
+    lanes; the lanes of all chunks become the list at once."""
     width = _width(n)
-    step = lcm(width, 8) * _CHUNK // 8  # bytes per chunk, a whole number of symbols
-    shifts = range(step * 8 - width, -1, -width)
+    lane, steps = _lanes(width)
     size = (count * width + 7) // 8
-    payload = data[start:start + size] + bytes(-size % step)
-    mask = (1 << width) - 1
-    chunks = (int.from_bytes(payload[p:p + step], "big") for p in range(0, size, step))
-    word = [acc >> s & mask for acc in chunks for s in shifts]
+    lanes = array(_LANE_CODES[lane])
+    for first in range(0, count, _FIELDS):
+        fields = _chunk_fields(count - first)
+        at = start + first * width // 8
+        chunk = data[at:min(at + fields * width // 8, start + size)]
+        acc = int.from_bytes(chunk, "big") << (fields * width - len(chunk) * 8)
+        for mask, shift, _ in steps[len(steps) + 1 - fields.bit_length():]:
+            hi = acc & mask
+            acc = acc ^ hi | hi << shift
+        lanes.frombytes(acc.to_bytes(fields * lane // 8, "big"))
+    if sys.byteorder == "little":
+        lanes.byteswap()
+    word = lanes.tolist()
     del word[count:]
     if max(word) >= n:
         k = next(k for k, i in enumerate(word) if i >= n)
@@ -228,7 +300,6 @@ class _Index(NamedTuple):
     mode: str
     names: tuple
     where: dict  # name -> vertex index
-    word: list  # the stored symbols as vertex indices
     blocks: list  # per vertex index, the ascending earlier indices its block lists
 
 
@@ -254,10 +325,9 @@ def _read(data: bytes) -> _Index:
     if end > len(data):
         raise FormatError("truncated payload", offset=len(data))
     names = _read_names(data, end, n)
-    word = _unpack(data, start, wordlen, n)
-    blocks = _parse_copy_blocks(word, n, start)
+    blocks = _parse_copy_blocks(_unpack(data, start, wordlen, n), n, start)
     where = {v: i for i, v in enumerate(names)}
-    return _Index(_MODE_NAMES[data[4]], tuple(names), where, word, blocks)
+    return _Index(_MODE_NAMES[data[4]], tuple(names), where, blocks)
 
 
 def _index(data) -> _Index:
@@ -287,15 +357,34 @@ def decode(data: bytes) -> Graph:
     return Graph._frozen(vs, edges)
 
 
+def _descents(symbols: list, lane: int) -> int:
+    """Per adjacent pair (p, p + 1) of the symbols, one lane of a
+    big-endian int, pair 0 highest, whose top bit is set iff symbol p >=
+    symbol p + 1; every symbol fits in lane - 1 bits."""
+    pairs = len(symbols) - 1
+    seq = int.from_bytes(struct.pack(f">{pairs + 1}{_LANE_CODES[lane]}", *symbols), "big")
+    ones = int.from_bytes((bytes(lane // 8 - 1) + b"\1") * pairs, "big")
+    top = ones << (lane - 1)
+    # lane by lane, top + later - earlier - 1 lies in [0, 2 * top): it keeps
+    # its top bit, and borrows from no other lane, iff later > earlier
+    later = seq & ((1 << pairs * lane) - 1)
+    return top & ~((later | top) - (seq >> lane) - ones)
+
+
 def _parse_copy_blocks(word, n, offset):
     # first half: block_i (ascending earlier listings, then i) then a lone i;
-    # second half: lone i then block_i.  Parse the first half, then demand
-    # the second half is its exact block-wise transpose.
+    # second half: lone i then block_i.  Find each block's doubled
+    # terminator, check in one pass over the first half that the blocks
+    # ascend, then demand the word is the copy word of its blocks.  Of
+    # several faults, the one of the first faulty block is raised.
     if len(word) % 2:
         raise FormatError("copy word has odd length", offset=offset)
     half = len(word) // 2
+    lane = min(b for b in _LANE_CODES if b > _width(n))
+    size = lane // 8
+    marks = bytearray(half * size)  # a top bit in the lane of each block's first terminator
     blocks = []
-    expected = []
+    fault = None
     pos = 0
     for i in range(n):
         try:
@@ -303,18 +392,26 @@ def _parse_copy_blocks(word, n, offset):
         except ValueError:
             end = None
         if end is None or word[end + 1] != i:
-            raise FormatError(f"block of vertex {i} is malformed", offset=offset)
-        listed = word[pos:end]
-        if listed and (listed[-1] >= i or not all(map(lt, listed, listed[1:]))):
-            raise FormatError(f"block of vertex {i} lists bad vertices", offset=offset)
-        blocks.append(listed)
-        expected.append(i)
-        expected += listed
-        expected.append(i)
+            fault = f"block of vertex {i} is malformed"
+            break
+        blocks.append(word[pos:end])
+        marks[end * size] = 0x80
         pos = end + 2
-    if pos != half:
-        raise FormatError("copy word halves misaligned", offset=offset)
-    if word[half:] != expected:
+    else:
+        if pos != half:
+            fault = "copy word halves misaligned"
+    if pos:
+        # a symbol may be >= its successor only at a doubled terminator:
+        # i >= i, and i >= the first listing of the next block
+        terminators = int.from_bytes(marks[:(pos - 1) * size], "big")
+        bad = _descents(word[:pos], lane) & ~(terminators | terminators >> lane)
+        if bad:
+            p = pos - 2 - (bad.bit_length() - 1) // lane
+            i = marks.count(0x80, 0, p * size)
+            raise FormatError(f"block of vertex {i} lists bad vertices", offset=offset)
+    if fault:
+        raise FormatError(fault, offset=offset)
+    if _copy_symbols(blocks) != word:
         raise FormatError("copy word second half is inconsistent", offset=offset)
     return blocks
 
@@ -323,7 +420,7 @@ def decode_word(data: bytes) -> VertexWord:
     """The stored representing word itself, over the stored vertex names,
     after the same copy-word check as ``decode``."""
     ix = _index(data)
-    return VertexWord(map(ix.names.__getitem__, ix.word))
+    return VertexWord(map(ix.names.__getitem__, _copy_symbols(ix.blocks)))
 
 
 def adjacent(data: bytes, u, v) -> bool:

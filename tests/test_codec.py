@@ -4,6 +4,8 @@ streaming adjacency, and corruption diagnostics."""
 import hashlib
 import itertools
 import random
+import time
+import timeit
 import tracemalloc
 
 import pytest
@@ -315,6 +317,11 @@ _PACK_ORDERS = sorted(
     {1, 2, 3, 4, 5, 8, 9, 256, 257, 2048, 2049}
     | {m for w in range(1, 13) for m in (2 ** (w - 1) + 1, 2 ** w)}
 )
+# widths 13 to 20: 16-bit lanes, a width that fills its lane, 32-bit lanes
+_WIDE_ORDERS = sorted({m for w in range(13, 21) for m in (2 ** (w - 1) + 1, 2 ** w)})
+_F = codec._FIELDS
+# counts on both sides of a chunk, and two whole chunks and a short one
+_CHUNK_COUNTS = [_F - 1, _F, _F + 1, 2 * _F + 3]
 
 
 def _error(fn, *args):
@@ -323,13 +330,14 @@ def _error(fn, *args):
     return str(err.value), err.value.offset
 
 
-@pytest.mark.parametrize("n", _PACK_ORDERS)
+@pytest.mark.parametrize("n", _PACK_ORDERS + _WIDE_ORDERS)
 def test_pack_and_unpack_match_the_per_symbol_loop(n):
     width = codec._width(n)
     assert width == max(1, (n - 1).bit_length())
     rng = random.Random(n)
-    # lengths across chunk boundaries, with and without padding bits
-    for count in [1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129, 300] + rng.sample(range(1, 1000), 5):
+    # lengths across byte and chunk boundaries, with and without padding bits
+    counts = [1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129, 300] + _CHUNK_COUNTS
+    for count in counts + rng.sample(range(1, 1000), 5):
         word = [rng.randrange(n) for _ in range(count)]
         if count > 2:
             word[:2] = [0, n - 1]
@@ -339,28 +347,67 @@ def test_pack_and_unpack_match_the_per_symbol_loop(n):
         assert _unpack(data, 4, count, n) == word == _ref_unpack(data, 4, count, n, width)
 
 
-@pytest.mark.parametrize("n", _PACK_ORDERS)
+@pytest.mark.parametrize("n", _PACK_ORDERS + _WIDE_ORDERS)
 def test_unpack_errors_match_the_per_symbol_loop(n):
     width = codec._width(n)
     rng = random.Random(-n)
-    count = 11  # odd, so the payload ends in padding bits unless width is 8
-    word = [rng.randrange(n) for _ in range(count)]
-    packed = bytearray(_pack(word, width))
-    if count * width % 8:
-        padding = b"x" + packed[:-1] + bytes([packed[-1] | 1]) + b"y"
-        assert _error(_unpack, padding, 1, count, n) == _error(
-            _ref_unpack, padding, 1, count, n, width
-        ) == (f"nonzero padding bits (at offset {1 + len(packed)})", 1 + len(packed))
-    if n == 2**width:
-        return  # every width-bit symbol is below n
-    for k in (0, rng.randrange(count), count - 1):
-        high = list(word)
-        high[-1] = 2**width - 1  # a later bad symbol is not the one named
-        high[k] = rng.randrange(n, 2**width)
-        data = b"x" + _pack(high, width) + b"y"
-        got = _error(_unpack, data, 1, count, n)
-        assert got == _error(_ref_unpack, data, 1, count, n, width)
-        assert got[0] == f"symbol {k} is {high[k]}, beyond n={n} (at offset {got[1]})"
+    # 11 is odd, so the payload ends in padding bits unless width is 8
+    for count in (11, 2 * _F + 3):
+        word = [rng.randrange(n) for _ in range(count)]
+        packed = _pack(word, width)
+        padded = count * width % 8 != 0
+        if padded:
+            padding = b"x" + packed[:-1] + bytes([packed[-1] | 1]) + b"y"
+            assert _error(_unpack, padding, 1, count, n) == _error(
+                _ref_unpack, padding, 1, count, n, width
+            ) == (f"nonzero padding bits (at offset {1 + len(packed)})", 1 + len(packed))
+        if n == 2**width:
+            continue  # every width-bit symbol is below n
+        # the first, a random, and the last symbol; in the long word also
+        # one in the middle chunk and one in the last chunk
+        spots = {0, rng.randrange(count), count - 1}
+        if count > _F:
+            spots |= {_F + rng.randrange(_F), 2 * _F + 1}
+        for k in sorted(spots):
+            high = list(word)
+            high[-1] = 2**width - 1  # a later bad symbol is not the one named
+            high[k] = rng.randrange(n, 2**width)
+            blob = _pack(high, width)
+            faults = [b"x" + blob + b"y"]
+            if padded:  # a bad symbol is named before nonzero padding
+                faults.append(b"x" + blob[:-1] + bytes([blob[-1] | 1]) + b"y")
+            for data in faults:
+                got = _error(_unpack, data, 1, count, n)
+                assert got == _error(_ref_unpack, data, 1, count, n, width)
+                assert got[0] == f"symbol {k} is {high[k]}, beyond n={n} (at offset {got[1]})"
+
+
+def test_sparse_order_70000_round_trips_in_linear_time():
+    # width 17: 32-bit lanes over 206 chunks of _FIELDS symbols
+    n = 70_000
+    rng = random.Random(n)
+    names = [f"v{i:05d}" for i in range(n)]
+    edges = set()
+    while len(edges) < n:
+        a, b = sorted(rng.sample(range(n), 2))
+        edges.add((names[a], names[b]))
+    g = Graph(names, edges)
+    assert codec._width(n) == 17
+    t0 = time.perf_counter()
+    blob = encode(g)
+    back = decode(blob)
+    elapsed = time.perf_counter() - t0
+    assert back == g
+    assert elapsed < 10.0  # about 0.6 s on a 2-core x86-64 host
+    # the whole payload takes about its share of chunks times what the first
+    # 8 chunks take (35 times here, for a share of 25.6); a chunk loop that
+    # re-read or re-shifted the whole payload took 147 times
+    count = 4 * n + 2 * g.size
+    start = len(blob) - sum(len(v) + 1 for v in names) - (count * 17 + 7) // 8
+    part = 8 * _F
+    t_part = min(timeit.repeat(lambda: _unpack(blob, start, part, n), number=1, repeat=5))
+    t_all = min(timeit.repeat(lambda: _unpack(blob, start, count, n), number=1, repeat=3))
+    assert t_all < 3 * (count / part) * t_part
 
 
 # --- pinned encodings -------------------------------------------------------
@@ -525,6 +572,66 @@ def test_garbled_word_structure():
     # decode must say so rather than guess
     with pytest.raises(FormatError):
         decode(_garbled_dense_triangle())
+
+
+def _seeded_graph(rng, n, m):
+    names = [f"v{i}" for i in range(n)]
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.sample(names, 2)
+        edges.add((min(u, v), max(u, v)))
+    return Graph(names, edges)
+
+
+def _corruption_corpus():
+    """3000 seeded corruptions of encodings at n = 300 (width 9, with and
+    without names) and at widths 1-6 (sparse and dense): per base stream,
+    one to three flipped bits, one byte xored with a nonzero byte, and a
+    truncation, in turn."""
+    rng = random.Random(1818)
+    bases = [
+        (encode(_seeded_graph(rng, 300, 601), "sparse", include_names), 200)
+        for include_names in (True, False)
+    ]
+    for n in (2, 3, 6, 12, 20, 33):
+        g = _seeded_graph(rng, n, rng.randrange(n * (n - 1) // 2 + 1))
+        bases.append((encode(g, "sparse", n % 2 == 0), 50))
+        bases.append((encode(g, "dense", n % 2 == 1), 50))
+    for blob, k in bases:
+        for _ in range(k):
+            bits = bytearray(blob)
+            for _ in range(rng.randint(1, 3)):
+                b = rng.randrange(8 * len(blob))
+                bits[b // 8] ^= 0x80 >> (b % 8)
+            yield bytes(bits)
+            flipped = bytearray(blob)
+            flipped[rng.randrange(len(blob))] ^= rng.randrange(1, 256)
+            yield bytes(flipped)
+            yield blob[: rng.randrange(len(blob))]
+
+
+def test_corrupted_streams_keep_their_pinned_outcomes():
+    # each outcome is the decoded graph and stored word, or the FormatError
+    # message and offset; the digest pins which check rejects each stream
+    # and where, so a faster reader must reject in the same order
+    digest = hashlib.sha256()
+    count = 0
+    for blob in _corruption_corpus():
+        try:
+            g = decode(blob)
+        except FormatError as err:
+            outcome = ("error", str(err), err.offset)
+            with pytest.raises(FormatError) as again:
+                decode_word(blob)
+            assert (str(again.value), again.value.offset) == outcome[1:]
+        else:
+            outcome = ("graph", g.vertices, sorted(g.edges), decode_word(blob).letters)
+        digest.update(repr(outcome).encode())
+        count += 1
+    assert count == 3000
+    assert digest.hexdigest() == (
+        "794edc39346ef84c40383cc2613191a4283c138134c5abdbd4da770e1d4c63bb"
+    )
 
 
 def _stream(n, word):
