@@ -26,7 +26,7 @@ from .graphs import (
     parse_graph,
 )
 from .grammar import Cfg
-from .isomorphism import enumerate_graphs
+from .isomorphism import ENUM_ORDER_CAP, enumerate_graphs
 from .languages import parse_language
 from .represent import check, decompose, evaluate, search
 from .words import VertexWord
@@ -323,6 +323,8 @@ def _negative_control() -> dict:
 
 
 def cmd_selftest(args) -> int:
+    if not 1 <= args.order_cap <= ENUM_ORDER_CAP:
+        raise FormatError(f"--order-cap must be between 1 and {ENUM_ORDER_CAP}")
     budget = 600.0
     started = time.monotonic()
     suites = []

@@ -217,18 +217,23 @@ def _linear_extension(vs, arcs):
 
 def build_permutation(g: Graph, pi=None) -> VertexWord:
     """Top-line enumeration followed by the bottom-line enumeration; edges
-    are exactly the inverted pairs."""
+    are exactly the inverted pairs.  Without ``pi`` the lines come from a
+    transitive orientation F of g and F' of its complement: F' + F and
+    F' + F^-1 are both linear orders (Pnueli, Lempel and Even 1971), which
+    agree on the non-edges and disagree on the edges."""
     if pi is None:
-        diagram = oracles.permutation_diagram(g)
-        if diagram is None:
+        arcs = oracles.transitive_orientation(g)
+        co_arcs = None if arcs is None else oracles.transitive_orientation(g.complement())
+        if co_arcs is None:
             raise BuildError("permutation: no diagram exists")
-        top, bottom = diagram
+        top = _linear_extension(g.vertices, co_arcs | arcs)
+        bottom = _linear_extension(g.vertices, co_arcs | {(v, u) for u, v in arcs})
     else:
         top = list(g.vertices)
         bottom = list(pi)
         if sorted(bottom) != top:
             raise ValueError("pi is not a permutation of the vertex set")
-    return _verify(list(top) + list(bottom), "permutation", g)
+    return _verify(top + bottom, "permutation", g)
 
 
 def build_circle(g: Graph, chords=None) -> VertexWord:

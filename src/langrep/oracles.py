@@ -6,9 +6,10 @@ routes can cross-validate each other.  Intended for small orders (the test
 batteries use up to 7); the exhaustive searches are memoized per call.
 
 Witness variants return the structure the constructive theorems consume:
-interval event sequences, chord diagrams, permutation diagrams, transitive
-orientations, creation sequences, nested orderings, convex orderings and
-halfline models.
+interval event sequences, chord diagrams, transitive orientations, creation
+sequences, nested orderings, convex orderings and halfline models.  The
+bipartite models read the one 2-coloring ``Graph.bipartition`` gives, since
+whether each model exists does not depend on which side a component takes.
 """
 
 from __future__ import annotations
@@ -109,8 +110,10 @@ def threshold_creation_sequence(g: Graph):
 def _event_sequence(g: Graph, constrains):
     """Open/close events of a distinct-endpoint interval model, or None.
     Opening v needs an edge to every open u with ``constrains(u, v)``;
-    closing v is legal once every neighbor of v has been opened."""
-    vs = g.vertices
+    closing v is legal once every neighbor of v has been opened.  Only the
+    non-isolated vertices are searched: an isolated interval can always sit
+    apart, so each isolated vertex opens and closes at the end."""
+    vs = [v for v in g.vertices if g.degree(v)]
     all_closed = frozenset(vs)
     seen = set()
 
@@ -135,7 +138,10 @@ def _event_sequence(g: Graph, constrains):
                     return got
         return None
 
-    return rec(frozenset(), frozenset(), [])
+    events = rec(frozenset(), frozenset(), [])
+    if events is None:
+        return None
+    return events + [(v, kind) for v in g.isolated_vertices() for kind in ("open", "close")]
 
 
 def interval_event_sequence(g: Graph):
@@ -202,14 +208,17 @@ def is_circle(g: Graph) -> bool:
 
 def interval_bigraph_model(g: Graph):
     """(left, right, events) for an interval bigraph model with all-distinct
-    endpoints, where only cross-side overlaps are constrained, or None."""
-    if not is_bipartite(g):
+    endpoints, where only cross-side overlaps are constrained, or None.
+    Swapping a component's sides keeps its cross pairs, and components'
+    models can sit side by side, so one 2-coloring decides."""
+    parts = g.bipartition()
+    if parts is None:
         return None
-    for left, right in _bipartitions(g):
-        events = _event_sequence(g, lambda u, v: (u in left) != (v in left))
-        if events is not None:
-            return sorted(left), sorted(right), events
-    return None
+    left, right = parts
+    events = _event_sequence(g, lambda u, v: (u in left) != (v in left))
+    if events is None:
+        return None
+    return sorted(left), sorted(right), events
 
 
 def is_interval_bigraph(g: Graph) -> bool:
@@ -217,28 +226,6 @@ def is_interval_bigraph(g: Graph) -> bool:
 
 
 # --- order-based classes ----------------------------------------------------
-
-
-def permutation_diagram(g: Graph):
-    """A pair of linear orders (top, bottom) whose inversions are exactly
-    the edges, or None."""
-    vs = g.vertices
-    for top in itertools.permutations(vs):
-        pos = {v: i for i, v in enumerate(top)}
-        # the bottom order is forced pairwise; it exists iff the forced
-        # tournament is transitive, i.e. its out-degrees are all distinct
-        wins = {v: 0 for v in vs}
-        for u, v in itertools.combinations(vs, 2):
-            before = u if pos[u] < pos[v] else v
-            after = v if before is u else u
-            if g.has_edge(u, v):
-                wins[after] += 1  # order flipped on the bottom line
-            else:
-                wins[before] += 1
-        if len(set(wins.values())) == len(vs):
-            bottom = sorted(vs, key=lambda v: -wins[v])
-            return list(top), bottom
-    return None
 
 
 def is_permutation(g: Graph) -> bool:
@@ -279,22 +266,23 @@ def transitive_orientation(g: Graph):
             into.setdefault(b, []).append(a)
         return arcs
 
-    def rec(arcs, idx):
-        while idx < len(edges):
-            u, v = edges[idx]
-            if (u, v) in arcs or (v, u) in arcs:
-                idx += 1
+    # depth-first over the first unoriented edge, trying u->v before v->u;
+    # the stack holds (arcs, index of the edge, arc to add), last tried first
+    stack = [(set(), -1, None)]
+    while stack:
+        arcs, idx, arc = stack.pop()
+        if arc is not None:
+            arcs = closure(arcs, arc)
+            if arcs is None:
                 continue
-            for arc in ((u, v), (v, u)):
-                closed = closure(arcs, arc)
-                if closed is not None:
-                    got = rec(closed, idx + 1)
-                    if got is not None:
-                        return got
-            return None
-        return arcs
-
-    return rec(set(), 0)
+        idx += 1
+        while idx < len(edges) and (edges[idx] in arcs or edges[idx][::-1] in arcs):
+            idx += 1
+        if idx == len(edges):
+            return arcs
+        u, v = edges[idx]
+        stack += [(arcs, idx, (v, u)), (arcs, idx, (u, v))]
+    return None
 
 
 def is_comparability(g: Graph) -> bool:
@@ -308,67 +296,34 @@ def is_cocomparability(g: Graph) -> bool:
 # --- bipartite shape classes ------------------------------------------------
 
 
-def _bipartitions(g: Graph):
-    """All 2-colorings (left, right) of a bipartite graph, as frozensets;
-    components flip independently and each side may end up empty."""
-    comps = []
-    color = {}
-    for root in g.vertices:
-        if root in color:
-            continue
-        color[root] = 0
-        comp = [root]
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in g.neighbors(x):
-                if y not in color:
-                    color[y] = 1 - color[x]
-                    comp.append(y)
-                    stack.append(y)
-                elif color[y] == color[x]:
-                    return
-        comps.append(comp)
-    for flips in itertools.product((0, 1), repeat=len(comps)):
-        left, right = set(), set()
-        for comp, flip in zip(comps, flips):
-            for v in comp:
-                if color[v] ^ flip == 0:
-                    left.add(v)
-                else:
-                    right.add(v)
-        yield frozenset(left), frozenset(right)
-
-
 def nested_ordering(g: Graph):
     """(A-ordering, B-ordering) realizing a bipartite chain structure:
     A sorted so neighborhoods grow, B sorted so that every N(a) is a prefix
-    of B.  Returns None when g is not a bipartite chain graph."""
-    for left, right in _bipartitions(g):
-        a_sorted = sorted(left, key=lambda v: (g.degree(v), v))
-        ok = all(
-            g.neighbors(a_sorted[i]) <= g.neighbors(a_sorted[i + 1])
-            for i in range(len(a_sorted) - 1)
-        )
-        if not ok:
-            continue
-        # b covered earlier (by a smaller a) must come first
-        def threshold(b):
-            for i, a in enumerate(a_sorted):
-                if g.has_edge(a, b):
-                    return i
-            return len(a_sorted)
+    of B.  Returns None when g is not a bipartite chain graph.  Neighborhoods
+    nest on one side iff g has no induced 2K2, whatever the coloring, so one
+    2-coloring decides."""
+    parts = g.bipartition()
+    if parts is None:
+        return None
+    left, right = parts
+    a_sorted = sorted(left, key=lambda v: (g.degree(v), v))
+    if not all(
+        g.neighbors(a_sorted[i]) <= g.neighbors(a_sorted[i + 1])
+        for i in range(len(a_sorted) - 1)
+    ):
+        return None
 
-        b_sorted = sorted(right, key=lambda b: (-g.degree(b), threshold(b), b))
-        prefix_ok = True
-        for a in a_sorted:
-            nb = g.neighbors(a)
-            if set(b_sorted[: len(nb)]) != set(nb):
-                prefix_ok = False
-                break
-        if prefix_ok:
-            return a_sorted, b_sorted
-    return None
+    # b covered earlier (by a smaller a) must come first
+    def threshold(b):
+        for i, a in enumerate(a_sorted):
+            if g.has_edge(a, b):
+                return i
+        return len(a_sorted)
+
+    b_sorted = sorted(right, key=lambda b: (-g.degree(b), threshold(b), b))
+    if any(set(b_sorted[: g.degree(a)]) != g.neighbors(a) for a in a_sorted):
+        return None
+    return a_sorted, b_sorted
 
 
 def is_bipartite_chain(g: Graph) -> bool:
@@ -377,23 +332,42 @@ def is_bipartite_chain(g: Graph) -> bool:
 
 def convex_ordering(g: Graph):
     """(ordered side, other side) such that every neighborhood on the other
-    side is a consecutive run, or None."""
-    if not is_bipartite(g):
+    side is a consecutive run, or None.
+
+    A neighborhood lies inside one component, so each non-trivial component
+    picks its ordered color class and its order on its own, first class
+    first, and the orders are concatenated.  Isolated vertices need no
+    search: they end the ordered side, where they split no run."""
+    parts = g.bipartition()
+    if parts is None:
         return None
-    for left, right in _bipartitions(g):
-        for ordered, other in ((left, right), (right, left)):
-            base = sorted(ordered)
-            for perm in itertools.permutations(base):
-                pos = {v: i for i, v in enumerate(perm)}
-                good = True
-                for y in other:
-                    spots = sorted(pos[x] for x in g.neighbors(y))
-                    if spots and spots[-1] - spots[0] + 1 != len(spots):
-                        good = False
-                        break
-                if good:
-                    return list(perm), sorted(other)
-    return None
+    left, _ = parts
+    points, others = [], []
+    for comp in g.components():
+        if len(comp) == 1:
+            continue
+        for side in (comp & left, comp - left):
+            other = comp - side
+            order = next(
+                (p for p in itertools.permutations(sorted(side)) if _runs_consecutive(g, p, other)),
+                None,
+            )
+            if order is not None:
+                points += order
+                others += other
+                break
+        else:
+            return None
+    return points + list(g.isolated_vertices()), sorted(others)
+
+
+def _runs_consecutive(g: Graph, order, other) -> bool:
+    pos = {v: i for i, v in enumerate(order)}
+    for y in other:
+        spots = sorted(pos[x] for x in g.neighbors(y))
+        if spots[-1] - spots[0] + 1 != len(spots):
+            return False
+    return True
 
 
 def is_convex(g: Graph) -> bool:
@@ -406,32 +380,25 @@ def is_convex(g: Graph) -> bool:
 def halfline_model(g: Graph):
     """A halfline intersection model ({v: (side, value)}) with side 1 for
     rightward rays [a, inf) and side 2 for leftward rays (-inf, a], or None.
-    Rays on one side always meet; a cross pair meets iff a_1 <= a_2."""
-    comp = g.complement()
-    if not is_bipartite(comp):
+    Rays on one side always meet; a cross pair meets iff a_1 <= a_2.  The
+    sides are the color classes of the complement, whose edges are the
+    cross non-edges; these nest iff the complement has no induced 2K2,
+    whatever its coloring, so one 2-coloring decides."""
+    parts = g.complement().bipartition()
+    if parts is None:
         return None
-    for left, right in _bipartitions(comp):
-        # left and right are cliques of g; cross edges must form a staircase
-        y1 = sorted(left, key=lambda v: (-len(g.neighbors(v) & right), v))
-        y2 = sorted(right, key=lambda v: (len(g.neighbors(v) & left), v))
-        t = {}
-        ok = True
-        for x in y1:
-            nset = g.neighbors(x) & right
-            k = len(y2) - len(nset)
-            if set(y2[k:]) != nset:
-                ok = False
-                break
-            t[x] = k
-        if not ok:
-            continue
-        model = {}
-        for j, y in enumerate(y2):
-            model[y] = (2, float(j + 1))
-        for x in y1:
-            model[x] = (1, t[x] + 0.5)
-        return model
-    return None
+    left, right = parts
+    # left and right are cliques of g; cross edges must form a staircase
+    y1 = sorted(left, key=lambda v: (-len(g.neighbors(v) & right), v))
+    y2 = sorted(right, key=lambda v: (len(g.neighbors(v) & left), v))
+    model = {y: (2, float(j + 1)) for j, y in enumerate(y2)}
+    for x in y1:
+        nset = g.neighbors(x) & right
+        k = len(y2) - len(nset)
+        if set(y2[k:]) != nset:
+            return None
+        model[x] = (1, k + 0.5)
+    return model
 
 
 def is_halfline(g: Graph) -> bool:

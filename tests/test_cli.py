@@ -289,6 +289,12 @@ def test_selftest_small_cap(capsys):
     ]
 
 
+@pytest.mark.parametrize("cap", ["0", "8"])
+def test_selftest_order_cap_out_of_range_is_usage_error(capsys, cap):
+    code, out, err = run_cli(capsys, "selftest", "--order-cap", cap, "--json")
+    assert code == 2 and out == "" and "--order-cap" in err
+
+
 # --- argparse plumbing ------------------------------------------------------
 
 

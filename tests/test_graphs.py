@@ -465,13 +465,35 @@ def test_oracle_intersection_identities(n):
         assert oracles.is_threshold(g) == (
             oracles.is_split(g) and oracles.is_cograph(g)
         )
-        assert oracles.is_permutation(g) == (oracles.permutation_diagram(g) is not None)
+        assert oracles.is_permutation(g) == (_brute_force_permutation_diagram(g) is not None)
         assert oracles.is_interval(g) == (
             oracles.is_chordal(g) and oracles.is_cocomparability(g)
         )
         assert oracles.is_cobipartite(g) == oracles.is_bipartite(gc)
         assert oracles.is_co_interval(g) == oracles.is_interval(gc)
         assert oracles.is_comparability(g) == oracles.is_cocomparability(gc)
+
+
+def _brute_force_permutation_diagram(g):
+    """The reference: a pair of linear orders (top, bottom) whose inversions
+    are exactly the edges, found by trying every top order, or None."""
+    vs = g.vertices
+    for top in itertools.permutations(vs):
+        pos = {v: i for i, v in enumerate(top)}
+        # the bottom order is forced pairwise; it exists iff the forced
+        # tournament is transitive, i.e. its out-degrees are all distinct
+        wins = {v: 0 for v in vs}
+        for u, v in itertools.combinations(vs, 2):
+            before = u if pos[u] < pos[v] else v
+            after = v if before is u else u
+            if g.has_edge(u, v):
+                wins[after] += 1  # order flipped on the bottom line
+            else:
+                wins[before] += 1
+        if len(set(wins.values())) == len(vs):
+            bottom = sorted(vs, key=lambda v: -wins[v])
+            return list(top), bottom
+    return None
 
 
 def _rescanning_transitive_orientation(g):
