@@ -167,10 +167,10 @@ def build_comparability(g: Graph, order=None) -> VertexWord:
         arcs = oracles.transitive_orientation(g)
         if arcs is None:
             raise BuildError("comparability: no transitive orientation exists")
+        above = _up_sets(vs, arcs)
     else:
         arcs = {(u, v) for u, v in order}
-        _validate_partial_order(g, arcs)
-    above = {v: {w for (u, w) in arcs if u == v} for v in vs}
+        above = _validate_partial_order(g, arcs)
     ext = _linear_extension(vs, arcs)
     word = list(ext)
     for v in ext:
@@ -183,21 +183,33 @@ def build_comparability(g: Graph, order=None) -> VertexWord:
 
 
 def _validate_partial_order(g: Graph, arcs):
-    seen = set()
-    for u, v in arcs:
+    """The up-sets of ``arcs``, a strict order orienting every edge of g.
+    Otherwise raises ValueError on the first fault met in sorted arc order,
+    so the message does not depend on set iteration order.  Transitivity
+    at u < v means up[v] is a subset of up[u]; the least x outside is
+    named."""
+    ordered = sorted(arcs)
+    for u, v in ordered:
         if not g.has_edge(u, v):
             raise ValueError(f"order relates non-adjacent pair ({u},{v})")
         if (v, u) in arcs:
             raise ValueError(f"order is not antisymmetric on ({u},{v})")
-        seen.add(frozenset((u, v)))
-    if len(seen) != g.size:
+    if len(arcs) != g.size:
         raise ValueError("order does not orient every edge")
+    up = _up_sets(g.vertices, arcs)
+    for u, v in ordered:
+        missing = up[v] - up[u]
+        if missing:
+            x = min(missing)
+            raise ValueError(f"order is not transitive: {u}<{v}<{x} but not {u}<{x}")
+    return up
+
+
+def _up_sets(vs, arcs):
+    up = {v: set() for v in vs}
     for u, v in arcs:
-        for w, x in arcs:
-            if v == w and (u, x) not in arcs:
-                raise ValueError(
-                    f"order is not transitive: {u}<{v}<{x} but not {u}<{x}"
-                )
+        up[u].add(v)
+    return up
 
 
 def _linear_extension(vs, arcs):

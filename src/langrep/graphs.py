@@ -1,8 +1,8 @@
 """Finite simple graphs with string-labelled vertices.
 
 Immutable value type plus the structural operations the representation
-theorems use: complement, disjoint union, join, induced subgraphs, twin
-insertion, and the textual formats (JSON object, edge list, DOT output).
+theorems use: complement, induced subgraphs, twin insertion, and the
+textual formats (JSON object, edge list, DOT output).
 """
 
 from __future__ import annotations
@@ -112,17 +112,6 @@ class Graph:
         return Graph._frozen(
             vs, [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:] if v not in adj[u]]
         )
-
-    def union(self, other: "Graph") -> "Graph":
-        """Disjoint union; vertex sets must not overlap."""
-        if set(self.vertices) & set(other.vertices):
-            raise ValueError("union requires disjoint vertex sets")
-        return Graph(self.vertices + other.vertices, list(self.edges) + list(other.edges))
-
-    def join(self, other: "Graph") -> "Graph":
-        base = self.union(other)
-        extra = [(u, v) for u in self.vertices for v in other.vertices]
-        return Graph(base.vertices, list(base.edges) + extra)
 
     def induced(self, keep) -> "Graph":
         keep = set(keep)

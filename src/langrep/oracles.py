@@ -1,9 +1,12 @@
-"""Definition-literal graph-class oracles and structural witnesses.
+"""Graph-class oracles and structural witnesses.
 
-Every oracle decides membership by brute force straight from a textbook
-characterization, independently of the language machinery, so the two
-routes can cross-validate each other.  Intended for small orders (the test
-batteries use up to 7); the exhaustive searches are memoized per call.
+Every oracle decides membership straight from a textbook characterization,
+independently of the language machinery, so the two routes can
+cross-validate each other.  Most run in polynomial time; three searches
+are still exponential and meant for small orders (the test batteries use
+up to 7): ``circle_chord_word``, ``_event_sequence`` (behind the interval
+and interval bigraph models, memoized per call) and ``convex_ordering``
+within one connected component.
 
 Witness variants return the structure the constructive theorems consume:
 interval event sequences, chord diagrams, transitive orientations, creation
@@ -235,54 +238,40 @@ def is_permutation(g: Graph) -> bool:
 
 
 def transitive_orientation(g: Graph):
-    """A transitive orientation as a set of arcs, or None."""
-    edges = sorted(g.edges)
+    """A transitive orientation as a set of arcs, or None.
 
-    def closure(arcs, arc):
-        # arcs is closed; add arc and propagate u->v->w with uw an edge to
-        # u->w, failing on forced conflicts.  Only the arcs into a new arc's
-        # tail and out of its head can meet it, so each arc is looked at once
-        # per arc added beside it.  The closure is the least fixpoint, so
-        # the order arcs are taken in does not change the result.
-        arcs = set(arcs)
-        into = {}
-        out = {}
-        for a, b in arcs:
-            out.setdefault(a, []).append(b)
-            into.setdefault(b, []).append(a)
-        work = [arc]
+    Golumbic's TRO algorithm (*Algorithmic Graph Theory and Perfect
+    Graphs*, 1980, Algorithm 5.1).  Among the edges still left, an arc
+    (a, b) forces (a, c) for every c adjacent to a but not to b, and (c, b)
+    for every c adjacent to b but not to a; an arc's implication class is
+    what it forces, step by step.  The first edge left in sorted order,
+    oriented u -> v, grows its class, which joins the orientation and
+    leaves the graph.  By the TRO theorem g is a comparability graph iff no
+    class holds an arc and its reverse, and then the union of the classes
+    is transitive, so no choice is ever undone.  Each arc scans the edges
+    left at its two ends once: O(δ·m) for maximum degree δ and m edges."""
+    left = {v: set(g.neighbors(v)) for v in g.vertices}
+    arcs = set()
+    for u, v in sorted(g.edges):
+        if v not in left[u]:
+            continue  # in an earlier class
+        implied = {(u, v)}
+        work = [(u, v)]
         while work:
             a, b = work.pop()
-            if (a, b) in arcs:
-                continue
-            if not g.has_edge(a, b) or (b, a) in arcs:
-                return None
-            arcs.add((a, b))
-            # out[b] holding a, or into[a] holding b, would mean the reversed
-            # arc (b, a), refused above: each forced arc has two distinct ends
-            work += [(a, d) for d in out.get(b, ())]
-            work += [(c, b) for c in into.get(a, ())]
-            out.setdefault(a, []).append(b)
-            into.setdefault(b, []).append(a)
-        return arcs
-
-    # depth-first over the first unoriented edge, trying u->v before v->u;
-    # the stack holds (arcs, index of the edge, arc to add), last tried first
-    stack = [(set(), -1, None)]
-    while stack:
-        arcs, idx, arc = stack.pop()
-        if arc is not None:
-            arcs = closure(arcs, arc)
-            if arcs is None:
-                continue
-        idx += 1
-        while idx < len(edges) and (edges[idx] in arcs or edges[idx][::-1] in arcs):
-            idx += 1
-        if idx == len(edges):
-            return arcs
-        u, v = edges[idx]
-        stack += [(arcs, idx, (v, u)), (arcs, idx, (u, v))]
-    return None
+            forced = [(a, c) for c in left[a] - left[b] if c != b]
+            forced += [(c, b) for c in left[b] - left[a] if c != a]
+            for arc in forced:
+                if arc[::-1] in implied:
+                    return None
+                if arc not in implied:
+                    implied.add(arc)
+                    work.append(arc)
+        for a, b in implied:
+            left[a].discard(b)
+            left[b].discard(a)
+        arcs |= implied
+    return arcs
 
 
 def is_comparability(g: Graph) -> bool:

@@ -141,9 +141,6 @@ class VertexWord:
             raise ValueError("projection onto a set disjoint from the alphabet")
         return VertexWord(out)
 
-    def relabel(self, mapping) -> "VertexWord":
-        return VertexWord(mapping[tok] for tok in self.letters)
-
 
 _ABSENT = ([], [])  # a letter not in the word: never mutated
 

@@ -4,7 +4,11 @@ and cograph words built on vertex sets."""
 
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +186,30 @@ def test_comparability_witness_rejected():
     k3 = complete_graph(3)
     with pytest.raises(ValueError, match="orient every edge"):
         build_comparability(k3, order=[("v1", "v2")])
+
+
+def test_comparability_witness_fault_is_named_alike_under_every_hash_seed():
+    # the chain order on K6 with v1<v3 and v2<v5 reversed breaks transitivity
+    # at several triples; the first in sorted arc order is named
+    code = (
+        "from langrep.constructions import build_comparability\n"
+        "from langrep.graphs import complete_graph\n"
+        "g = complete_graph(6)\n"
+        "order = [(u, v) for u, v in g.edges if (u, v) not in {('v1', 'v3'), ('v2', 'v5')}]\n"
+        "try:\n"
+        "    build_comparability(g, order + [('v3', 'v1'), ('v5', 'v2')])\n"
+        "except ValueError as e:\n"
+        "    print(e)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    messages = set()
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        messages.add(proc.stdout.strip())
+    assert messages == {"order is not transitive: v1<v2<v3 but not v1<v3"}
 
 
 # --- cographs on vertex sets ------------------------------------------------

@@ -293,11 +293,72 @@ def test_nested_ordering_rejects_2k2_with_sixteen_isolated_vertices_quickly():
 
 
 def test_permutation_builder_without_pi_at_order_80():
-    rng = random.Random(80)
-    pi = list(range(80))
-    rng.shuffle(pi)
-    vs = [f"v{i:02d}" for i in range(80)]
-    g = Graph(vs, [(vs[i], vs[j]) for i, j in itertools.combinations(range(80), 2)
-                   if pi[i] > pi[j]])
+    g = _permutation_graph(random.Random(80), 80)
     word = _within(5.0, build_permutation, g)  # raises unless the word represents g
     assert len(word) == 160
+
+
+def _k2s_and_c5(k):
+    # the C5's edges sort after every K2's, so a search over the sorted
+    # edges meets the odd cycle only after choosing each K2's direction
+    pairs = [(f"a{i:02d}", f"b{i:02d}") for i in range(k)]
+    c5 = cycle_graph(5)
+    return Graph([v for e in pairs for v in e] + list(c5.vertices), pairs + list(c5.edges))
+
+
+def test_twenty_k2_plus_c5_is_rejected_quickly():
+    g = _k2s_and_c5(20)
+    assert g.order == 45
+    assert _within(2.0, oracles.transitive_orientation, g) is None
+    assert _within(2.0, oracles.is_comparability, g) is False
+    _raises_within(2.0, build_comparability, g)
+    _raises_within(2.0, build_permutation, g)
+
+
+def _random_poset(rng, n, p):
+    """The comparability graph of a random order on n shuffled names: each
+    pair i < j is related with probability p, then closed transitively."""
+    names = [f"v{i:02d}" for i in range(n)]
+    rng.shuffle(names)
+    up = [set() for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                up[i] |= {j} | up[j]
+    return Graph(names, [(names[i], names[j]) for i in range(n) for j in up[i]])
+
+
+def _permutation_graph(rng, n):
+    pi = list(range(n))
+    rng.shuffle(pi)
+    vs = [f"v{i:02d}" for i in range(n)]
+    return Graph(vs, [(vs[i], vs[j]) for i, j in itertools.combinations(range(n), 2)
+                      if pi[i] > pi[j]])
+
+
+def test_random_poset_complement_is_rejected_quickly():
+    # seed 23 gives an order-22 complement that the backtracking search ran
+    # past 5 s on
+    rng = random.Random(23)
+    n = rng.randint(20, 24)
+    g = _random_poset(rng, n, rng.choice([0.1, 0.15, 0.2])).complement()
+    assert g.order == 22
+    assert _within(2.0, oracles.transitive_orientation, g) is None
+
+
+def test_orientations_of_seeded_comparability_graphs_are_transitive():
+    rng = random.Random(2024)
+    for i in range(60):
+        n = rng.randint(8, 40)
+        if i % 2:
+            g = _random_poset(rng, n, rng.choice([0.05, 0.1, 0.2, 0.4]))
+        else:
+            g = _permutation_graph(rng, n)
+        arcs = oracles.transitive_orientation(g)
+        # each edge once, and never with its reverse
+        assert len(arcs) == g.size
+        assert {frozenset(arc) for arc in arcs} == {frozenset(e) for e in g.edges}
+        up = {v: set() for v in g.vertices}
+        for u, v in arcs:
+            up[u].add(v)
+        assert all(up[v] <= up[u] for u, v in arcs)

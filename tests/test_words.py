@@ -79,11 +79,6 @@ def test_project_set_keeps_order_and_rejects_disjoint():
         w.project_set({"z"})
 
 
-def test_relabel():
-    w = VertexWord.parse("aba").relabel({"a": "x", "b": "y"})
-    assert w.text() == "xyx"
-
-
 def test_immutable():
     w = VertexWord.parse("ab")
     with pytest.raises(AttributeError):
