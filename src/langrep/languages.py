@@ -55,7 +55,8 @@ class Language:
     form's own test.  ``symmetric`` is given, or, for a Dfa form only, left
     out and decided on first use, which leaves a shortest asymmetric word in
     ``sym_witness``.  ``pair_automata`` is search's cache of this language's
-    pair automata, keyed by multiplicity pair.
+    pair automata, keyed by multiplicity pair, and ``triple_memo`` its memo
+    of which three pair states can still finish together.
     """
 
     def __init__(self, form, label, *, member=None, symmetric=None, words=None):
@@ -72,6 +73,7 @@ class Language:
         self._symmetric = symmetric
         self.sym_witness = None
         self.pair_automata = {}
+        self.triple_memo = {}
 
     @property
     def form(self):

@@ -11,13 +11,16 @@ letter, each pair stepping a pair automaton of L by one table lookup.  A
 vertex waits on another while their pair's table forbids its next letter;
 vertices that wait on each other in a cycle can never move again, so a prefix
 that closes such a cycle has no completion and the DFS backtracks from it at
-once.  Twins with equal bounds are interchangeable, so their multiplicities
-are taken in non-decreasing vertex order and, when equal, they start in
-vertex order.  Beyond twins, an unstarted vertex waits when an automorphism
-of g that keeps the assignment and fixes every started vertex maps it to a
-smaller one.  Both rules let the lexicographically least word of each
-assignment through, and the DFS, trying letters in ascending order, returns
-that word first, as it would without them.
+once.  By heredity, a completion restricted to any three vertices is a word
+for their three pairs, so once the DFS has met a dead end it also backtracks
+from a prefix after which some such triple has no joint completion.  Twins
+with equal bounds are interchangeable, so their multiplicities are taken in
+non-decreasing vertex order and, when equal, they start in vertex order.
+Beyond twins, an unstarted vertex waits when an automorphism of g that keeps
+the assignment and fixes every started vertex maps it to a smaller one.  Both
+rules let the lexicographically least word of each assignment through, and
+the DFS, trying letters in ascending order, returns that word first, as it
+would without them.
 """
 
 from __future__ import annotations
@@ -133,7 +136,10 @@ def _twin_predecessors(g: Graph, bounds: dict) -> list:
 
 
 class _Moves(dict):
-    """State id to successor on letter b, or -1 if that cannot end in verdict v."""
+    """State id to successor on letter b, or -1 if that cannot end in verdict
+    v.  Hashed and compared by identity, as part of a triple memo's key."""
+
+    __hash__, __eq__, __ne__ = object.__hash__, object.__eq__, object.__ne__
 
     def __init__(self, pa, v: int, b: int):
         self.pa, self.v, self.b = pa, v, b
@@ -237,6 +243,24 @@ def search(
     c; the DFS looks for one only when c waits after its placement, walking
     back from c through the vertices that wait on it, directly or not.
 
+    After its first dead end the DFS also cuts a prefix when three vertices
+    have no joint completion.  Every language-representable class is
+    hereditary: a word for g restricted to a vertex set A is a word for
+    g[A].  So a completion of the prefix, restricted to c, x and y, gives
+    each of their three pairs a word from its current state that uses the
+    letters the three have left; when no interleaving of those letters
+    keeps all three pair states live to the end, the prefix has no
+    completion, and the cut too removes only subtrees without a word.  The
+    check runs after placing c when c waits on some x and no cycle was cut,
+    over each third vertex y with letters left, except that x and y are not
+    both unstarted (no such triple was cut on a class-table row up to order
+    7, and they are most triples).  A triple with a settled pair (a Dfa
+    sink) always finishes, as do three single letters without a cycle of
+    waits; the others are decided by an iterative search over the pairs'
+    move tables, memoized in lang.triple_memo.  The cut is sound at any
+    point; starting it at the first dead end leaves searches that never
+    backtrack at no extra cost.
+
     Twins with equal bounds are interchangeable (swapping them is an
     automorphism of g that respects the bounds), so within such a class the
     multiplicities are non-decreasing in vertex order, and twins of equal
@@ -254,8 +278,8 @@ def search(
     word would keep the prefix and go on with sigma(c) < c, so it would be
     smaller than w*.  So w* passes this rule at every prefix, and, by the
     same argument, the twin rule.  The DFS tries letters in ascending order
-    and the cycle cut removes only subtrees without a word, so the DFS
-    still returns w* first, as it does without either rule.
+    and both cuts remove only subtrees without a word, so the DFS still
+    returns w* first, as it does without either rule.
 
     The automorphisms come from ``isomorphism.automorphisms``, for g up to
     order ISO_ORDER_CAP, the first time a DFS returns to the root, so a word
@@ -264,12 +288,14 @@ def search(
     the set of started vertices.
 
     node_budget counts CSP nodes and DFS nodes, cut ones included; running
-    out raises CapacityError, which also counts the prefixes cut and the
-    candidate letters an automorphism skipped.  The pair automata are kept
-    on lang, one per multiplicity pair.  A call that builds over
-    ENUMERATION_BUDGET states raises CapacityError naming both pairs, and it
-    first drops a cache holding more, so a cache stays under twice
-    ENUMERATION_BUDGET states.
+    out raises CapacityError, which also counts the prefixes each cut
+    removed and the candidate letters an automorphism skipped.  The pair
+    automata are kept on lang, one per multiplicity pair.  A call that
+    builds over ENUMERATION_BUDGET states raises CapacityError naming the
+    pair or triple, and it first drops a cache holding more, so a cache
+    stays under twice ENUMERATION_BUDGET states.  The triple memo is
+    dropped with the pair automata when either holds more; a call adds at
+    most ENUMERATION_BUDGET states to it and then stops checking triples.
     """
     require_symmetric(lang)
     bounds = _normalize_bounds(g, freq_bounds)
@@ -283,11 +309,13 @@ def search(
         least_rest[i] = least_rest[i + 1] + allowed[i][0]
     # per pair: the verdict that agrees with g (0: in L, 1: not in L)
     agree = [[0 if g.has_edge(u, v) else 1 for v in vs] for u in vs]
-    cache = lang.pair_automata
-    if sum(len(pa.keys) for pa in cache.values()) > ENUMERATION_BUDGET:
+    cache, memo = lang.pair_automata, lang.triple_memo
+    if max(len(memo), sum(len(pa.keys) for pa in cache.values())) > ENUMERATION_BUDGET:
         cache.clear()
+        memo.clear()
     meter = itertools.count(1)
-    spent = tried = cuts = skips = 0
+    room = ENUMERATION_BUDGET  # triple states this call may still add to memo
+    spent = tried = cuts = triple_cuts = skips = 0
     autos = None  # g's automorphisms on indices, found on a first return to the root
 
     def tick():
@@ -297,7 +325,8 @@ def search(
             raise CapacityError(
                 f"search node budget exhausted after {node_budget} nodes "
                 f"({tried} multiplicity assignments tried, {cuts} prefixes cut "
-                f"on a cycle of waits, {skips} candidate letters skipped by an automorphism)"
+                f"on a cycle of waits, {triple_cuts} on a triple without a joint completion, "
+                f"{skips} candidate letters skipped by an automorphism)"
             )
 
     def at_pair(e: CapacityError, a: int, b: int) -> CapacityError:
@@ -363,10 +392,10 @@ def search(
                 i -= 1
         return False
 
-    def waits_in_cycle(c: int, links: list, state: list) -> bool:
-        # c waits on some vertex: walk back from c through the vertices that
-        # wait on it, directly or not, until one of them is waited on by c.
-        # Every vertex on the walk has letters left
+    def waits_in_cycle(c: int, on: list, links: list, state: list) -> bool:
+        # c waits on the vertices in on: walk back from c through the
+        # vertices that wait on it, directly or not, until one of them is in
+        # on.  Every vertex on the walk has letters left
         seen, todo = {c}, [c]
         try:
             while todo:
@@ -374,14 +403,86 @@ def search(
                 for i, (s, _, move) in enumerate(links[y]):
                     d = i + (i >= y)
                     if d not in seen and remaining[d] and move[state[s]] < 0:
-                        # d waits on y; does c wait on d?
-                        s, move, _ = links[c][d - (d > c)]
-                        if move[state[s]] < 0:
+                        if d in on:
                             return True
                         seen.add(d)
                         todo.append(d)
         except CapacityError as e:
             raise at_pair(e, s // n, s % n) from None
+        return False
+
+    def joint(root: tuple, c0, c1, x0, x1, y0, y1) -> bool:
+        # can the pairs (c, x), (c, y), (x, y) of a triple, from the states
+        # in root, and its three vertices' letters left still finish
+        # together?  c0, c1 are c's moves in its two pairs, and so on; the
+        # kind (c0, c1, x1) fixes all six.  An iterative DFS over (pair
+        # states, counts) that keeps its verdicts in memo under kind + state;
+        # True, cutting nothing, once the call has added ENUMERATION_BUDGET
+        # states
+        nonlocal room
+        kind, size, todo = (c0, c1, x1), len(memo), [root]
+        while todo:
+            t = todo[-1]
+            if kind + t in memo:
+                todo.pop()
+                continue
+            if len(memo) - size >= room:
+                room = 0
+                return True
+            p, q, r, i, j, k = t
+            kids = []
+            if i and (u := c0[p]) >= 0 and (v := c1[q]) >= 0:
+                kids.append((u, v, r, i - 1, j, k))
+            if j and (u := x0[p]) >= 0 and (v := x1[r]) >= 0:
+                kids.append((u, q, v, i, j - 1, k))
+            if k and (u := y0[q]) >= 0 and (v := y1[r]) >= 0:
+                kids.append((p, u, v, i, j, k - 1))
+            if not (i or j or k) or any(memo.get(kind + u) for u in kids):
+                memo[kind + t] = True
+            elif all(kind + u in memo for u in kids):
+                memo[kind + t] = False
+            else:
+                todo.append(next(u for u in kids if kind + u not in memo))
+        room -= len(memo) - size
+        return memo[kind + root]
+
+    def stuck(c: int, on: list, links: list, state: list, started: int) -> bool:
+        # c waits on the vertices in on: has c, some x in on and a third
+        # vertex y with letters left no joint completion?  Triples whose x
+        # and y have both not started are skipped: none was ever cut on a
+        # class-table row up to order 7, and they are most triples.  A
+        # settled pair (a Dfa sink, which any letter keeps) allows every
+        # order, and the other two pairs' words then merge on their shared
+        # vertex's letters; three single letters finish unless their waits
+        # form a cycle, which the cycle cut has ruled out.  Other triples
+        # are decided by joint, whose verdicts memo keeps under the move
+        # tables of c in its two pairs and of x in pair (x, y), the pair
+        # states and the counts
+        lc, rc = links[c], remaining[c]
+        begun = [y for y in range(n) if started >> y & 1 and remaining[y] and y != c]
+        try:
+            for x in on:
+                s, c0, x0 = lc[x - (x > c)]
+                p, lx, rx = state[s], links[x], remaining[x]
+                for y in range(n) if started >> x & 1 else begun:
+                    if y == x or y == c or not remaining[y]:
+                        continue
+                    s, c1, y0 = lc[y - (y > c)]
+                    q = state[s]
+                    if c1[q] == q:
+                        continue
+                    s, x1, y1 = lx[y - (y > x)]
+                    r = state[s]
+                    ry = remaining[y]
+                    if x1[r] == r or rc == rx == ry == 1:
+                        continue
+                    verdict = memo.get((c0, c1, x1, p, q, r, rc, rx, ry))
+                    if verdict is None:
+                        verdict = joint((p, q, r, rc, rx, ry), c0, c1, x0, x1, y0, y1)
+                    if not verdict:
+                        return True
+        except CapacityError as e:
+            raise CapacityError(f"{e}, vertex triple ({vs[c]},{vs[x]},{vs[y]})") from None
         return False
 
     def dfs(total: int) -> bool:
@@ -390,7 +491,7 @@ def search(
         # multiplicity to start, and an unstarted vertex that a kept
         # automorphism maps lower waits too; state[a * n + b] is pair a < b's
         # state, bit c of started is set once c has a letter
-        nonlocal cuts, skips, autos
+        nonlocal cuts, triple_cuts, skips, autos
         links = [[] for _ in range(n)]  # per c, (slot, move on c, move on d) by partner d
         tables = {}  # (a's multiplicity, b's, verdict) to the pair's moves
         for a in range(n):
@@ -402,7 +503,7 @@ def search(
                     moves = tables[key] = automaton(a, b).moves[row[b]]
                 links[a].append((a * n + b, moves[0], moves[1]))
                 links[b].append((a * n + b, moves[1], moves[0]))
-        state, first, started = [0] * (n * n), 0, 0
+        state, first, started, checking = [0] * (n * n), 0, 0, False
         kept = None  # per automorphism keeping mults: (moved vertices, c with sigma(c) < c)
         skip_masks = {}  # started to the vertices a kept automorphism fixing it maps lower
         skip = 0
@@ -437,23 +538,28 @@ def search(
             if c >= 0:
                 started |= 1 << c
                 remaining[c] -= 1
-                more, waits, old = remaining[c] > 0, False, []
+                more, on, old = remaining[c] > 0, [], []
                 try:
                     for s, move, _ in links[c]:
                         q = state[s]
                         old.append(q)
                         state[s] = q = move[q]
                         if more and move[q] < 0:
-                            waits = True
+                            on.append(s // n + s % n - c)  # c waits on the pair's other vertex
                 except CapacityError as e:
                     raise at_pair(e, s // n, s % n) from None
                 trail.append((c, old))
                 tick()
-                if not (waits and waits_in_cycle(c, links, state)):
+                if on and waits_in_cycle(c, on, links, state):
+                    cuts += 1
+                elif on and checking and room > 0 and stuck(c, on, links, state, started):
+                    triple_cuts += 1
+                else:
                     first = 0
                     continue
-                cuts += 1
-            # no letter fits, or the last one closed a cycle of waits: take it back
+            # no letter fits, or the last one closed a cycle of waits or left
+            # a triple without a joint completion: take it back
+            checking = True
             if not trail:
                 return False
             c, old = trail.pop()

@@ -360,32 +360,50 @@ _C5_AND_TWO_ISOLATED = Graph([f"v{i}" for i in range(1, 8)], cycle_graph(5).edge
 
 
 def test_search_budget_error_counts_the_cut_prefixes():
-    with pytest.raises(CapacityError, match=r"after 1000 nodes \(1 multiplicity assignments "
-                                            r"tried, 571 prefixes cut on a cycle of waits, 50 "
-                                            r"candidate letters skipped by an automorphism\)"):
-        search(_C5_AND_TWO_ISOLATED, parse_language("<0110>"), {2}, node_budget=1000)
+    # the refutation takes 68 nodes, so 50 run out
+    with pytest.raises(CapacityError, match=r"after 50 nodes \(1 multiplicity assignments "
+                                            r"tried, 2 prefixes cut on a cycle of waits, 24 on "
+                                            r"a triple without a joint completion, 32 candidate "
+                                            r"letters skipped by an automorphism\)"):
+        search(_C5_AND_TWO_ISOLATED, parse_language("<0110>"), {2}, node_budget=50)
 
 
 def test_search_cuts_paths_within_a_node_budget():
-    # cutting every prefix whose vertices wait on each other in a cycle, the
-    # search finds P10 in 9 379 nodes and refutes C5 plus two isolated
-    # vertices in 1 116 (9 631 without the automorphism rule); without the
-    # cut they take 294 499 and 31 381
+    # cutting every prefix whose vertices wait on each other in a cycle or
+    # leave three vertices without a joint completion, the search finds P10
+    # in 57 nodes and refutes C5 plus two isolated vertices in 68; with the
+    # cycle cut alone they take 9 379 and 1 116, and with neither cut
+    # 294 499 and 31 381
     lang = parse_language("<0110>")
     g = path_graph(10)
-    w = search(g, lang, {2}, node_budget=20_000)
+    w = search(g, lang, {2}, node_budget=100)
     assert w is not None and evaluate(w, lang) == g
-    assert search(_C5_AND_TWO_ISOLATED, lang, {2}, node_budget=15_000) is None
+    assert search(_C5_AND_TWO_ISOLATED, lang, {2}, node_budget=100) is None
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_search_finds_long_paths(n):
+    # paths are permutation graphs; above ISO_ORDER_CAP no automorphism
+    # prunes, and the cycle cut alone took 57 s at P14
+    lang, g = parse_language("<0110>"), path_graph(n)
+    start = time.process_time()
+    w = search(g, lang, {2})
+    assert time.process_time() - start < 5
+    assert w is not None and evaluate(w, lang) == g
 
 
 # sha256 prefixes of repr([None or list(word)]) over search on every
-# enumerate_graphs(n) graph, n = 1..max order: the cut of a prefix whose
-# vertices wait in a cycle removes only subtrees without a completion, and
+# enumerate_graphs(n) graph, n = 1..max order: the cuts of a prefix whose
+# vertices wait in a cycle or whose triple has no joint completion remove
+# only subtrees without a completion, and
 # the twin and automorphism rules keep the least word of each assignment, so
 # search returns these very words.  freqs is a set of multiplicities, or the
 # seed of one per-vertex bound dict per graph
 SEARCH_WORD_DIGESTS = [
     ("<0110>", {2}, 6, "294ed267c51e1e65"),
+    # the triple cut prunes most at order 7; the digest is the one search
+    # gave before that cut
+    ("<0110>", {2}, 7, "f6305dcaaa54a12f"),
     ("<0101>", {2}, 5, "182aa25042c4e61e"),
     ("dyck", {2}, 5, "0446438f7376e992"),
     ("<0101>", {2}, 6, "0eea4ef76f85ddac"),
@@ -532,6 +550,35 @@ def test_search_drops_a_cache_past_the_budget(monkeypatch):
         assert sum(len(pa.keys) for pa in lang.pair_automata.values()) <= 2 * 40
     # the call at {4} found 10 + 40 states cached and started afresh
     assert list(lang.pair_automata) == [(4, 4)]
+
+
+def test_search_drops_the_triple_memo_with_the_pair_automata(monkeypatch):
+    monkeypatch.setattr(represent, "ENUMERATION_BUDGET", 30)
+    lang = parse_language("<0110>")
+    # a full memo turns the triple cut off and leaves the verdict exact
+    assert search(_C5_AND_TWO_ISOLATED, lang, {2}) is None
+    assert 0 < len(lang.triple_memo) <= 30
+    pairs = lang.pair_automata[(2, 2)]
+    lang.triple_memo.update((i, True) for i in range(31))
+    assert search(path_graph(3), lang, {2}) is not None
+    # the memo past the budget was dropped, and the pair automata with it
+    assert not any(isinstance(key, int) for key in lang.triple_memo)
+    assert lang.pair_automata[(2, 2)] is not pairs
+
+
+def test_search_decides_triples_at_high_multiplicity(monkeypatch):
+    # a triple is decided on an explicit stack: here with up to 41 letters
+    # left in its three vertices
+    lang, g = parse_language("dyck"), Graph(["v1", "v2", "v3"], [("v1", "v3")])
+    start = time.process_time()
+    w = search(g, lang, {40})
+    assert time.process_time() - start < 5 and evaluate(w, lang) == g
+    # a memo key ends in the triple's three counts
+    assert max(sum(key[6:]) for key in lang.triple_memo) == 41
+    # three vertices at multiplicity 12 stop at the state budget
+    monkeypatch.setattr(represent, "ENUMERATION_BUDGET", 10**4)
+    with pytest.raises(CapacityError, match=r"multiplicities \(12, 12\)"):
+        search(complete_graph(3), parse_language("copy"), {12})
 
 
 # class-sweep rows and multiplicities; wrep is not a row and takes {1, 2}
