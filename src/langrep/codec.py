@@ -17,7 +17,9 @@ The codec works on vertex indices from the adjacency to the packed bits
 and back.  ``encode`` builds each block as a list of indices, then the
 word from the blocks; ``copy_word`` uses the same two steps.  A name
 length below 0x80 is a one-byte varint, which the name table is written
-and read with inline, outside the varint loop.
+and read with inline, outside the varint loop.  An ASCII name table is
+decoded once and its names checked in bulk; a table that fails any check
+is read again name by name, to report the first fault where it lies.
 
 Symbols are packed and unpacked ``_FIELDS`` at a time as big ints.  A
 chunk of f fixed-width fields is whole bytes, read with one int
@@ -56,7 +58,7 @@ from typing import NamedTuple
 
 from .errors import FormatError
 from .graphs import Graph
-from .words import VertexWord, check_token
+from .words import _BAD_TOKEN_CHARS, VertexWord, check_token
 
 MAGIC = b"LGR1"
 _MODES = {"sparse": 0, "dense": 1}
@@ -272,6 +274,10 @@ def _unpack(data: bytes, start: int, count: int, n: int) -> list:
 def _read_names(data: bytes, pos: int, n: int):
     if pos == len(data):
         return default_names(n)
+    names = _ascii_names(data[pos:], n)
+    if names is not None:
+        return names
+    # the per-name reader names the first fault and its offset
     size = len(data)
     names = []
     for _ in range(n):
@@ -294,6 +300,26 @@ def _read_names(data: bytes, pos: int, n: int):
     if len(set(names)) != n:
         raise FormatError("duplicate vertex names", offset=pos)
     return names
+
+
+def _ascii_names(table: bytes, n: int):
+    """The n names of an ASCII table that passes every check, else None.
+    Every byte is below 0x80, so each length is a one-byte varint."""
+    if not table.isascii():
+        return None
+    text = table.decode("ascii")
+    names = []
+    at = 0
+    try:
+        for _ in range(n):
+            end = at + 1 + table[at]
+            names.append(text[at + 1:end])
+            at = end
+    except IndexError:
+        return None
+    if at != len(text) or not all(names) or not _BAD_TOKEN_CHARS.isdisjoint("".join(names)):
+        return None
+    return names if len(set(names)) == n else None
 
 
 class _Index(NamedTuple):

@@ -45,27 +45,80 @@ DEFAULT_NODE_BUDGET = 10**8
 ENUMERATION_BUDGET = 2 * 10**6
 
 
+# pair states evaluate's Dfa path holds at once: it takes the rows of its
+# pair-state matrix in bands of at most this many cells
+_PAIR_STATE_CAP = 1 << 20
+
+
 def evaluate(word: VertexWord, lang: Language) -> Graph:
     """The graph induced by word under lang: one membership verdict per
     unordered vertex pair, in the pair's ascending orientation.
 
-    Pairs are walked row by row in ``itertools.combinations`` order: u is
-    projected onto every later vertex by ``word.project_row``, and
-    ``lang.contains`` runs once per distinct projection of the row, in order
-    of first occurrence, so a contains that raises does so at the first such
-    pair.  Projection costs O(n·|w|) over the graph; a row and its verdicts
-    hold O(n·|u| + |w|) and are dropped after it."""
+    When lang's form is a Dfa of at most 256 states (for a finite
+    language, its trie built within the automaton budget), every pair's
+    run is stepped at once, with no membership calls: a bytearray holds one
+    state byte per pair (u, v), u < v, at u·n + v, and each letter x of the
+    word steps row x on 0 and column x on 1 by two C-level ``translate``
+    calls.  That costs O(n·|w|) bytes moved in C and O(|w|) Python steps
+    per band of rows; a band holds at most ``_PAIR_STATE_CAP`` states, one
+    pass over the word each.
+
+    Any other language goes through the projected strings.  Pairs are
+    walked row by row in ``itertools.combinations`` order: u is projected
+    onto every later vertex by ``word.project_row``, and ``lang.contains``
+    runs once per distinct projection of the row, in order of first
+    occurrence, so a contains that raises does so at the first such pair.
+    Projection costs O(n·|w|) over the graph; a row and its verdicts hold
+    O(n·|u| + |w|) and are dropped after it."""
     require_symmetric(lang)
     vs = tuple(sorted(word.alphabet()))
-    contains = lang.contains
-    edges = []
-    for i, u in enumerate(vs):
-        later = vs[i + 1:]
-        row = word.project_row(u, later)
-        verdict = {b: contains(b) for b in dict.fromkeys(row)}
-        edges += [(u, v) for v, b in zip(later, row) if verdict[b]]
+    try:
+        form = lang.form
+    except CapacityError:  # a finite language too large for its trie
+        form = None
+    if isinstance(form, Dfa) and len(form) <= 256 and len(vs) <= _PAIR_STATE_CAP:
+        edges = _dfa_edges(word, vs, form)
+    else:
+        contains = lang.contains
+        edges = []
+        for i, u in enumerate(vs):
+            later = vs[i + 1:]
+            row = word.project_row(u, later)
+            verdict = {b: contains(b) for b in dict.fromkeys(row)}
+            edges += [(u, v) for v, b in zip(later, row) if verdict[b]]
     # the word checked every token, and each pair is ascending
     return Graph._frozen(vs, edges)
+
+
+def _dfa_edges(word: VertexWord, vs: tuple, dfa: Dfa) -> list:
+    n = len(vs)
+    where = {v: i for i, v in enumerate(vs)}
+    xs = [where[t] for t in word.letters]
+    on0 = bytes(a for a, _ in dfa.trans).ljust(256, b"\0")
+    on1 = bytes(b for _, b in dfa.trans).ljust(256, b"\0")
+    accept = bytes(q in dfa.accept for q in range(256))
+    rows = _PAIR_STATE_CAP // n
+    edges = []
+    for top in range(0, n, rows):
+        bottom = min(n, top + rows)
+        # per letter x, its (cells, table) steps in this band: column x
+        # above row x on 1, and row x right of the diagonal on 0
+        steps = [()] * top
+        for x in range(top, n):
+            row = (x - top) * n
+            steps.append(
+                ((slice(x, row, n), on1), (slice(row + x + 1, row + n), on0))
+                if x < bottom else ((slice(x, None, n), on1),)
+            )
+        cells = bytearray([dfa.start]) * ((bottom - top) * n)
+        for x in xs:
+            for cut, table in steps[x]:
+                cells[cut] = cells[cut].translate(table)
+        cells = cells.translate(accept)  # each state becomes its edge flag
+        for u in range(top, bottom):
+            flags = cells[(u - top) * n + u + 1:(u - top + 1) * n]
+            edges += zip(itertools.repeat(vs[u]), itertools.compress(vs[u + 1:], flags))
+    return edges
 
 
 @dataclass(frozen=True)

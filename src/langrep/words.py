@@ -6,19 +6,21 @@ become 0, occurrences of v become 1, everything else vanishes.  Binary words
 are plain strings over {0, 1} and may be empty.
 
 A word projects through a position index built once, on the first
-projection.  Each position i of a letter is kept twice, as a string tag:
-i in decimal, zero-padded to the digit count of the word's length (one
-width for the whole word), followed by the side, "0" for the letter mapped
-to 0 or "1" for the letter mapped to 1.  Tags of one word all have the
-same length, so they sort lexicographically in position order.  Projecting u
+projection.  Each position p of a letter is kept twice, as an integer tag
+(p << 8) | ord(side), the side being "0" for the letter mapped to 0 or "1"
+for the letter mapped to 1, so tags sort in position order.  Projecting u
 onto a row of letters v sorts, for each v, u's 0-side tags together with v's
-1-side tags, joins them, and reads every (width + 1)-th character, the sides,
-with one extended slice; ``project_row`` is that one routine and ``project``
-its one-pair case.  A pair costs O(|u| + |v|) rather than O(|w|), all pairs
-together O(n·|w|), and the per-symbol work runs in C string operations.
+1-side tags, packs them as unsigned 64-bit machine integers, and reads the
+low byte of each, the side, with one extended slice of the packed bytes;
+``project_row`` is that one routine and ``project`` its one-pair case.  A
+pair costs O(|u| + |v|) rather than O(|w|), all pairs together O(n·|w|),
+and the per-symbol work runs in C.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
 
 from .errors import FormatError
 
@@ -36,10 +38,9 @@ def check_token(tok: str) -> str:
 class VertexWord:
     """Immutable nonempty word over an arbitrary vertex alphabet."""
 
-    # _index: (width, letter -> (0-side tags, 1-side tags)), built by the
-    # first projection.  A tag is a position zero-padded to width digits
-    # with the side as its last character; each list is ascending.  Equality
-    # and hashing see only the letters.
+    # _index: letter -> (0-side tags, 1-side tags), built by the first
+    # projection.  A tag is (position << 8) | ord(side); each list is
+    # ascending.  Equality and hashing see only the letters.
     __slots__ = ("letters", "_index")
 
     def __init__(self, letters):
@@ -108,7 +109,7 @@ class VertexWord:
 
     def project_row(self, u: Vertex, others) -> list:
         """u's projection onto each v in others, in order: [h_{u,v}(w) ...]."""
-        width, tags_of = self._index or self._build_index()
+        tags_of = self._index or self._build_index()
         zeros = tags_of.get(u, _ABSENT)[0]
         row = []
         for v in others:
@@ -117,19 +118,15 @@ class VertexWord:
             # both lists are ascending, so Timsort merges the two runs in one pass
             tags = zeros + tags_of.get(v, _ABSENT)[1]
             tags.sort()
-            row.append("".join(tags)[width::width + 1])
+            row.append(array("Q", tags).tobytes()[_SIDE_BYTE::8].decode())
         return row
 
-    def _build_index(self) -> tuple:
-        width = len(str(len(self.letters)))
-        positions: dict = {}
-        pads = [str(i).zfill(width) for i in range(len(self.letters))]
-        for pad, tok in zip(pads, self.letters):
-            positions.setdefault(tok, []).append(pad)
-        index = width, {
-            tok: ([p + "0" for p in pos], [p + "1" for p in pos])
-            for tok, pos in positions.items()
-        }
+    def _build_index(self) -> dict:
+        zeros: dict = {}
+        for tag, tok in zip(range(_ZERO, len(self.letters) << 8, 1 << 8), self.letters):
+            zeros.setdefault(tok, []).append(tag)
+        # ord("1") == ord("0") + 1, so a 1-side tag is its 0-side tag plus one
+        index = {tok: (tags, [t + 1 for t in tags]) for tok, tags in zeros.items()}
         object.__setattr__(self, "_index", index)
         return index
 
@@ -143,6 +140,9 @@ class VertexWord:
 
 
 _ABSENT = ([], [])  # a letter not in the word: never mutated
+_ZERO = ord("0")
+# where a tag's low byte sits among its 8 packed bytes
+_SIDE_BYTE = 0 if sys.byteorder == "little" else 7
 
 
 def check_binary(b: str) -> str:

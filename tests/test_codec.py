@@ -568,6 +568,41 @@ def test_name_not_utf8_rejected():
     assert err.value.offset == len(blob) - 1
 
 
+_NAME_TABLES = [
+    b"\x01a\x02bb\x01c",  # sound
+    b"\x01c\x01b\x01a",  # sound, out of token order
+    b"\x01a\x02\xc3\xa9\x01c",  # a UTF-8 name that is not ASCII
+    b"\x01a\xc8\x01" + b"b" * 200 + b"\x01c",  # a two-byte length
+    b"\x01a\x00\x01c",  # an empty name
+    b"\x01a\x02b b\x01c",
+    b"\x01a\x02b,\x01c",
+    b"\x01a\x02b\t\x01c",
+    b"\x01a\x01a\x01c",  # duplicate
+    b"\x01a\x01b",  # a name short
+    b"\x01a\x01b\x05c",  # truncated
+    b"\x01a\x01b\x01cd",  # trailing bytes
+    b"\x01a\x01b\x01\xff",  # not UTF-8
+]
+
+
+@pytest.mark.parametrize("table", _NAME_TABLES, ids=range(len(_NAME_TABLES)))
+def test_ascii_name_tables_read_as_the_per_name_reader_does(monkeypatch, table):
+    # the bulk ASCII read must accept, reject and report exactly as reading
+    # the table one name at a time does
+    blob = encode(path_graph(3), "sparse", include_names=False) + table
+
+    def outcome():
+        codec._read.cache_clear()
+        try:
+            return decode(blob)
+        except FormatError as err:
+            return str(err), err.offset
+
+    bulk = outcome()
+    monkeypatch.setattr(codec, "_ascii_names", lambda table, n: None)
+    assert outcome() == bulk
+
+
 def test_garbled_word_structure():
     # decode must say so rather than guess
     with pytest.raises(FormatError):

@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_binary_words, filter_project, gnp, graph_from_mask
-from langrep import oracles, represent
+from langrep import automata, oracles, represent
 from langrep.codec import copy_word
-from langrep.constructions import build_cograph
+from langrep.automata import Dfa
+from langrep.constructions import CANONICAL_SPECS, build_cograph
 from langrep.errors import CapacityError, NotSymmetricError
 from langrep.graphs import (
     Graph,
@@ -173,6 +174,99 @@ def test_evaluate_raises_at_the_first_pair_whose_projection_raises(word):
     with pytest.raises(RuntimeError):
         evaluate(word, lang)
     assert calls == _row_calls(word, stop)
+
+
+# --- the Dfa path of evaluate -------------------------------------------------
+
+# every spec here has a Dfa form of at most 256 states, so evaluate steps all
+# pair runs at once: the Dfa-form rows of CANONICAL_SPECS, regular builtins,
+# a finite trie and a regular expression
+_DFA_SPECS = sorted(
+    {spec for spec in CANONICAL_SPECS.values() if isinstance(parse_language(spec).form, Dfa)}
+    | {"wrep", "k11(3)", "uniform(2)", "halfline", "re:((0|1)(0|1))*"}
+)
+
+
+def _projected(lang):
+    """lang's membership with no form, so evaluate projects every pair."""
+    return Language(None, f"projected {lang.label}", member=lang.contains, symmetric=True)
+
+
+def _seeded_words(seed, count=40):
+    """Words over 1-12 letters, some letters occurring once."""
+    rng = random.Random(seed)
+    words = [VertexWord(["a"]), VertexWord(["a", "b"]), VertexWord(["b", "a", "b"])]
+    for _ in range(count):
+        alphabet = [f"v{i}" for i in range(rng.randint(1, 12))]
+        letters = [rng.choice(alphabet) for _ in range(rng.randint(1, 40))]
+        words.append(VertexWord(letters + rng.sample(alphabet, rng.randint(0, len(alphabet)))))
+    return words
+
+
+@pytest.mark.parametrize("spec", _DFA_SPECS)
+def test_evaluate_dfa_path_equals_the_projection_path(spec):
+    lang = parse_language(spec)
+    assert isinstance(lang.form, Dfa) and len(lang.form) <= 256
+    projected = _projected(lang)
+    for word in _seeded_words(len(spec)):
+        assert evaluate(word, lang) == evaluate(word, projected), word
+
+
+def test_evaluate_on_a_dfa_form_makes_no_membership_calls():
+    lang = parse_language("<0110>")
+    calls = []
+    member = lang._member
+    lang._member = lambda b: calls.append(b) or member(b)
+    words = _seeded_words(3)
+    graphs = [evaluate(w, lang) for w in words]
+    assert calls == [] and any(g.size for g in graphs)
+    # the formless twin goes through the same wrapped membership test
+    assert [evaluate(w, _projected(lang)) for w in words] == graphs and calls
+
+
+@pytest.mark.parametrize("cap", [1, 5, 24])
+def test_evaluate_in_row_bands_of_a_small_cap(monkeypatch, cap):
+    # a small cap splits the pair states into bands of one or a few rows,
+    # and sends an order above it through the projections
+    words = _seeded_words(cap)
+    for spec in ("<0101>", "<01,001>", "wrep"):
+        lang = parse_language(spec)
+        expected = [evaluate(w, lang) for w in words]
+        monkeypatch.setattr(represent, "_PAIR_STATE_CAP", cap)
+        assert [evaluate(w, lang) for w in words] == expected, spec
+        assert [evaluate(w, lang) for w in words] == [_ref_evaluate(w, lang) for w in words]
+        monkeypatch.undo()
+
+
+def test_evaluate_past_256_dfa_states_projects_the_pairs():
+    lang = parse_language("k11(12)")
+    assert len(lang.form) > 256
+    calls = []
+    _spied(lang, calls)
+    for word in _seeded_words(12):
+        assert evaluate(word, lang) == _ref_evaluate(word, parse_language("k11(12)"))
+    assert calls
+
+
+def test_evaluate_a_finite_language_past_its_trie_budget(monkeypatch):
+    # evaluate needs no form: a trie over the budget leaves the projections
+    monkeypatch.setattr(automata, "AUTOMATON_BUDGET", 4)
+    lang = parse_language("<0101,0110>")
+    with pytest.raises(CapacityError):
+        lang.form
+    for word in _seeded_words(4):
+        assert evaluate(word, lang) == _ref_evaluate(word, lang)
+
+
+def test_evaluate_a_long_null_graph_word_in_bands():
+    # 1500 vertices, each twice in a row: every pair projects to 0011, no
+    # word of <0110>.  The 2.25 M pair states take three bands of at most
+    # 1 MiB; one band of them all would hold more than 4.5 MiB at its peak.
+    g = null_graph(1500)
+    word = VertexWord([v for v in g.vertices for _ in range(2)])
+    produced, seconds, peak = _timed_peak(lambda: evaluate(word, parse_language("<0110>")))
+    assert produced == g
+    assert seconds < 2 and peak < 3.5 * 2**20
 
 
 # --- check ------------------------------------------------------------------

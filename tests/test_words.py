@@ -154,10 +154,10 @@ def test_project_absent_endpoints():
         w.project("zz", "zz")
 
 
-@pytest.mark.parametrize("length", [9, 10, 11, 99, 100, 101, 999, 1000, 1001, 10007])
+@pytest.mark.parametrize("length", [9, 10, 11, 99, 100, 101, 999, 1000, 1001, 10007, 65_543])
 def test_project_across_tag_width_boundaries(length):
-    # position tags are zero-padded to the digits of the word's length, so
-    # words on either side of a power of ten use different widths
+    # lengths on either side of powers of ten, and one whose positions pass
+    # 16 bits: a position tag keeps the position above its side byte
     rng = random.Random(length)
     tokens = rng.sample(["a", "v1", "v10", "bb", "v100", "x7y", "q"], rng.randint(3, 6))
     letters = [rng.choice(tokens) for _ in range(length)]
@@ -167,6 +167,8 @@ def test_project_across_tag_width_boundaries(length):
         for v in others:
             assert w.project(u, v) == filter_project(letters, u, v), (u, v)
         assert w.project_row(u, others) == [w.project(u, v) for v in others]
+    u, *others = tokens
+    assert w.project_row(u, others) == [filter_project(letters, u, v) for v in others]
 
 
 def test_word_names_its_first_bad_token_in_word_order():
