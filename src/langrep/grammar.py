@@ -151,10 +151,6 @@ class Cfg:
         prods.update(p2)
         return Cfg("S%union", prods)
 
-    def is_empty(self) -> bool:
-        """True when the start symbol generates no word at all."""
-        return self.shortest_length() is None
-
     def count_vectors(self, fits, budget: int) -> set:
         """The letter counts (zeros, ones) of the generated words that
         satisfy ``fits(zeros, ones)``, a test that holds below every vector

@@ -12,8 +12,9 @@ vertex waits on another while their pair's table forbids its next letter;
 vertices that wait on each other in a cycle can never move again, so a prefix
 that closes such a cycle has no completion and the DFS backtracks from it at
 once.  By heredity, a completion restricted to any three vertices is a word
-for their three pairs, so once the DFS has met a dead end it also backtracks
-from a prefix after which some such triple has no joint completion.  Twins
+for their three pairs, so the DFS also backtracks from a prefix after which
+some such triple has no joint completion; of the two checks, the one that
+has cut more prefixes so far runs first.  Twins
 with equal bounds are interchangeable, so their multiplicities are taken in
 non-decreasing vertex order and, when equal, they start in vertex order.
 Beyond twins, an unstarted vertex waits when an automorphism of g that keeps
@@ -156,35 +157,50 @@ def check(word: VertexWord, lang: Language, expected: Graph) -> CheckReport:
     return CheckReport(False, produced, message="mismatch: no isomorphism")
 
 
-def _normalize_bounds(g: Graph, freq_bounds) -> dict:
+def _normalize_bounds(g: Graph, freq_bounds) -> list:
+    """Each vertex's allowed multiplicities as an ascending tuple, by vertex
+    index.  A set of them is checked once and shared by every vertex."""
+    vs = g.vertices
     if isinstance(freq_bounds, dict):
-        table = {v: sorted(set(freq_bounds[v])) for v in g.vertices}
+        table = [tuple(sorted(set(freq_bounds[v]))) for v in vs]
+        named = zip(vs, table)
     else:
-        allowed = sorted(set(freq_bounds))
-        table = {v: allowed for v in g.vertices}
-    for v, allowed in table.items():
+        table = [tuple(sorted(set(freq_bounds)))] * len(vs)
+        named = [(vs[0], table[0])]
+    for v, allowed in named:
         if not allowed or any(m < 1 for m in allowed):
-            raise ValueError(f"invalid multiplicity bounds for {v}: {allowed}")
+            raise ValueError(f"invalid multiplicity bounds for {v}: {list(allowed)}")
     return table
 
 
-def _twin_predecessors(g: Graph, bounds: dict) -> list:
+def _verdicts(g: Graph) -> list:
+    """Per vertex index, the bytes row of the pair verdicts that agree with
+    g (0: in L, at its neighbours; 1: not in L, elsewhere and at itself)."""
+    vs = g.vertices
+    index = {v: i for i, v in enumerate(vs)}
+    ones, rows = bytearray(b"\1") * len(vs), []
+    for v in vs:
+        row = ones[:]
+        for u in g.neighbors(v):
+            row[index[u]] = 0
+        rows.append(bytes(row))
+    return rows
+
+
+def _twin_predecessors(verdicts: list, bounds: list) -> list:
     """For each vertex index, the nearest earlier index interchangeable with
     it, or -1.  Interchangeable means twins (N(u) - {v} == N(v) - {u}, so
     swapping u and v is an automorphism of g) with equal bounds (so the swap
-    also maps allowed multiplicities to allowed ones)."""
+    also maps allowed multiplicities to allowed ones).  False twins have the
+    same verdict row; true twins have it once their own entries are zeroed.
+    A row never matches another's zeroed one: that would make u adjacent to
+    v but not v to u."""
     last: dict = {}
     prev = []
-    for i, v in enumerate(g.vertices):
-        allowed = tuple(bounds[v])
-        # false twins share N(v), true twins share N(v) + v
-        keys = (
-            (False, g.neighbors(v), allowed),
-            (True, g.neighbors(v) | {v}, allowed),
-        )
-        prev.append(max(last.get(key, -1) for key in keys))
-        for key in keys:
-            last[key] = i
+    for i, (row, allowed) in enumerate(zip(verdicts, bounds)):
+        false, true = (row, allowed), (row[:i] + b"\0" + row[i + 1:], allowed)
+        prev.append(max(last.get(false, -1), last.get(true, -1)))
+        last[false] = last[true] = i
     return prev
 
 
@@ -296,23 +312,30 @@ def search(
     c; the DFS looks for one only when c waits after its placement, walking
     back from c through the vertices that wait on it, directly or not.
 
-    After its first dead end the DFS also cuts a prefix when three vertices
-    have no joint completion.  Every language-representable class is
-    hereditary: a word for g restricted to a vertex set A is a word for
-    g[A].  So a completion of the prefix, restricted to c, x and y, gives
-    each of their three pairs a word from its current state that uses the
-    letters the three have left; when no interleaving of those letters
-    keeps all three pair states live to the end, the prefix has no
-    completion, and the cut too removes only subtrees without a word.  The
-    check runs after placing c when c waits on some x and no cycle was cut,
-    over each third vertex y with letters left, except that x and y are not
-    both unstarted (no such triple was cut on a class-table row up to order
-    7, and they are most triples).  A triple with a settled pair (a Dfa
-    sink) always finishes, as do three single letters without a cycle of
-    waits; the others are decided by an iterative search over the pairs'
-    move tables, memoized in lang.triple_memo.  The cut is sound at any
-    point; starting it at the first dead end leaves searches that never
-    backtrack at no extra cost.
+    The DFS also cuts a prefix when three vertices have no joint
+    completion.  Every language-representable class is hereditary: a word
+    for g restricted to a vertex set A is a word for g[A].  So a completion
+    of the prefix, restricted to c, x and y, gives each of their three pairs
+    a word from its current state that uses the letters the three have
+    left; when no interleaving of those letters keeps all three pair states
+    live to the end, the prefix has no completion, and the cut too removes
+    only subtrees without a word.  The check looks, after placing c when c
+    waits on some x, at each third vertex y with letters left, except that
+    x and y are not both unstarted (no such triple was cut on a class-table
+    row up to order 7, and they are most triples).  A triple with a settled
+    pair (a Dfa sink) always finishes, and three single letters finish
+    unless their waits form a cycle, which is the walk's to find; the others
+    are decided by an iterative search over the pairs' move tables,
+    memoized in lang.triple_memo.
+
+    Both cuts are sound at any point, so their order moves only work, never
+    the word.  After a placement where c waits, the cut that has cut more
+    prefixes in this call runs first: the triple check and then the walk
+    while triple cuts lead, the walk and then the triple check on a tie (so
+    from the first letter on), and the walk alone once cycle cuts lead,
+    which then holds for the rest of the call.  Rows differ in which cut
+    does the work: on the order-7 class-table rows every cut under <0110>
+    is a triple's and every cut under <0101> is the walk's.
 
     Twins with equal bounds are interchangeable (swapping them is an
     automorphism of g that respects the bounds), so within such a class the
@@ -351,17 +374,16 @@ def search(
     most ENUMERATION_BUDGET states to it and then stops checking triples.
     """
     require_symmetric(lang)
-    bounds = _normalize_bounds(g, freq_bounds)
+    allowed = _normalize_bounds(g, freq_bounds)
     vs = g.vertices
     n = len(vs)
-    allowed = [bounds[v] for v in vs]
-    twin_prev = _twin_predecessors(g, bounds)
+    # per pair: the verdict that agrees with g (0: in L, 1: not in L)
+    agree = _verdicts(g)
+    twin_prev = _twin_predecessors(agree, allowed)
     # least total length of the vertices from index i on
     least_rest = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         least_rest[i] = least_rest[i + 1] + allowed[i][0]
-    # per pair: the verdict that agrees with g (0: in L, 1: not in L)
-    agree = [[0 if g.has_edge(u, v) else 1 for v in vs] for u in vs]
     cache, memo = lang.pair_automata, lang.triple_memo
     if max(len(memo), sum(len(pa.keys) for pa in cache.values())) > ENUMERATION_BUDGET:
         cache.clear()
@@ -507,17 +529,23 @@ def search(
         # settled pair (a Dfa sink, which any letter keeps) allows every
         # order, and the other two pairs' words then merge on their shared
         # vertex's letters; three single letters finish unless their waits
-        # form a cycle, which the cycle cut has ruled out.  Other triples
+        # form a cycle, which waits_in_cycle looks for.  Other triples
         # are decided by joint, whose verdicts memo keeps under the move
         # tables of c in its two pairs and of x in pair (x, y), the pair
         # states and the counts
         lc, rc = links[c], remaining[c]
-        begun = [y for y in range(n) if started >> y & 1 and remaining[y] and y != c]
+        begun = None  # the started vertices other than c with letters left
         try:
             for x in on:
                 s, c0, x0 = lc[x - (x > c)]
                 p, lx, rx = state[s], links[x], remaining[x]
-                for y in range(n) if started >> x & 1 else begun:
+                if started >> x & 1:
+                    ys = range(n)
+                elif begun is None:
+                    ys = begun = [y for y in range(n) if started >> y & 1 and remaining[y] and y != c]
+                else:
+                    ys = begun
+                for y in ys:
                     if y == x or y == c or not remaining[y]:
                         continue
                     s, c1, y0 = lc[y - (y > c)]
@@ -556,7 +584,7 @@ def search(
                     moves = tables[key] = automaton(a, b).moves[row[b]]
                 links[a].append((a * n + b, moves[0], moves[1]))
                 links[b].append((a * n + b, moves[1], moves[0]))
-        state, first, started, checking = [0] * (n * n), 0, 0, False
+        state, first, started = [0] * (n * n), 0, 0
         kept = None  # per automorphism keeping mults: (moved vertices, c with sigma(c) < c)
         skip_masks = {}  # started to the vertices a kept automorphism fixing it maps lower
         skip = 0
@@ -603,16 +631,20 @@ def search(
                     raise at_pair(e, s // n, s % n) from None
                 trail.append((c, old))
                 tick()
-                if on and waits_in_cycle(c, on, links, state):
+                # the cut that has cut more prefixes in this call goes first;
+                # the walk goes first on a tie and alone while it leads
+                lead = triple_cuts - cuts
+                if on and lead > 0 and room > 0 and stuck(c, on, links, state, started):
+                    triple_cuts += 1
+                elif on and waits_in_cycle(c, on, links, state):
                     cuts += 1
-                elif on and checking and room > 0 and stuck(c, on, links, state, started):
+                elif on and lead == 0 and room > 0 and stuck(c, on, links, state, started):
                     triple_cuts += 1
                 else:
                     first = 0
                     continue
             # no letter fits, or the last one closed a cycle of waits or left
             # a triple without a joint completion: take it back
-            checking = True
             if not trail:
                 return False
             c, old = trail.pop()

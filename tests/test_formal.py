@@ -346,9 +346,9 @@ def test_cfg_parse_errors():
 
 
 def test_cfg_emptiness():
-    assert Cfg.parse("S -> S").is_empty()
-    assert Cfg.parse("S -> 0 S | S 1").is_empty()  # no terminating rule
-    assert not Cfg.parse(ANBN).is_empty()
+    assert Cfg.parse("S -> S").shortest_length() is None
+    assert Cfg.parse("S -> 0 S | S 1").shortest_length() is None  # no terminating rule
+    assert Cfg.parse(ANBN).shortest_length() == 0
 
 
 def test_cfg_shortest_word():
@@ -382,12 +382,12 @@ def test_cfg_swap_union_reverse():
 def test_intersect_regular_products():
     anbn = Cfg.parse(ANBN)
     with_both = intersect_regular(anbn, both_symbols_dfa())
-    assert not with_both.is_empty()
+    assert with_both.shortest_length() == 2
     assert with_both.shortest_word() == "01"
     exact22 = intersect_regular(anbn, count_window_dfa(2, 2))
     for b in WORDS7:
         assert exact22.contains(b) == (b == "0011")
-    assert intersect_regular(anbn, count_window_dfa(1, 0)).is_empty()
+    assert intersect_regular(anbn, count_window_dfa(1, 0)).shortest_length() is None
 
 
 def test_intersect_regular_pointwise():
@@ -404,7 +404,7 @@ def test_intersect_regular_refuses_a_product_past_its_budget():
     with pytest.raises(CapacityError, match="budget"):
         intersect_regular(Cfg.parse("S -> S S | 0 | 1"), count_window_dfa(20, 20), 2 * 10**5)
     # the default budget, PRODUCT_BUDGET, holds the Dyck product
-    assert not intersect_regular(Cfg.parse(DYCK), count_window_dfa(2, 2)).is_empty()
+    assert intersect_regular(Cfg.parse(DYCK), count_window_dfa(2, 2)).shortest_length() == 4
 
 
 def test_intersect_regular_budget_charges_what_the_product_builds():
@@ -418,7 +418,7 @@ def test_intersect_regular_budget_charges_what_the_product_builds():
     cfg = Cfg.parse("S -> " + " | ".join(" ".join(w) for w in words))
     d = both_symbols_dfa()
     size = len(words) * 11 * len(d)
-    assert not intersect_regular(cfg, d, size).is_empty()
+    assert intersect_regular(cfg, d, size).shortest_length() is not None
     with pytest.raises(CapacityError, match=f"budget of {size - 1} bodies"):
         intersect_regular(cfg, d, size - 1)
 

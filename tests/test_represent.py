@@ -31,6 +31,9 @@ from langrep.grammar import Cfg
 from langrep.isomorphism import enumerate_graphs
 from langrep.languages import Language, parse_language
 from langrep.represent import (
+    _normalize_bounds,
+    _twin_predecessors,
+    _verdicts,
     check,
     decompose,
     evaluate,
@@ -387,6 +390,26 @@ def test_search_agrees_with_brute_force_on_twin_classes(spec, g):
     _agrees_with_brute_force(g, parse_language(spec), {1, 2})
 
 
+def test_twin_predecessors_match_their_definition():
+    # every labeled graph of order at most 6, under one set of bounds and
+    # under seeded per-vertex ones (equal as sets, not always as lists)
+    rng = random.Random(23)
+    for n in range(1, 7):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            g = graph_from_mask(n, mask)
+            vs = g.vertices
+            nbrs = [g.neighbors(v) for v in vs]
+            twins = [[j for j in range(i) if nbrs[i] - {vs[j]} == nbrs[j] - {vs[i]}]
+                     for i in range(n)]
+            verdicts = _verdicts(g)
+            for freqs in ({1, 2}, {v: rng.choice(([2], [1, 2], [2, 1, 2], [2, 3])) for v in vs}):
+                bounds = _normalize_bounds(g, freqs)
+                allowed = [set(b) for b in bounds]
+                expected = [max((j for j in twins[i] if allowed[j] == allowed[i]), default=-1)
+                            for i in range(n)]
+                assert _twin_predecessors(verdicts, bounds) == expected, (g.edges, freqs)
+
+
 def test_search_ignores_vertex_names():
     # search works on g's own names, so a relabeled graph must be found
     # exactly when the original is
@@ -454,25 +477,34 @@ _C5_AND_TWO_ISOLATED = Graph([f"v{i}" for i in range(1, 8)], cycle_graph(5).edge
 
 
 def test_search_budget_error_counts_the_cut_prefixes():
-    # the refutation takes 68 nodes, so 50 run out
+    # the refutation takes 61 nodes, so 50 run out; the first cut is a
+    # triple's, so the triple check then runs before the walk and makes
+    # every cut
     with pytest.raises(CapacityError, match=r"after 50 nodes \(1 multiplicity assignments "
-                                            r"tried, 2 prefixes cut on a cycle of waits, 24 on "
-                                            r"a triple without a joint completion, 32 candidate "
+                                            r"tried, 0 prefixes cut on a cycle of waits, 26 on "
+                                            r"a triple without a joint completion, 42 candidate "
                                             r"letters skipped by an automorphism\)"):
         search(_C5_AND_TWO_ISOLATED, parse_language("<0110>"), {2}, node_budget=50)
+    # C7 under <0101> takes 117 nodes; the first cut is a walk's, and the
+    # walk then runs alone
+    with pytest.raises(CapacityError, match=r"after 100 nodes \(1 multiplicity assignments "
+                                            r"tried, 55 prefixes cut on a cycle of waits, 0 on "
+                                            r"a triple without a joint completion, 0 candidate "
+                                            r"letters skipped by an automorphism\)"):
+        search(cycle_graph(7), parse_language("<0101>"), {2}, node_budget=100)
 
 
 def test_search_cuts_paths_within_a_node_budget():
     # cutting every prefix whose vertices wait on each other in a cycle or
     # leave three vertices without a joint completion, the search finds P10
-    # in 57 nodes and refutes C5 plus two isolated vertices in 68; with the
+    # in 49 nodes and refutes C5 plus two isolated vertices in 61; with the
     # cycle cut alone they take 9 379 and 1 116, and with neither cut
     # 294 499 and 31 381
     lang = parse_language("<0110>")
     g = path_graph(10)
-    w = search(g, lang, {2}, node_budget=100)
+    w = search(g, lang, {2}, node_budget=75)
     assert w is not None and evaluate(w, lang) == g
-    assert search(_C5_AND_TWO_ISOLATED, lang, {2}, node_budget=100) is None
+    assert search(_C5_AND_TWO_ISOLATED, lang, {2}, node_budget=75) is None
 
 
 @pytest.mark.parametrize("n", [14, 16])
@@ -501,6 +533,8 @@ SEARCH_WORD_DIGESTS = [
     ("<0101>", {2}, 5, "182aa25042c4e61e"),
     ("dyck", {2}, 5, "0446438f7376e992"),
     ("<0101>", {2}, 6, "0eea4ef76f85ddac"),
+    # the cycle walk does the cutting here, and no triple is cut
+    ("<0101>", {2}, 7, "5d04b5a26b98b4ba"),
     ("<01,001>", {1, 2}, 5, "dd6aef595b91d63e"),
     ("halfline", {1, 2, 3}, 5, "b04332bf741f0413"),
     ("<0011>", {2}, 6, "baea85d5f68c13cb"),
@@ -661,14 +695,14 @@ def test_search_drops_the_triple_memo_with_the_pair_automata(monkeypatch):
 
 
 def test_search_decides_triples_at_high_multiplicity(monkeypatch):
-    # a triple is decided on an explicit stack: here with up to 41 letters
+    # a triple is decided on an explicit stack: here with up to 42 letters
     # left in its three vertices
     lang, g = parse_language("dyck"), Graph(["v1", "v2", "v3"], [("v1", "v3")])
     start = time.process_time()
     w = search(g, lang, {40})
     assert time.process_time() - start < 5 and evaluate(w, lang) == g
     # a memo key ends in the triple's three counts
-    assert max(sum(key[6:]) for key in lang.triple_memo) == 41
+    assert max(sum(key[6:]) for key in lang.triple_memo) == 42
     # three vertices at multiplicity 12 stop at the state budget
     monkeypatch.setattr(represent, "ENUMERATION_BUDGET", 10**4)
     with pytest.raises(CapacityError, match=r"multiplicities \(12, 12\)"):
