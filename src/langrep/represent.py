@@ -36,7 +36,7 @@ from .isomorphism import ISO_ORDER_CAP, automorphisms, isomorphic
 from .languages import Language, require_symmetric
 from .automata import Dfa
 from .grammar import Cfg
-from .words import VertexWord
+from .words import VertexWord, project_rows
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -65,12 +65,18 @@ def evaluate(word: VertexWord, lang: Language) -> Graph:
     pass over the word each.
 
     Any other language goes through the projected strings.  Pairs are
-    walked row by row in ``itertools.combinations`` order: u is projected
-    onto every later vertex by ``word.project_row``, and ``lang.contains``
-    runs once per distinct projection of the row, in order of first
-    occurrence, so a contains that raises does so at the first such pair.
-    Projection costs O(n·|w|) over the graph; a row and its verdicts hold
-    O(n·|u| + |w|) and are dropped after it."""
+    walked row by row in ``itertools.combinations`` order, and
+    ``lang.contains`` runs once per distinct projection of a row, in order
+    of first occurrence, so a contains that raises does so at the first
+    such pair.  ``project_rows`` builds the rows with no position index, by
+    three restrictions of the word as bytes, each a C-level ``translate``:
+    to groups of up to 127 vertices, one or two per string (O(|w|) map
+    steps per group pair); to a band of ``words._BLOCK`` rows and a block
+    of as many columns (O(127·n·|w| / _BLOCK²) bytes over all blocks); and
+    to each pair (O(_BLOCK·n·|w|) bytes over all pairs, then a ``decode``).
+    The cost stays O(n·|w|) bytes, about two nanoseconds each, plus
+    O((n/127)²·|w|) map steps and O(n²) calls for the pairs.  Memory is one group's level-0 strings,
+    about 2·|w| bytes, and one band of rows with their verdicts."""
     require_symmetric(lang)
     vs = tuple(sorted(word.alphabet()))
     try:
@@ -82,11 +88,9 @@ def evaluate(word: VertexWord, lang: Language) -> Graph:
     else:
         contains = lang.contains
         edges = []
-        for i, u in enumerate(vs):
-            later = vs[i + 1:]
-            row = word.project_row(u, later)
+        for i, row in enumerate(project_rows(word, vs)):
             verdict = {b: contains(b) for b in dict.fromkeys(row)}
-            edges += [(u, v) for v, b in zip(later, row) if verdict[b]]
+            edges += [(vs[i], v) for v, b in zip(vs[i + 1:], row) if verdict[b]]
     # the word checked every token, and each pair is ascending
     return Graph._frozen(vs, edges)
 
@@ -95,9 +99,12 @@ def _dfa_edges(word: VertexWord, vs: tuple, dfa: Dfa) -> list:
     n = len(vs)
     where = {v: i for i, v in enumerate(vs)}
     xs = [where[t] for t in word.letters]
-    on0 = bytes(a for a, _ in dfa.trans).ljust(256, b"\0")
-    on1 = bytes(b for _, b in dfa.trans).ljust(256, b"\0")
-    accept = bytes(q in dfa.accept for q in range(256))
+    # 256-byte tables, built in O(states): a Dfa has at most 256 of them
+    on0 = bytes([a for a, _ in dfa.trans]).ljust(256, b"\0")
+    on1 = bytes([b for _, b in dfa.trans]).ljust(256, b"\0")
+    accept = bytearray(256)
+    for q in dfa.accept:
+        accept[q] = 1
     rows = _PAIR_STATE_CAP // n
     edges = []
     for top in range(0, n, rows):

@@ -5,22 +5,26 @@ word onto an ordered pair (u, v) yields a binary word: occurrences of u
 become 0, occurrences of v become 1, everything else vanishes.  Binary words
 are plain strings over {0, 1} and may be empty.
 
-A word projects through a position index built once, on the first
-projection.  Each position p of a letter is kept twice, as an integer tag
-(p << 8) | ord(side), the side being "0" for the letter mapped to 0 or "1"
-for the letter mapped to 1, so tags sort in position order.  Projecting u
-onto a row of letters v sorts, for each v, u's 0-side tags together with v's
-1-side tags, packs them as unsigned 64-bit machine integers, and reads the
-low byte of each, the side, with one extended slice of the packed bytes;
-``project_row`` is that one routine and ``project`` its one-pair case.  A
-pair costs O(|u| + |v|) rather than O(|w|), all pairs together O(n·|w|),
-and the per-symbol work runs in C.
+``VertexWord.project`` serves single pairs.  It reads a position index built
+once, on the first projection: each position p of a letter is kept twice,
+as an integer tag (p << 8) | ord(side), the side being "0" for the letter
+mapped to 0 or "1" for the letter mapped to 1, so tags sort in position
+order.  A pair sorts u's 0-side tags together with v's 1-side tags, packs
+them as unsigned 64-bit machine integers and reads the low byte of each,
+the side, with one extended slice of the packed bytes: O(|u| + |v|) rather
+than O(|w|), the per-symbol work in C.
+
+``project_rows`` serves all pairs at once, with no index: it restricts the
+word to ever fewer letters, as byte strings, by C-level ``translate`` calls
+(see its docstring).
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from functools import cache
+from itertools import repeat
 
 from .errors import FormatError
 
@@ -105,21 +109,13 @@ class VertexWord:
 
     def project(self, u: Vertex, v: Vertex) -> str:
         """The pair morphism h_{u,v}: u -> 0, v -> 1, other letters -> empty."""
-        return self.project_row(u, (v,))[0]
-
-    def project_row(self, u: Vertex, others) -> list:
-        """u's projection onto each v in others, in order: [h_{u,v}(w) ...]."""
+        if u == v:
+            raise ValueError("projection endpoints must be distinct")
         tags_of = self._index or self._build_index()
-        zeros = tags_of.get(u, _ABSENT)[0]
-        row = []
-        for v in others:
-            if v == u:
-                raise ValueError("projection endpoints must be distinct")
-            # both lists are ascending, so Timsort merges the two runs in one pass
-            tags = zeros + tags_of.get(v, _ABSENT)[1]
-            tags.sort()
-            row.append(array("Q", tags).tobytes()[_SIDE_BYTE::8].decode())
-        return row
+        # both lists are ascending, so Timsort merges the two runs in one pass
+        tags = tags_of.get(u, _ABSENT)[0] + tags_of.get(v, _ABSENT)[1]
+        tags.sort()
+        return array("Q", tags).tobytes()[_SIDE_BYTE::8].decode()
 
     def _build_index(self) -> dict:
         zeros: dict = {}
@@ -143,6 +139,95 @@ _ABSENT = ([], [])  # a letter not in the word: never mutated
 _ZERO = ord("0")
 # where a tag's low byte sits among its 8 packed bytes
 _SIDE_BYTE = 0 if sys.byteorder == "little" else 7
+
+
+def project_rows(word: VertexWord, vs):
+    """For each vs[i] in turn, its projections onto the later vertices:
+    the list [h_{vs[i], v}(w) for v in vs[i + 1:]].  vs holds distinct
+    tokens; letters of the word outside it drop out.
+
+    Three restrictions, each a C-level pass over bytes; with letters
+    spread evenly over the vertices:
+
+    0. vs splits into groups of at most ``_GROUP`` = 127.  For group i and
+       each group j >= i, the word on the two groups becomes one bytes
+       string, group i's vertices coded 0-126 and group j's 127-253 (when
+       j == i, group i alone): O(|w|) map steps per group pair.  Group i's
+       strings, about 2·|w| bytes, are all that is kept at once.
+    1. For each band A of ``_BLOCK`` rows and each block B of as many
+       later columns, one ``translate`` with a recode table and a delete
+       set keeps the word on A ∪ B, A's vertices coded from 0 and B's from
+       ``_BLOCK``: O(127·n·|w| / _BLOCK²) bytes over all blocks.
+    2. Each pair (u, v) of the block is one more ``translate`` of that
+       string, deleting every code but u's and v's and writing u as 0 and
+       v as 1, then a ``decode``: O(_BLOCK·n·|w|) bytes over all pairs.
+
+    The Python steps are O(n²/_BLOCK²) for the blocks; the pairs of a block
+    row go through ``map``.  A band's rows are yielded together once its
+    blocks are done, so the rows held at once are one band's."""
+    n = len(vs)
+    marks, deletes = _pair_tables()
+    letters = word.letters
+    for g in range(0, n, _GROUP):
+        group = vs[g:g + _GROUP]
+        # level 0: the word on this group, then on it and each later group,
+        # each with the codes its columns start and end at
+        own = _restrict(letters, group, ())
+        spans = [(own, 0, len(group))] + [
+            (_restrict(letters, group, later), _GROUP, _GROUP + len(later))
+            for later in (vs[h:h + _GROUP] for h in range(g + _GROUP, n, _GROUP))
+        ]
+        for a0 in range(0, len(group), _BLOCK):
+            a1 = min(a0 + _BLOCK, len(group))
+            m = a1 - a0
+            rows = [[] for _ in range(m)]
+            band = _CODES[a0:a1]
+            # the pairs inside the band: A's codes alone, from 0
+            local = own.translate(bytes.maketrans(band, _CODES[:m]), _CODES[:a0] + _CODES[a1:])
+            for cu in range(m - 1):
+                rows[cu] += map(
+                    bytes.decode,
+                    map(local.translate, repeat(marks[cu], m - 1 - cu), deletes[cu][cu + 1:m]),
+                )
+            # the later columns, block by block
+            for sub, start, end in spans:
+                for c0 in range(max(start, a1), end, _BLOCK):
+                    c1 = min(c0 + _BLOCK, end)
+                    k = c1 - c0
+                    local = sub.translate(
+                        bytes.maketrans(band + _CODES[c0:c1], _CODES[:m] + _CODES[_BLOCK:_BLOCK + k]),
+                        _CODES[:a0] + _CODES[a1:c0] + _CODES[c1:],
+                    )
+                    for cu in range(m):
+                        rows[cu] += map(
+                            bytes.decode,
+                            map(local.translate, repeat(marks[cu], k), deletes[cu][_BLOCK:_BLOCK + k]),
+                        )
+            yield from rows
+
+
+def _restrict(letters, low, high) -> bytes:
+    """letters on low ∪ high as bytes: low[k] coded k, high[k] _GROUP + k."""
+    code = {v: k for k, v in enumerate(low)}
+    code.update({v: _GROUP + k for k, v in enumerate(high)})
+    return bytes(map(code.get, letters, repeat(_DROP))).translate(None, _CODES[_DROP:])
+
+
+@cache
+def _pair_tables() -> tuple:
+    """Level 2's tables, built on first use: marks[cu] writes local code cu
+    as "0" and any other as "1"; deletes[cu][cv] holds every local code but
+    cu and cv."""
+    local = range(2 * _BLOCK)
+    marks = [b"1" * cu + b"0" + b"1" * (255 - cu) for cu in range(_BLOCK)]
+    deletes = [[bytes(c for c in local if c != cu and c != cv) for cv in local] for cu in local]
+    return marks, deletes
+
+
+_GROUP = 127  # vertices per level-0 group: two groups' codes stay below _DROP
+_BLOCK = 5  # rows per band and columns per block at level 1
+_DROP = 255  # level 0's code for a letter outside both groups
+_CODES = bytes(range(256))
 
 
 def check_binary(b: str) -> str:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_binary_words, filter_project, gnp, graph_from_mask
-from langrep import automata, oracles, represent
+from langrep import automata, oracles, represent, words
 from langrep.codec import copy_word
 from langrep.automata import Dfa
 from langrep.constructions import CANONICAL_SPECS, build_cograph
@@ -270,6 +270,75 @@ def test_evaluate_a_long_null_graph_word_in_bands():
     produced, seconds, peak = _timed_peak(lambda: evaluate(word, parse_language("<0110>")))
     assert produced == g
     assert seconds < 2 and peak < 3.5 * 2**20
+
+
+# --- the projection path of evaluate -----------------------------------------
+
+_B = words._BLOCK
+
+
+def _edge_word(n, seed):
+    """A word over n tokens whose sort order is not their word order: each
+    token once, in shuffled order, about n / 2 more letters, and three long
+    runs of one letter, so many vertices occur once."""
+    rng = random.Random(seed)
+    tokens = [f"t{x}" for x in rng.sample(range(10**6), n)]
+    letters = tokens + [rng.choice(tokens) for _ in range(n // 2)]
+    rng.shuffle(letters)
+    for _ in range(3):
+        at = rng.randrange(len(letters) + 1)
+        letters[at:at] = [rng.choice(tokens)] * rng.randint(20, 40)
+    return letters
+
+
+_EDGE_ORDERS = sorted({1, 2, _B - 1, _B, _B + 1, 126, 127, 128, 253, 254, 255, 300})
+
+
+@pytest.mark.parametrize("n", _EDGE_ORDERS)
+def test_project_rows_at_block_and_group_edges(n):
+    # level 0 splits the sorted vertices into groups of 127 and level 1 into
+    # bands and blocks of _B; rows on either side of each edge match the
+    # definition, and every row matches the single-pair projection
+    letters = _edge_word(n, n)
+    word = VertexWord(letters)
+    vs = sorted(word.alphabet())
+    rows = list(words.project_rows(word, vs))
+    assert [len(row) for row in rows] == list(range(n - 1, -1, -1))
+    edges = {0, n - 1} | {e + d for e in (_B, 126, 127, 253, 254) for d in (-1, 0, 1)}
+    for i in sorted(i for i in edges if 0 <= i < n):
+        assert rows[i] == [filter_project(letters, vs[i], v) for v in vs[i + 1:]], i
+    for i, u in enumerate(vs):
+        assert rows[i] == [word.project(u, v) for v in vs[i + 1:]], i
+
+
+@pytest.mark.parametrize("n", [n for n in _EDGE_ORDERS if n <= 128])
+def test_evaluate_projection_path_at_block_and_group_edges(n):
+    word = VertexWord(_edge_word(n, n))
+    for spec in ("copy", "palindrome", "<0101>"):
+        lang = parse_language(spec)
+        assert evaluate(word, _projected(lang)) == _ref_evaluate(word, lang), spec
+
+
+def test_evaluate_projection_path_across_level_0_groups():
+    # two and three groups of 127: the word on group i with each later group
+    for n in (253, 300):
+        word = VertexWord(_edge_word(n, n))
+        lang = parse_language("copy")
+        assert evaluate(word, _projected(lang)) == _ref_evaluate(word, lang), n
+
+
+def test_evaluate_a_long_copy_word_in_bands():
+    # the 86 476-letter copy word of G(300, 0.05): all 44 850 pairs project
+    # with one band of rows and one group's level-0 strings held at once;
+    # a position index of all letters peaked above 7 MiB
+    g = gnp(300, 0.05, 3)
+    word = VertexWord(copy_word(g))
+    lang = parse_language("copy")
+    start = time.process_time()
+    assert evaluate(word, lang) == g
+    assert time.process_time() - start < 2
+    produced, _, peak = _timed_peak(lambda: evaluate(word, lang))
+    assert produced == g and peak < 3.5 * 2**20
 
 
 # --- check ------------------------------------------------------------------

@@ -13,6 +13,7 @@ from langrep.words import (
     VertexWord,
     check_binary,
     complement_word,
+    project_rows,
 )
 
 
@@ -135,14 +136,14 @@ def test_project_matches_filter(letters, pairs):
             continue
         assert w.project(u, v) == filter_project(letters, u, v)
         assert w.project(v, u) == complement_word(w.project(u, v))
-    # a row is its pairs, in order; one endpoint equal to u rejects the row
-    others = [v for _, v in pairs]
-    for u in _TOKENS + ["zz"]:
-        if u in others:
-            with pytest.raises(ValueError, match="distinct"):
-                w.project_row(u, others)
-        else:
-            assert w.project_row(u, others) == [w.project(u, v) for v in others]
+    # all rows at once: each vertex onto the later ones, in order, with
+    # vertices absent from the word projecting to fewer letters
+    vs = list(dict.fromkeys([v for pair in pairs for v in pair] + _TOKENS))
+    assert list(project_rows(w, vs)) == [
+        [filter_project(letters, u, v) for v in vs[i + 1:]] for i, u in enumerate(vs)
+    ]
+    with pytest.raises(ValueError, match="distinct"):
+        w.project("a", "a")
 
 
 def test_project_absent_endpoints():
@@ -166,9 +167,9 @@ def test_project_across_tag_width_boundaries(length):
         others = [v for v in tokens + ["zz"] if v != u]
         for v in others:
             assert w.project(u, v) == filter_project(letters, u, v), (u, v)
-        assert w.project_row(u, others) == [w.project(u, v) for v in others]
-    u, *others = tokens
-    assert w.project_row(u, others) == [filter_project(letters, u, v) for v in others]
+    assert list(project_rows(w, tokens)) == [
+        [filter_project(letters, u, v) for v in tokens[i + 1:]] for i, u in enumerate(tokens)
+    ]
 
 
 def test_word_names_its_first_bad_token_in_word_order():
