@@ -27,9 +27,19 @@ refinement is one class of twins (same open, or same closed,
 neighbourhoods), since then the twin swaps generate Aut(g) alone.
 
 Enumeration keeps the first augmentation with each canonical form (McKay,
-"Isomorph-free exhaustive generation", J. Algorithms 1998).  Nothing here
-uses the language machinery, so it can cross-validate it.  Sizes are capped:
-isomorphism and automorphisms at order 10, enumeration at order 7.
+"Isomorph-free exhaustive generation", J. Algorithms 1998), and canonicalizes
+one new neighbourhood per orbit of the parent's automorphism group.  An
+automorphism of the parent, extended to fix the new vertex, is an
+isomorphism between the augmentations by a neighbourhood and by its image,
+so an orbit shares one form.  The neighbourhoods are walked in ascending
+order, and each orbit's least one comes first; for each form, the first
+augmentation met is the one the walk over every neighbourhood would keep,
+so the representatives and their order do not depend on the orbits.  That
+needs only that each generator is an automorphism: generators that miss
+part of Aut(g) leave more, smaller orbits, and only cost canonical forms.
+Nothing here uses the language machinery, so it can cross-validate it.
+Sizes are capped: isomorphism and automorphisms at order 10, enumeration at
+order 7.
 """
 
 from __future__ import annotations
@@ -68,15 +78,15 @@ def _refine(adj, cells):
         cells = out
 
 
-def _canon(adj):
+def _canon(adj, cells=None):
     """(canonical form, a vertex order giving it, |Aut|, the orders of the
     later leaves with that form) of the graph with int adjacency masks adj;
-    the form is adj relabeled by the first order."""
+    the form is adj relabeled by the first order.  cells, when given, is
+    the refinement of the unit partition, already computed by the caller."""
     closed = [m | 1 << v for v, m in enumerate(adj)]
     best = [(), None, 0, []]
 
-    def visit(cells, weight):
-        cells = _refine(adj, cells)
+    def visit(cells, weight):  # cells is equitable
         target = min((c for c in cells if len(c) > 1), key=len, default=None)
         if target is None:
             order = [c[0] for c in cells]
@@ -95,9 +105,11 @@ def _canon(adj):
             classes[rep] = classes.get(rep, 0) + 1
         for v, size in classes.items():
             split = [[v], [u for u in target if u != v]]
-            visit(cells[:i] + split + cells[i + 1:], weight * size)
+            visit(_refine(adj, cells[:i] + split + cells[i + 1:]), weight * size)
 
-    visit([list(range(len(adj)))], 1)  # its first refinement gives the degree cells
+    if cells is None:
+        cells = _refine(adj, [list(range(len(adj)))])
+    visit(cells, 1)
     return tuple(best)
 
 
@@ -133,7 +145,7 @@ def automorphisms(g: Graph) -> list:
     if all(len({adj[v] for v in c}) == 1 or len({adj[v] | 1 << v for v in c}) == 1
            for c in cells):
         return []
-    _, first, _, leaves = _canon(adj)
+    _, first, _, leaves = _canon(adj, cells)
     return [tuple(v for _, v in sorted(zip(first, order))) for order in leaves]
 
 
@@ -151,13 +163,69 @@ def distinct_labelings(g: Graph):
     return list(seen.values())
 
 
+def _twin_swaps(adj) -> list:
+    """The swaps of each two consecutive members of a class of twins: u and
+    v with adj[u] - {v} == adj[v] - {u} (equal open or equal closed
+    neighbourhoods).  Each is an automorphism."""
+    classes: list = []
+    swaps = []
+    for v, m in enumerate(adj):
+        for c in classes:
+            u = c[0]
+            if adj[u] & ~(1 << v) == m & ~(1 << u):
+                sigma = list(range(len(adj)))
+                sigma[c[-1]], sigma[v] = v, c[-1]
+                swaps.append(sigma)
+                c.append(v)
+                break
+        else:
+            classes.append([v])
+    return swaps
+
+
+def _orbit_minima(k: int, generators) -> list:
+    """The least mask of each orbit, ascending, of the group that generators
+    (permutations of range(k)) generate acting on the subsets of range(k) as
+    bit masks.  Each generator becomes a table over all 2^k masks, one entry
+    per step: a mask's image is the image of the mask without its top bit,
+    plus that bit's image."""
+    tables = []
+    for sigma in generators:
+        table = [0]
+        for image in sigma:
+            bit = 1 << image
+            table += [m | bit for m in table]
+        tables.append(table)
+    seen = bytearray(1 << k)
+    minima = []
+    for mask in range(1 << k):
+        if seen[mask]:
+            continue
+        minima.append(mask)
+        seen[mask] = 1
+        stack = [mask]
+        while stack:
+            m = stack.pop()
+            for table in tables:
+                image = table[m]
+                if not seen[image]:
+                    seen[image] = 1
+                    stack.append(image)
+    return minima
+
+
 _ENUM_CACHE: dict = {}
 
 
 def enumerate_graphs(n: int):
     """One representative per isomorphism class of order n: the first
     augmentation of an (n-1)-representative, by one vertex over every
-    neighborhood, with each canonical form."""
+    neighborhood, with each canonical form.  Only the least neighbourhood
+    of each orbit of the parent's automorphisms (``automorphisms`` and the
+    twin swaps) is canonicalized: its orbit shares its form, and it is the
+    first of its orbit in the walk, so the result is the same as when every
+    neighbourhood is.  That holds for any set of automorphisms as
+    generators."""
     if n < 1:
         raise ValueError("order must be positive")
     if n > ENUM_ORDER_CAP:
@@ -170,7 +238,7 @@ def enumerate_graphs(n: int):
         kept: dict = {}
         for g in enumerate_graphs(n - 1):
             base = _masks(g)
-            for bits in range(1 << (n - 1)):
+            for bits in _orbit_minima(n - 1, automorphisms(g) + _twin_swaps(base)):
                 adj = [m | (bits >> i & 1) << (n - 1) for i, m in enumerate(base)]
                 kept.setdefault(_canon(adj + [bits])[0], (g, bits))
         new = f"v{n}"
