@@ -4,31 +4,19 @@ The central relation: given a symmetric binary language L and a word w over
 a vertex alphabet, u and v are adjacent iff the pairwise projection of w
 (u to 0, v to 1, everything else erased) lies in L.
 
-Search works on the target graph's own vertex names.  A multiplicity CSP
-first gives each vertex a letter count, keeping only counts that every pair
-can still realize; then one DFS per assignment builds the word letter by
-letter, each pair stepping a pair automaton of L by one table lookup.  A
-vertex waits on another while their pair's table forbids its next letter;
-vertices that wait on each other in a cycle can never move again, so a prefix
-that closes such a cycle has no completion and the DFS backtracks from it at
-once.  By heredity, a completion restricted to any three vertices is a word
-for their three pairs, so the DFS also backtracks from a prefix after which
-some such triple has no joint completion; of the two checks, the one that
-has cut more prefixes so far runs first.  Twins
-with equal bounds are interchangeable, so their multiplicities are taken in
-non-decreasing vertex order and, when equal, they start in vertex order.
-Beyond twins, an unstarted vertex waits when an automorphism of g that keeps
-the assignment and fixes every started vertex maps it to a smaller one.  Both
-rules let the lexicographically least word of each assignment through, and
-the DFS, trying letters in ascending order, returns that word first, as it
-would without them.
+Search works on the target graph's own vertex names, in two stages: a
+multiplicity CSP, then one DFS per assignment that builds the word letter by
+letter on pair automata of L.  The DFS cuts prefixes whose vertices wait on
+each other in a cycle or leave a triple without a joint completion, and
+skips letters by twin classes and automorphisms of g; ``search``'s docstring
+gives each rule and why the first word found does not change.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 
 from .errors import CapacityError
 from .graphs import Graph
@@ -75,8 +63,9 @@ def evaluate(word: VertexWord, lang: Language) -> Graph:
     of as many columns (O(127·n·|w| / _BLOCK²) bytes over all blocks); and
     to each pair (O(_BLOCK·n·|w|) bytes over all pairs, then a ``decode``).
     The cost stays O(n·|w|) bytes, about two nanoseconds each, plus
-    O((n/127)²·|w|) map steps and O(n²) calls for the pairs.  Memory is one group's level-0 strings,
-    about 2·|w| bytes, and one band of rows with their verdicts."""
+    O((n/127)²·|w|) map steps and O(n²) calls for the pairs.  Memory is one
+    group's level-0 strings, about 2·|w| bytes, and one band of rows with
+    their verdicts."""
     require_symmetric(lang)
     vs = tuple(sorted(word.alphabet()))
     try:
@@ -283,13 +272,8 @@ class _PairAutomaton:
         return live[s]
 
 
-def search(
-    g: Graph,
-    lang: Language,
-    freq_bounds,
-    max_len: int | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> VertexWord | None:
+def search(g: Graph, lang: Language, freq_bounds, max_len: int | None = None,
+           node_budget: int = DEFAULT_NODE_BUDGET) -> VertexWord | None:
     """Bounded exhaustive search for a word w with evaluate(w, lang) equal
     to g on g's own labels, or None when the bounded space is exhausted.
 
@@ -331,9 +315,9 @@ def search(
     x and y are not both unstarted (no such triple was cut on a class-table
     row up to order 7, and they are most triples).  A triple with a settled
     pair (a Dfa sink) always finishes, and three single letters finish
-    unless their waits form a cycle, which is the walk's to find; the others
-    are decided by an iterative search over the pairs' move tables,
-    memoized in lang.triple_memo.
+    unless their waits form a cycle, which is the walk's to find; ``joint``
+    decides the others over the pairs' move tables, memoized in
+    lang.triple_memo.
 
     Both cuts are sound at any point, so their order moves only work, never
     the word.  After a placement where c waits, the cut that has cut more
@@ -380,66 +364,122 @@ def search(
     dropped with the pair automata when either holds more; a call adds at
     most ENUMERATION_BUDGET states to it and then stops checking triples.
     """
-    require_symmetric(lang)
-    allowed = _normalize_bounds(g, freq_bounds)
-    vs = g.vertices
-    n = len(vs)
-    # per pair: the verdict that agrees with g (0: in L, 1: not in L)
-    agree = _verdicts(g)
-    twin_prev = _twin_predecessors(agree, allowed)
-    # least total length of the vertices from index i on
-    least_rest = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        least_rest[i] = least_rest[i + 1] + allowed[i][0]
-    cache, memo = lang.pair_automata, lang.triple_memo
-    if max(len(memo), sum(len(pa.keys) for pa in cache.values())) > ENUMERATION_BUDGET:
-        cache.clear()
-        memo.clear()
-    meter = itertools.count(1)
-    room = ENUMERATION_BUDGET  # triple states this call may still add to memo
-    spent = tried = cuts = triple_cuts = skips = 0
-    autos = None  # g's automorphisms on indices, found on a first return to the root
+    run = _Search(g, lang, freq_bounds, max_len, node_budget)
+    return VertexWord([run.vs[c] for c, _ in run.trail]) if run.assign() else None
 
-    def tick():
-        nonlocal spent
-        spent += 1
-        if spent > node_budget:
+
+def joint(memo: dict, root: tuple, c0, c1, x0, x1, y0, y1, room: int) -> bool:
+    """Can the pairs (c, x), (c, y), (x, y) of a triple, from the states in
+    root, and its three vertices' letters left still finish together?
+
+    root is (p, q, r, i, j, k): the states of the three pairs, each live for
+    its verdict, and the letters left of c, x and y.  c0, c1 are c's moves in its two pairs, x0,
+    x1 x's in (c, x) and (x, y), y0, y1 y's in (c, y) and (x, y); a move is
+    -1 where the pair could no longer end in its verdict.  The kind (c0, c1,
+    x1) fixes all six.  An iterative DFS over (pair states, counts) keeps
+    its verdicts in memo under kind + state.  It adds at most room of them,
+    and answers True, cutting nothing, when it would need more."""
+    kind, size, todo = (c0, c1, x1), len(memo), [root]
+    while todo:
+        t = todo[-1]
+        if kind + t in memo:
+            todo.pop()
+            continue
+        if len(memo) - size >= room:
+            return True
+        p, q, r, i, j, k = t
+        kids = []
+        if i and (u := c0[p]) >= 0 and (v := c1[q]) >= 0:
+            kids.append((u, v, r, i - 1, j, k))
+        if j and (u := x0[p]) >= 0 and (v := x1[r]) >= 0:
+            kids.append((u, q, v, i, j - 1, k))
+        if k and (u := y0[q]) >= 0 and (v := y1[r]) >= 0:
+            kids.append((p, u, v, i, j, k - 1))
+        if not (i or j or k) or any(memo.get(kind + u) for u in kids):
+            memo[kind + t] = True
+        elif all(kind + u in memo for u in kids):
+            memo[kind + t] = False
+        else:
+            todo.append(next(u for u in kids if kind + u not in memo))
+    return memo[kind + root]
+
+
+class _Search:
+    """The state of one search call: its inputs, the multiplicity
+    assignment, the word so far and the counts a budget error reports.
+    assign is stage 1, and dfs stage 2 with its cuts waits_in_cycle and stuck."""
+
+    __slots__ = ("g", "lang", "vs", "n", "allowed", "max_len", "node_budget", "agree", "twin_prev",
+                 "least_rest", "memo", "meter", "room", "table", "mults", "remaining", "trail",
+                 "links", "autos", "spent", "tried", "cuts", "triple_cuts", "skips")
+
+    def __init__(self, g: Graph, lang: Language, freq_bounds, max_len, node_budget: int):
+        require_symmetric(lang)
+        self.allowed = allowed = _normalize_bounds(g, freq_bounds)
+        self.g, self.lang, self.node_budget = g, lang, node_budget
+        self.max_len = inf if max_len is None else max_len
+        self.vs = g.vertices
+        self.n = n = len(self.vs)
+        # per pair: the verdict that agrees with g (0: in L, 1: not in L)
+        self.agree = _verdicts(g)
+        self.twin_prev = _twin_predecessors(self.agree, allowed)
+        # least total length of the vertices from index i on
+        self.least_rest = least_rest = [0] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            least_rest[i] = least_rest[i + 1] + allowed[i][0]
+        cache, memo = lang.pair_automata, lang.triple_memo
+        self.memo = memo
+        if max(len(memo), sum(len(pa.keys) for pa in cache.values())) > ENUMERATION_BUDGET:
+            cache.clear()
+            memo.clear()
+        self.meter = itertools.count(1)
+        self.room = ENUMERATION_BUDGET  # triple states this call may still add to memo
+        # (a's multiplicity, b's, verdict) to pair a < b's moves for that
+        # verdict, or () when its start state cannot reach the verdict
+        self.table = {}
+        self.mults, self.remaining = [0] * n, [0] * n
+        self.trail = []  # (letter, its pairs' states before it) per letter placed
+        self.autos = None  # g's automorphisms on indices, found on a first return to the root
+        self.spent = self.tried = self.cuts = self.triple_cuts = self.skips = 0
+
+    def tick(self):
+        self.spent += 1
+        if self.spent > self.node_budget:
             raise CapacityError(
-                f"search node budget exhausted after {node_budget} nodes "
-                f"({tried} multiplicity assignments tried, {cuts} prefixes cut "
-                f"on a cycle of waits, {triple_cuts} on a triple without a joint completion, "
-                f"{skips} candidate letters skipped by an automorphism)"
+                f"search node budget exhausted after {self.node_budget} nodes "
+                f"({self.tried} multiplicity assignments tried, {self.cuts} prefixes cut "
+                f"on a cycle of waits, {self.triple_cuts} on a triple without a joint "
+                f"completion, {self.skips} candidate letters skipped by an automorphism)"
             )
 
-    def at_pair(e: CapacityError, a: int, b: int) -> CapacityError:
-        return CapacityError(f"{e}, vertex pair ({vs[a]},{vs[b]})")
+    def at_pair(self, e: CapacityError, s: int) -> CapacityError:
+        # e, raised on the pair in slot s (a * n + b for a < b), naming it
+        return CapacityError(f"{e}, vertex pair ({self.vs[s // self.n]},{self.vs[s % self.n]})")
 
-    def automaton(a: int, b: int) -> _PairAutomaton:
-        # the pair automaton of vertices a < b, a's letters as 0
-        key = (mults[a], mults[b])
-        if key not in cache:
-            cache[key] = _PairAutomaton(lang, *key, meter)
-        cache[key].meter = meter
-        return cache[key]
+    def pair_moves(self, a: int, b: int, key: tuple):
+        # the table entry of vertices a < b, a's letters as 0, at key
+        counts, cache = key[:2], self.lang.pair_automata
+        try:
+            pa = cache[counts] = cache.get(counts) or _PairAutomaton(self.lang, *counts, self.meter)
+            pa.meter = self.meter
+            return pa.moves[key[2]] if pa.reaches(0, key[2]) else ()
+        except CapacityError as e:
+            raise self.at_pair(e, a * self.n + b) from None
 
-    mults = [0] * n
-    remaining = [0] * n
-    trail: list = []  # (letter, its pairs' states before it) per letter placed
-
-    def assign() -> bool:
+    def assign(self) -> bool:
         # stage 1: multiplicities vertex by vertex, backtracking on an
         # explicit stack; level i tries allowed[i] from choice[i] on
-        nonlocal tried
+        n, allowed, agree, table, mults = self.n, self.allowed, self.agree, self.table, self.mults
+        twin_prev, least_rest, max_len = self.twin_prev, self.least_rest, self.max_len
         choice = [0] * (n + 1)
-        starts = {}  # (j's multiplicity, i's, verdict) to a live start state
         totals = [0] * (n + 1)  # word length of the vertices before i
         i = 0
-        tick()
+        self.tick()
         while i >= 0:
             if i == n:
-                tried += 1
-                remaining[:] = mults
-                if dfs(totals[n]):
+                self.tried += 1
+                self.remaining[:] = mults
+                if self.dfs(totals[n]):
                     return True
                 i -= 1
                 continue
@@ -447,7 +487,7 @@ def search(
             while choice[i] < len(options):
                 k = options[choice[i]]
                 choice[i] += 1
-                if max_len is not None and totals[i] + k + least_rest[i + 1] > max_len:
+                if totals[i] + k + least_rest[i + 1] > max_len:
                     choice[i] = len(options)  # the options ascend
                     continue
                 p = twin_prev[i]
@@ -456,95 +496,54 @@ def search(
                 mults[i] = k
                 for j in range(i):
                     key = (mults[j], k, agree[j][i])
-                    live = starts.get(key)
-                    if live is None:
-                        try:
-                            live = starts[key] = automaton(j, i).reaches(0, key[2])
-                        except CapacityError as e:
-                            raise at_pair(e, j, i) from None
-                    if not live:
+                    moves = table.get(key)
+                    if moves is None:
+                        moves = table[key] = self.pair_moves(j, i, key)
+                    if not moves:
                         break
                 else:
                     totals[i + 1] = totals[i] + k
                     i += 1
                     choice[i] = 0
-                    tick()
+                    self.tick()
                     break
             else:
                 i -= 1
         return False
 
-    def waits_in_cycle(c: int, on: list, links: list, state: list) -> bool:
+    def waits_in_cycle(self, c: int, on: list, state: list) -> bool:
         # c waits on the vertices in on: walk back from c through the
         # vertices that wait on it, directly or not, until one of them is in
         # on.  Every vertex on the walk has letters left
+        links, remaining = self.links, self.remaining
         seen, todo = {c}, [c]
         try:
             while todo:
                 y = todo.pop()
-                for i, (s, _, move) in enumerate(links[y]):
-                    d = i + (i >= y)
+                for s, _, move, d in links[y]:
                     if d not in seen and remaining[d] and move[state[s]] < 0:
                         if d in on:
                             return True
                         seen.add(d)
                         todo.append(d)
         except CapacityError as e:
-            raise at_pair(e, s // n, s % n) from None
+            raise self.at_pair(e, s) from None
         return False
 
-    def joint(root: tuple, c0, c1, x0, x1, y0, y1) -> bool:
-        # can the pairs (c, x), (c, y), (x, y) of a triple, from the states
-        # in root, and its three vertices' letters left still finish
-        # together?  c0, c1 are c's moves in its two pairs, and so on; the
-        # kind (c0, c1, x1) fixes all six.  An iterative DFS over (pair
-        # states, counts) that keeps its verdicts in memo under kind + state;
-        # True, cutting nothing, once the call has added ENUMERATION_BUDGET
-        # states
-        nonlocal room
-        kind, size, todo = (c0, c1, x1), len(memo), [root]
-        while todo:
-            t = todo[-1]
-            if kind + t in memo:
-                todo.pop()
-                continue
-            if len(memo) - size >= room:
-                room = 0
-                return True
-            p, q, r, i, j, k = t
-            kids = []
-            if i and (u := c0[p]) >= 0 and (v := c1[q]) >= 0:
-                kids.append((u, v, r, i - 1, j, k))
-            if j and (u := x0[p]) >= 0 and (v := x1[r]) >= 0:
-                kids.append((u, q, v, i, j - 1, k))
-            if k and (u := y0[q]) >= 0 and (v := y1[r]) >= 0:
-                kids.append((p, u, v, i, j, k - 1))
-            if not (i or j or k) or any(memo.get(kind + u) for u in kids):
-                memo[kind + t] = True
-            elif all(kind + u in memo for u in kids):
-                memo[kind + t] = False
-            else:
-                todo.append(next(u for u in kids if kind + u not in memo))
-        room -= len(memo) - size
-        return memo[kind + root]
-
-    def stuck(c: int, on: list, links: list, state: list, started: int) -> bool:
-        # c waits on the vertices in on: has c, some x in on and a third
-        # vertex y with letters left no joint completion?  Triples whose x
-        # and y have both not started are skipped: none was ever cut on a
-        # class-table row up to order 7, and they are most triples.  A
-        # settled pair (a Dfa sink, which any letter keeps) allows every
-        # order, and the other two pairs' words then merge on their shared
-        # vertex's letters; three single letters finish unless their waits
-        # form a cycle, which waits_in_cycle looks for.  Other triples
-        # are decided by joint, whose verdicts memo keeps under the move
-        # tables of c in its two pairs and of x in pair (x, y), the pair
-        # states and the counts
+    def stuck(self, c: int, on: list, state: list, started: int) -> bool:
+        # has c, some x in on (c waits on them) and a third vertex y with
+        # letters left no joint completion?  search's docstring names the
+        # triples passed over; a settled pair (a Dfa sink, which any letter
+        # keeps) allows every order, so the other two pairs' words merge on
+        # their shared vertex's letters.  joint decides the rest, its
+        # verdicts kept in memo under the move tables of c in its two pairs
+        # and of x in (x, y), the pair states and the counts
+        n, links, remaining, memo = self.n, self.links, self.remaining, self.memo
         lc, rc = links[c], remaining[c]
         begun = None  # the started vertices other than c with letters left
         try:
             for x in on:
-                s, c0, x0 = lc[x - (x > c)]
+                s, c0, x0, _ = lc[x - (x > c)]
                 p, lx, rx = state[s], links[x], remaining[x]
                 if started >> x & 1:
                     ys = range(n)
@@ -555,47 +554,44 @@ def search(
                 for y in ys:
                     if y == x or y == c or not remaining[y]:
                         continue
-                    s, c1, y0 = lc[y - (y > c)]
+                    s, c1, y0, _ = lc[y - (y > c)]
                     q = state[s]
                     if c1[q] == q:
                         continue
-                    s, x1, y1 = lx[y - (y > x)]
+                    s, x1, y1, _ = lx[y - (y > x)]
                     r = state[s]
                     ry = remaining[y]
                     if x1[r] == r or rc == rx == ry == 1:
                         continue
                     verdict = memo.get((c0, c1, x1, p, q, r, rc, rx, ry))
                     if verdict is None:
-                        verdict = joint((p, q, r, rc, rx, ry), c0, c1, x0, x1, y0, y1)
+                        size = len(memo)
+                        root = (p, q, r, rc, rx, ry)
+                        verdict = joint(memo, root, c0, c1, x0, x1, y0, y1, self.room)
+                        self.room -= len(memo) - size
                     if not verdict:
                         return True
         except CapacityError as e:
+            vs = self.vs
             raise CapacityError(f"{e}, vertex triple ({vs[c]},{vs[x]},{vs[y]})") from None
         return False
 
-    def dfs(total: int) -> bool:
-        # stage 2: any vertex with letters left may come next, except that
-        # a twin waits for its interchangeable predecessor of equal
-        # multiplicity to start, and an unstarted vertex that a kept
-        # automorphism maps lower waits too; state[a * n + b] is pair a < b's
-        # state, bit c of started is set once c has a letter
-        nonlocal cuts, triple_cuts, skips, autos
-        links = [[] for _ in range(n)]  # per c, (slot, move on c, move on d) by partner d
-        tables = {}  # (a's multiplicity, b's, verdict) to the pair's moves
+    def dfs(self, total: int) -> bool:
+        # stage 2, with the twin and automorphism rules; state[a * n + b] is
+        # pair a < b's state, and bit c of started is set once c has a letter
+        n, mults, remaining, trail = self.n, self.mults, self.remaining, self.trail
+        twin_prev, table, agree = self.twin_prev, self.table, self.agree
+        links = self.links = [[] for _ in range(n)]  # per c, (slot, move on c, move on d, d)
         for a in range(n):
-            ka, row = mults[a], agree[a]
             for b in range(a + 1, n):
-                key = (ka, mults[b], row[b])
-                moves = tables.get(key)
-                if moves is None:
-                    moves = tables[key] = automaton(a, b).moves[row[b]]
-                links[a].append((a * n + b, moves[0], moves[1]))
-                links[b].append((a * n + b, moves[1], moves[0]))
+                m0, m1 = table[mults[a], mults[b], agree[a][b]]
+                links[a].append((a * n + b, m0, m1, b))
+                links[b].append((a * n + b, m1, m0, a))
         state, first, started = [0] * (n * n), 0, 0
         kept = None  # per automorphism keeping mults: (moved vertices, c with sigma(c) < c)
         skip_masks = {}  # started to the vertices a kept automorphism fixing it maps lower
         skip = 0
-        tick()
+        self.tick()
         while len(trail) < total:
             if kept:
                 skip = skip_masks.get(started)
@@ -605,48 +601,46 @@ def search(
                         if not moved & started:
                             skip |= lower
                     skip_masks[started] = skip
-            for c in range(first, n):
-                p = twin_prev[c]
-                if remaining[c] == 0 or (remaining[c] == mults[c] and p >= 0
-                                         and mults[p] == mults[c] and remaining[p] == mults[p]):
-                    continue
-                if skip >> c & 1:
-                    skips += 1
-                    continue
-                try:
-                    for s, move, _ in links[c]:
+            try:
+                for c in range(first, n):
+                    p = twin_prev[c]
+                    if remaining[c] == 0 or (remaining[c] == mults[c] and p >= 0
+                                             and mults[p] == mults[c] and remaining[p] == mults[p]):
+                        continue
+                    if skip >> c & 1:
+                        self.skips += 1
+                        continue
+                    for s, move, _, _ in links[c]:
                         if move[state[s]] < 0:
                             break
                     else:
                         break
-                except CapacityError as e:
-                    raise at_pair(e, s // n, s % n) from None
-            else:
-                c = -1
-            if c >= 0:
-                started |= 1 << c
-                remaining[c] -= 1
-                more, on, old = remaining[c] > 0, [], []
-                try:
-                    for s, move, _ in links[c]:
+                else:
+                    c = -1
+                if c >= 0:
+                    started |= 1 << c
+                    remaining[c] -= 1
+                    more, on, old = remaining[c] > 0, [], []
+                    for s, move, _, d in links[c]:
                         q = state[s]
                         old.append(q)
                         state[s] = q = move[q]
                         if more and move[q] < 0:
-                            on.append(s // n + s % n - c)  # c waits on the pair's other vertex
-                except CapacityError as e:
-                    raise at_pair(e, s // n, s % n) from None
+                            on.append(d)  # c waits on d
+            except CapacityError as e:
+                raise self.at_pair(e, s) from None
+            if c >= 0:
                 trail.append((c, old))
-                tick()
+                self.tick()
                 # the cut that has cut more prefixes in this call goes first;
                 # the walk goes first on a tie and alone while it leads
-                lead = triple_cuts - cuts
-                if on and lead > 0 and room > 0 and stuck(c, on, links, state, started):
-                    triple_cuts += 1
-                elif on and waits_in_cycle(c, on, links, state):
-                    cuts += 1
-                elif on and lead == 0 and room > 0 and stuck(c, on, links, state, started):
-                    triple_cuts += 1
+                lead = self.triple_cuts - self.cuts
+                if on and lead > 0 and self.room > 0 and self.stuck(c, on, state, started):
+                    self.triple_cuts += 1
+                elif on and self.waits_in_cycle(c, on, state):
+                    self.cuts += 1
+                elif on and lead == 0 and self.room > 0 and self.stuck(c, on, state, started):
+                    self.triple_cuts += 1
                 else:
                     first = 0
                     continue
@@ -655,23 +649,20 @@ def search(
             if not trail:
                 return False
             c, old = trail.pop()
-            for (s, _, _), q in zip(links[c], old):
+            for (s, _, _, _), q in zip(links[c], old):
                 state[s] = q
             remaining[c] += 1
             if remaining[c] == mults[c]:
                 started &= ~(1 << c)
             first = c + 1
             if not trail and kept is None:
-                if autos is None:
-                    autos = automorphisms(g) if n <= ISO_ORDER_CAP else []
+                if self.autos is None:
+                    self.autos = automorphisms(self.g) if n <= ISO_ORDER_CAP else []
                 kept = [(sum(1 << x for x in range(n) if sigma[x] != x),
                          sum(1 << x for x in range(n) if sigma[x] < x))
-                        for sigma in autos if all(mults[sigma[x]] == mults[x] for x in range(n))]
+                        for sigma in self.autos
+                        if all(mults[sigma[x]] == mults[x] for x in range(n))]
         return True
-
-    if assign():
-        return VertexWord([vs[c] for c, _ in trail])
-    return None
 
 
 @dataclass(frozen=True)

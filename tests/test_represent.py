@@ -563,6 +563,79 @@ def test_search_budget_error_counts_the_cut_prefixes():
         search(cycle_graph(7), parse_language("<0101>"), {2}, node_budget=100)
 
 
+def test_search_counts_on_a_finished_search():
+    # the counts a budget error quotes, read from the search state itself
+    lang = parse_language("<0110>")
+    run = represent._Search(path_graph(10), lang, {2}, None, represent.DEFAULT_NODE_BUDGET)
+    assert run.assign()
+    assert (run.spent, run.tried, run.cuts, run.triple_cuts, run.skips) == (49, 1, 0, 17, 0)
+    run = represent._Search(_C5_AND_TWO_ISOLATED, lang, {2}, None, represent.DEFAULT_NODE_BUDGET)
+    assert not run.assign()
+    assert (run.spent, run.tried, run.cuts, run.triple_cuts, run.skips) == (61, 1, 0, 32, 56)
+
+
+def _completes(lang, words, left, verdicts, seen):
+    """Reference for joint: can the three pair words so far, (c, x), (c, y)
+    and (x, y) with the first vertex's letters as 0, be completed by some
+    interleaving of the letters left of c, x and y so that each ends with
+    its verdict (0: in L, 1: not in L)?  Enumerates the interleavings."""
+    key = (words, left)
+    if key not in seen:
+        if not any(left):
+            seen[key] = all(lang.contains(w) == (v == 0) for w, v in zip(words, verdicts))
+        else:
+            cx, cy, xy = words
+            steps = ((cx + "0", cy + "0", xy), (cx + "1", cy, xy + "0"), (cx, cy + "1", xy + "1"))
+            seen[key] = any(
+                _completes(lang, step, tuple(n - (i == at) for i, n in enumerate(left)),
+                           verdicts, seen)
+                for at, step in enumerate(steps) if left[at]
+            )
+    return seen[key]
+
+
+@pytest.mark.parametrize("spec", ["<0110>", "<0101>", "dyck"])
+def test_joint_matches_brute_force_interleaving(spec):
+    # every triple of live pair states and letters left that some prefix
+    # reaches, at up to three letters per vertex and under each verdict
+    lang = parse_language(spec)
+    checked = 0
+    for counts in itertools.product((1, 2, 3), repeat=3):
+        kc, kx, ky = counts
+        for verdicts in itertools.product((0, 1), repeat=3):
+            meter = itertools.count(1)
+            pairs = [represent._PairAutomaton(lang, a, b, meter)
+                     for a, b in ((kc, kx), (kc, ky), (kx, ky))]
+            if not all(pa.reaches(0, v) for pa, v in zip(pairs, verdicts)):
+                continue
+            (c0, x0), (c1, y0), (x1, y1) = (pa.moves[v] for pa, v in zip(pairs, verdicts))
+            memo, seen = {}, {}
+            # breadth first from the start, each triple with the pair words
+            # of the first prefix that reaches it
+            root = (0, 0, 0) + counts
+            todo, reached = [root], {root: ("", "", "")}
+            for t in todo:
+                p, q, r, i, j, k = t
+                cx, cy, xy = reached[t]
+                kids = []
+                if i and c0[p] >= 0 and c1[q] >= 0:
+                    kids.append(((c0[p], c1[q], r, i - 1, j, k), (cx + "0", cy + "0", xy)))
+                if j and x0[p] >= 0 and x1[r] >= 0:
+                    kids.append(((x0[p], q, x1[r], i, j - 1, k), (cx + "1", cy, xy + "0")))
+                if k and y0[q] >= 0 and y1[r] >= 0:
+                    kids.append(((p, y0[q], y1[r], i, j, k - 1), (cx, cy + "1", xy + "1")))
+                for kid, words in kids:
+                    if kid not in reached:
+                        reached[kid] = words
+                        todo.append(kid)
+            for t, words in reached.items():
+                expected = _completes(lang, words, t[3:], verdicts, seen)
+                assert represent.joint(memo, t, c0, c1, x0, x1, y0, y1, 10**6) == expected, (
+                    counts, verdicts, words)
+                checked += 1
+    assert checked > 100
+
+
 def test_search_cuts_paths_within_a_node_budget():
     # cutting every prefix whose vertices wait on each other in a cycle or
     # leave three vertices without a joint completion, the search finds P10
@@ -735,6 +808,23 @@ def test_search_budget_covers_pair_automaton_states(monkeypatch):
     assert seconds < 1 and peak < 16 * 2**20
     # a non-edge needs one non-copy word, the first leaf of its tree
     assert search(null_graph(2), copy, {12}) is not None
+
+
+def test_search_budget_names_the_pair_of_a_dfs_move(monkeypatch):
+    # every start state is live, so the CSP passes; the DFS then runs out
+    # while placing a letter, and the message names that letter's pair
+    monkeypatch.setattr(represent, "ENUMERATION_BUDGET", 50)
+    with pytest.raises(CapacityError, match=r"^over 50 pair automaton states at multiplicities "
+                                            r"\(4, 4\), vertex pair \(v2,v3\)$"):
+        search(path_graph(3), parse_language("dyck"), {4})
+
+
+def test_search_budget_names_the_triple_of_a_joint_completion(monkeypatch):
+    # here the states run out while a triple's joint completion is decided
+    monkeypatch.setattr(represent, "ENUMERATION_BUDGET", 100)
+    with pytest.raises(CapacityError, match=r"^over 100 pair automaton states at multiplicities "
+                                            r"\(6, 6\), vertex triple \(v2,v1,v3\)$"):
+        search(path_graph(3), parse_language("dyck"), {6})
 
 
 def test_search_drops_a_cache_past_the_budget(monkeypatch):

@@ -1,6 +1,6 @@
-"""Source guard: each module-level function and class, and each public
-method, in src/langrep/ is referred to elsewhere in src/, or is listed
-below with the reason it stays without such a caller."""
+"""Source guard: each module-level function and class, and each method
+other than a dunder, in src/langrep/ is referred to elsewhere in src/, or
+is listed below with the reason it stays without such a caller."""
 
 import ast
 from pathlib import Path
@@ -37,6 +37,10 @@ ALLOWED = {
 }
 
 
+def _dunder(name):
+    return name[:2] == name[-2:] == "__"
+
+
 def uncalled_names(src=SRC):
     """Qualified names (module.name, module.Class.method) defined in src and
     referred to nowhere else in it.  A reference is a name or an attribute
@@ -55,8 +59,9 @@ def uncalled_names(src=SRC):
                 owner = node.name
                 defined[f"{path.stem}.{node.name}"] = node.name
             if isinstance(node, ast.ClassDef):
+                # dunders are called by the language, not by name
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    if isinstance(item, ast.FunctionDef) and not _dunder(item.name):
                         defined[f"{path.stem}.{node.name}.{item.name}"] = item.name
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name):
