@@ -54,9 +54,10 @@ class Language:
     lookup for a finite language, ``member`` when given, and otherwise the
     form's own test.  ``symmetric`` is given, or, for a Dfa form only, left
     out and decided on first use, which leaves a shortest asymmetric word in
-    ``sym_witness``.  ``pair_automata`` is search's cache of this language's
-    pair automata, keyed by multiplicity pair, and ``triple_memo`` its memo
-    of which three pair states can still finish together.
+    ``sym_witness``.  ``pair_automaton`` is search's cache: this language's
+    pair automaton over all letter counts, which also holds search's memo of
+    which three pair states can still finish together, or None before the
+    first search.
     """
 
     def __init__(self, form, label, *, member=None, symmetric=None, words=None):
@@ -72,8 +73,7 @@ class Language:
         self._member = member
         self._symmetric = symmetric
         self.sym_witness = None
-        self.pair_automata = {}
-        self.triple_memo = {}
+        self.pair_automaton = None
 
     @property
     def form(self):

@@ -6,17 +6,17 @@ a vertex alphabet, u and v are adjacent iff the pairwise projection of w
 
 Search works on the target graph's own vertex names, in two stages: a
 multiplicity CSP, then one DFS per assignment that builds the word letter by
-letter on pair automata of L.  The DFS cuts prefixes whose vertices wait on
-each other in a cycle or leave a triple without a joint completion, and
-skips letters by twin classes and automorphisms of g; ``search``'s docstring
-gives each rule and why the first word found does not change.
+letter on the pair automaton of L.  The DFS cuts prefixes whose vertices
+wait on each other in a cycle or leave a triple without a joint completion,
+and skips letters by twin classes and automorphisms of g; ``search``'s
+docstring gives each rule and why the first word found does not change.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, inf
+from math import comb
 
 from .errors import CapacityError
 from .graphs import Graph
@@ -217,33 +217,33 @@ class _Moves(dict):
 
 
 class _PairAutomaton:
-    """The pair automaton of lang at letter counts (k0, k1).  States (q, r0,
+    """The pair automaton of lang over all letter counts.  States (q, r0,
     r1), a run state q (the Dfa state, else the prefix read) and the zeros
-    and ones left, are numbered as reached, the start 0; a Dfa sink is one
-    state at any counts.  moves[v][b] is the table on letter b for verdict v
-    (0: in L, 1: not in L).  Each new state draws a number from meter, and
-    one past ENUMERATION_BUDGET raises CapacityError."""
+    and ones left, are numbered as reached; words with counts (k0, k1) start
+    at state(start, k0, k1), and a Dfa sink is one state at any counts.
+    moves[v][b] is the table on letter b for verdict v (0: in L, 1: not in
+    L) at every count.  triples is search's memo for ``joint``, keyed by
+    these states.  A state past limit of them raises CapacityError."""
 
-    def __init__(self, lang: Language, k0: int, k1: int, meter):
+    def __init__(self, lang: Language):
         form = lang.form
         if isinstance(form, Dfa):
             self.step, self.accepts = (lambda q, b: form.trans[q][b]), form.accept.__contains__
             self.sinks = {q for q, (x, y) in enumerate(form.trans) if x == y == q}
+            self.start = form.start
         else:
             self.step, self.accepts = (lambda q, b: q + "01"[b]), (lambda q: lang.contains(q))
-            self.sinks = ()
-        self.counts, self.meter = (k0, k1), meter
-        self.keys, self.ids, self.live = [], {}, ({}, {})
+            self.sinks, self.start = (), ""
+        self.keys, self.ids, self.live, self.triples = [], {}, ({}, {}), {}
+        self.limit = ENUMERATION_BUDGET
         self.moves = tuple(tuple(_Moves(self, v, b) for b in (0, 1)) for v in (0, 1))
-        self.state(form.start if isinstance(form, Dfa) else "", k0, k1)
 
     def state(self, q, r0: int, r1: int) -> int:
         key = (q, 0, 0) if q in self.sinks else (q, r0, r1)
         s = self.ids.get(key)
         if s is None:
-            if next(self.meter) > ENUMERATION_BUDGET:
-                raise CapacityError(f"over {ENUMERATION_BUDGET} pair automaton states "
-                                    f"at multiplicities {self.counts}")
+            if len(self.keys) >= self.limit:
+                raise CapacityError(f"over {ENUMERATION_BUDGET} pair automaton states")
             s = self.ids[key] = len(self.keys)
             self.keys.append(key)
         return s
@@ -272,14 +272,13 @@ class _PairAutomaton:
         return live[s]
 
 
-def search(g: Graph, lang: Language, freq_bounds, max_len: int | None = None,
+def search(g: Graph, lang: Language, freq_bounds,
            node_budget: int = DEFAULT_NODE_BUDGET) -> VertexWord | None:
     """Bounded exhaustive search for a word w with evaluate(w, lang) equal
     to g on g's own labels, or None when the bounded space is exhausted.
 
-    freq_bounds is a set of allowed multiplicities, or a per-vertex dict;
-    max_len caps the word length.  The search has two stages, both on g's
-    own vertex names:
+    freq_bounds is a set of allowed multiplicities, or a per-vertex dict.
+    The search has two stages, both on g's own vertex names:
 
     1. a multiplicity CSP assigns each vertex a multiplicity by
        backtracking, keeping a value only if every pair with an earlier
@@ -316,8 +315,8 @@ def search(g: Graph, lang: Language, freq_bounds, max_len: int | None = None,
     row up to order 7, and they are most triples).  A triple with a settled
     pair (a Dfa sink) always finishes, and three single letters finish
     unless their waits form a cycle, which is the walk's to find; ``joint``
-    decides the others over the pairs' move tables, memoized in
-    lang.triple_memo.
+    decides the others over the pairs' move tables, memoized in the pair
+    automaton's triples.
 
     Both cuts are sound at any point, so their order moves only work, never
     the word.  After a placement where c waits, the cut that has cut more
@@ -354,17 +353,17 @@ def search(g: Graph, lang: Language, freq_bounds, max_len: int | None = None,
     those that keep its multiplicities, and its skip masks are memoized by
     the set of started vertices.
 
-    node_budget counts CSP nodes and DFS nodes, cut ones included; running
-    out raises CapacityError, which also counts the prefixes each cut
-    removed and the candidate letters an automorphism skipped.  The pair
-    automata are kept on lang, one per multiplicity pair.  A call that
-    builds over ENUMERATION_BUDGET states raises CapacityError naming the
-    pair or triple, and it first drops a cache holding more, so a cache
-    stays under twice ENUMERATION_BUDGET states.  The triple memo is
-    dropped with the pair automata when either holds more; a call adds at
-    most ENUMERATION_BUDGET states to it and then stops checking triples.
+    node_budget counts CSP nodes and DFS nodes, cut ones included; below 1
+    it raises ValueError, and running out raises CapacityError, which also
+    counts the prefixes each cut removed and the candidate letters an
+    automorphism skipped.  lang keeps its pair automaton, the triple memo
+    in it.  A call that builds over ENUMERATION_BUDGET states raises
+    CapacityError naming the multiplicities and the pair or triple; it adds
+    at most as many memo entries and then stops checking triples.  It first
+    drops an automaton with more states or entries, so each stays under
+    twice ENUMERATION_BUDGET.
     """
-    run = _Search(g, lang, freq_bounds, max_len, node_budget)
+    run = _Search(g, lang, freq_bounds, node_budget)
     return VertexWord([run.vs[c] for c, _ in run.trail]) if run.assign() else None
 
 
@@ -409,33 +408,29 @@ class _Search:
     assignment, the word so far and the counts a budget error reports.
     assign is stage 1, and dfs stage 2 with its cuts waits_in_cycle and stuck."""
 
-    __slots__ = ("g", "lang", "vs", "n", "allowed", "max_len", "node_budget", "agree", "twin_prev",
-                 "least_rest", "memo", "meter", "room", "table", "mults", "remaining", "trail",
-                 "links", "autos", "spent", "tried", "cuts", "triple_cuts", "skips")
+    __slots__ = ("g", "vs", "n", "allowed", "node_budget", "agree", "twin_prev", "pa", "room",
+                 "table", "mults", "remaining", "trail", "links", "autos", "spent", "tried",
+                 "cuts", "triple_cuts", "skips")
 
-    def __init__(self, g: Graph, lang: Language, freq_bounds, max_len, node_budget: int):
+    def __init__(self, g: Graph, lang: Language, freq_bounds, node_budget: int):
+        if node_budget < 1:
+            raise ValueError(f"search node budget must be at least 1, not {node_budget}")
         require_symmetric(lang)
         self.allowed = allowed = _normalize_bounds(g, freq_bounds)
-        self.g, self.lang, self.node_budget = g, lang, node_budget
-        self.max_len = inf if max_len is None else max_len
+        self.g, self.node_budget = g, node_budget
         self.vs = g.vertices
         self.n = n = len(self.vs)
         # per pair: the verdict that agrees with g (0: in L, 1: not in L)
         self.agree = _verdicts(g)
         self.twin_prev = _twin_predecessors(self.agree, allowed)
-        # least total length of the vertices from index i on
-        self.least_rest = least_rest = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            least_rest[i] = least_rest[i + 1] + allowed[i][0]
-        cache, memo = lang.pair_automata, lang.triple_memo
-        self.memo = memo
-        if max(len(memo), sum(len(pa.keys) for pa in cache.values())) > ENUMERATION_BUDGET:
-            cache.clear()
-            memo.clear()
-        self.meter = itertools.count(1)
-        self.room = ENUMERATION_BUDGET  # triple states this call may still add to memo
-        # (a's multiplicity, b's, verdict) to pair a < b's moves for that
-        # verdict, or () when its start state cannot reach the verdict
+        pa = lang.pair_automaton
+        if pa is None or max(len(pa.keys), len(pa.triples)) > ENUMERATION_BUDGET:
+            pa = lang.pair_automaton = _PairAutomaton(lang)
+        pa.limit = len(pa.keys) + ENUMERATION_BUDGET
+        self.pa = pa
+        self.room = ENUMERATION_BUDGET  # triple states this call may still add to pa.triples
+        # (a's multiplicity, b's, verdict) to pair a < b's start state, or -1
+        # when it cannot reach the verdict
         self.table = {}
         self.mults, self.remaining = [0] * n, [0] * n
         self.trail = []  # (letter, its pairs' states before it) per letter placed
@@ -454,15 +449,16 @@ class _Search:
 
     def at_pair(self, e: CapacityError, s: int) -> CapacityError:
         # e, raised on the pair in slot s (a * n + b for a < b), naming it
-        return CapacityError(f"{e}, vertex pair ({self.vs[s // self.n]},{self.vs[s % self.n]})")
+        a, b = divmod(s, self.n)
+        return CapacityError(f"{e} at multiplicities ({self.mults[a]}, {self.mults[b]}), "
+                             f"vertex pair ({self.vs[a]},{self.vs[b]})")
 
-    def pair_moves(self, a: int, b: int, key: tuple):
+    def pair_start(self, a: int, b: int, key: tuple) -> int:
         # the table entry of vertices a < b, a's letters as 0, at key
-        counts, cache = key[:2], self.lang.pair_automata
+        pa = self.pa
         try:
-            pa = cache[counts] = cache.get(counts) or _PairAutomaton(self.lang, *counts, self.meter)
-            pa.meter = self.meter
-            return pa.moves[key[2]] if pa.reaches(0, key[2]) else ()
+            s = pa.state(pa.start, key[0], key[1])
+            return s if pa.reaches(s, key[2]) else -1
         except CapacityError as e:
             raise self.at_pair(e, a * self.n + b) from None
 
@@ -470,16 +466,15 @@ class _Search:
         # stage 1: multiplicities vertex by vertex, backtracking on an
         # explicit stack; level i tries allowed[i] from choice[i] on
         n, allowed, agree, table, mults = self.n, self.allowed, self.agree, self.table, self.mults
-        twin_prev, least_rest, max_len = self.twin_prev, self.least_rest, self.max_len
+        twin_prev = self.twin_prev
         choice = [0] * (n + 1)
-        totals = [0] * (n + 1)  # word length of the vertices before i
         i = 0
         self.tick()
         while i >= 0:
             if i == n:
                 self.tried += 1
                 self.remaining[:] = mults
-                if self.dfs(totals[n]):
+                if self.dfs(sum(mults)):
                     return True
                 i -= 1
                 continue
@@ -487,22 +482,18 @@ class _Search:
             while choice[i] < len(options):
                 k = options[choice[i]]
                 choice[i] += 1
-                if totals[i] + k + least_rest[i + 1] > max_len:
-                    choice[i] = len(options)  # the options ascend
-                    continue
                 p = twin_prev[i]
                 if p >= 0 and k < mults[p]:
                     continue
                 mults[i] = k
                 for j in range(i):
                     key = (mults[j], k, agree[j][i])
-                    moves = table.get(key)
-                    if moves is None:
-                        moves = table[key] = self.pair_moves(j, i, key)
-                    if not moves:
+                    s = table.get(key)
+                    if s is None:
+                        s = table[key] = self.pair_start(j, i, key)
+                    if s < 0:
                         break
                 else:
-                    totals[i + 1] = totals[i] + k
                     i += 1
                     choice[i] = 0
                     self.tick()
@@ -538,7 +529,7 @@ class _Search:
         # their shared vertex's letters.  joint decides the rest, its
         # verdicts kept in memo under the move tables of c in its two pairs
         # and of x in (x, y), the pair states and the counts
-        n, links, remaining, memo = self.n, self.links, self.remaining, self.memo
+        n, links, remaining, memo = self.n, self.links, self.remaining, self.pa.triples
         lc, rc = links[c], remaining[c]
         begun = None  # the started vertices other than c with letters left
         try:
@@ -572,22 +563,24 @@ class _Search:
                     if not verdict:
                         return True
         except CapacityError as e:
-            vs = self.vs
-            raise CapacityError(f"{e}, vertex triple ({vs[c]},{vs[x]},{vs[y]})") from None
+            vs, m = self.vs, self.mults
+            raise CapacityError(f"{e} at multiplicities ({m[c]}, {m[x]}, {m[y]}), "
+                                f"vertex triple ({vs[c]},{vs[x]},{vs[y]})") from None
         return False
 
     def dfs(self, total: int) -> bool:
         # stage 2, with the twin and automorphism rules; state[a * n + b] is
         # pair a < b's state, and bit c of started is set once c has a letter
         n, mults, remaining, trail = self.n, self.mults, self.remaining, self.trail
-        twin_prev, table, agree = self.twin_prev, self.table, self.agree
+        twin_prev, table, agree, moves = self.twin_prev, self.table, self.agree, self.pa.moves
         links = self.links = [[] for _ in range(n)]  # per c, (slot, move on c, move on d, d)
+        state, first, started = [0] * (n * n), 0, 0
         for a in range(n):
             for b in range(a + 1, n):
-                m0, m1 = table[mults[a], mults[b], agree[a][b]]
+                state[a * n + b] = table[mults[a], mults[b], agree[a][b]]
+                m0, m1 = moves[agree[a][b]]
                 links[a].append((a * n + b, m0, m1, b))
                 links[b].append((a * n + b, m1, m0, a))
-        state, first, started = [0] * (n * n), 0, 0
         kept = None  # per automorphism keeping mults: (moved vertices, c with sigma(c) < c)
         skip_masks = {}  # started to the vertices a kept automorphism fixing it maps lower
         skip = 0
@@ -681,9 +674,11 @@ def pair_nonempty(lang: Language, k: int, ell: int) -> bool:
     form = lang.form
     if isinstance(form, Dfa):
         # a sink is one pair automaton state, so a trie is searched within itself
-        meter = itertools.count(1)
-        return any(_PairAutomaton(lang, a, b, meter).reaches(0, 0)
-                   for a, b in {(k, ell), (ell, k)})
+        pa = _PairAutomaton(lang)
+        try:
+            return any(pa.reaches(pa.state(pa.start, a, b), 0) for a, b in {(k, ell), (ell, k)})
+        except CapacityError as e:
+            raise CapacityError(f"{e} at multiplicities {(k, ell)}") from None
     if isinstance(form, Cfg):
         vecs = form.count_vectors(lambda i, j: (i <= k and j <= ell) or (i <= ell and j <= k),
                                   ENUMERATION_BUDGET)

@@ -124,6 +124,13 @@ def test_search_budget_capacity(capsys, c4_file):
     assert code == 1 and "error:" in err
 
 
+def test_search_budget_below_one_is_a_usage_error(capsys, c4_file):
+    code, _, err = run_cli(
+        capsys, "search", "--lang", "<0101>", "--graph", c4_file, "--budget", "0"
+    )
+    assert code == 2 and "node budget must be at least 1" in err
+
+
 def test_search_bad_freq(capsys, c4_file):
     code, _, err = run_cli(
         capsys, "search", "--lang", "<01>", "--graph", c4_file, "--freq", "x"

@@ -496,12 +496,6 @@ def test_search_returns_labeled_equality():
     assert evaluate(w, parse_language("<0101>")) == cycle_graph(4)
 
 
-def test_search_respects_max_len():
-    lang = parse_language("<0101>")
-    assert search(cycle_graph(4), lang, {2}, max_len=7) is None
-    assert search(cycle_graph(4), lang, {2}, max_len=8) is not None
-
-
 def test_search_negative_cases():
     # single-occurrence letters project to length-2 words, never alternating
     # four times, so only the null graph appears at frequentness one
@@ -509,6 +503,15 @@ def test_search_negative_cases():
     assert search(null_graph(4), parse_language("<0101>"), {1}) is not None
     # under the complete language any two distinct letters form an edge
     assert search(null_graph(2), parse_language("re:(0|1)*"), {1, 2}) is None
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_search_refuses_a_node_budget_below_one(budget):
+    lang = parse_language("re:0110|1001")
+    with pytest.raises(ValueError, match=rf"node budget must be at least 1, not {budget}$"):
+        search(cycle_graph(4), lang, {2}, node_budget=budget)
+    # refused before any work: no symmetry decided, no pair automaton built
+    assert lang._symmetric is None and lang.pair_automaton is None
 
 
 def test_search_per_vertex_bounds():
@@ -566,10 +569,10 @@ def test_search_budget_error_counts_the_cut_prefixes():
 def test_search_counts_on_a_finished_search():
     # the counts a budget error quotes, read from the search state itself
     lang = parse_language("<0110>")
-    run = represent._Search(path_graph(10), lang, {2}, None, represent.DEFAULT_NODE_BUDGET)
+    run = represent._Search(path_graph(10), lang, {2}, represent.DEFAULT_NODE_BUDGET)
     assert run.assign()
     assert (run.spent, run.tried, run.cuts, run.triple_cuts, run.skips) == (49, 1, 0, 17, 0)
-    run = represent._Search(_C5_AND_TWO_ISOLATED, lang, {2}, None, represent.DEFAULT_NODE_BUDGET)
+    run = represent._Search(_C5_AND_TWO_ISOLATED, lang, {2}, represent.DEFAULT_NODE_BUDGET)
     assert not run.assign()
     assert (run.spent, run.tried, run.cuts, run.triple_cuts, run.skips) == (61, 1, 0, 32, 56)
 
@@ -603,16 +606,15 @@ def test_joint_matches_brute_force_interleaving(spec):
     for counts in itertools.product((1, 2, 3), repeat=3):
         kc, kx, ky = counts
         for verdicts in itertools.product((0, 1), repeat=3):
-            meter = itertools.count(1)
-            pairs = [represent._PairAutomaton(lang, a, b, meter)
-                     for a, b in ((kc, kx), (kc, ky), (kx, ky))]
-            if not all(pa.reaches(0, v) for pa, v in zip(pairs, verdicts)):
+            pa = represent._PairAutomaton(lang)
+            starts = tuple(pa.state(pa.start, a, b) for a, b in ((kc, kx), (kc, ky), (kx, ky)))
+            if not all(pa.reaches(s, v) for s, v in zip(starts, verdicts)):
                 continue
-            (c0, x0), (c1, y0), (x1, y1) = (pa.moves[v] for pa, v in zip(pairs, verdicts))
+            (c0, x0), (c1, y0), (x1, y1) = (pa.moves[v] for v in verdicts)
             memo, seen = {}, {}
             # breadth first from the start, each triple with the pair words
             # of the first prefix that reaches it
-            root = (0, 0, 0) + counts
+            root = starts + counts
             todo, reached = [root], {root: ("", "", "")}
             for t in todo:
                 p, q, r, i, j, k = t
@@ -634,6 +636,23 @@ def test_joint_matches_brute_force_interleaving(spec):
                     counts, verdicts, words)
                 checked += 1
     assert checked > 100
+
+
+@pytest.mark.parametrize("spec", ["<0110>", "<01,001>", "wrep", "dyck", "copy"])
+def test_one_pair_automaton_serves_every_count_pair(spec):
+    # one automaton is asked for the start at each count pair up to 4, in a
+    # shuffled order, so a start may meet states an earlier one built; each
+    # verdict's liveness must match the words with those counts
+    lang = parse_language(spec)
+    pa = represent._PairAutomaton(lang)
+    counts = list(itertools.product(range(5), repeat=2))
+    random.Random(11).shuffle(counts)
+    for k0, k1 in counts:
+        s = pa.state(pa.start, k0, k1)
+        verdicts = {lang.contains(b) for b in all_binary_words(k0 + k1)
+                    if len(b) == k0 + k1 and b.count("0") == k0}
+        assert pa.reaches(s, 0) == (True in verdicts), (k0, k1)
+        assert pa.reaches(s, 1) == (False in verdicts), (k0, k1)
 
 
 def test_search_cuts_paths_within_a_node_budget():
@@ -823,8 +842,35 @@ def test_search_budget_names_the_triple_of_a_joint_completion(monkeypatch):
     # here the states run out while a triple's joint completion is decided
     monkeypatch.setattr(represent, "ENUMERATION_BUDGET", 100)
     with pytest.raises(CapacityError, match=r"^over 100 pair automaton states at multiplicities "
-                                            r"\(6, 6\), vertex triple \(v2,v1,v3\)$"):
+                                            r"\(6, 6, 6\), vertex triple \(v2,v1,v3\)$"):
         search(path_graph(3), parse_language("dyck"), {6})
+
+
+@pytest.mark.parametrize("spec, pair", [("copy", "v1,v3"), ("<0011>", "v2,v3"),
+                                        ("lyndon", "v1,v2")])
+def test_search_budget_names_the_pair_of_a_cycle_walk(monkeypatch, spec, pair):
+    # every walk may look up moves it finds built, but the first move it has
+    # to build runs out, and the message names that move's pair
+    lang, raised = parse_language(spec), []
+    walk = represent._Search.waits_in_cycle
+
+    def walk_without_room(run, c, on, state):
+        pa = lang.pair_automaton
+        limit, pa.limit = pa.limit, len(pa.keys)
+        try:
+            return walk(run, c, on, state)
+        except CapacityError as e:
+            raised.append(e)
+            raise
+        finally:
+            pa.limit = limit
+
+    monkeypatch.setattr(represent._Search, "waits_in_cycle", walk_without_room)
+    with pytest.raises(CapacityError) as caught:
+        search(cycle_graph(5), lang, {2})
+    assert str(caught.value) == (f"over {represent.ENUMERATION_BUDGET} pair automaton states "
+                                 f"at multiplicities (2, 2), vertex pair ({pair})")
+    assert raised == [caught.value]
 
 
 def test_search_drops_a_cache_past_the_budget(monkeypatch):
@@ -834,9 +880,10 @@ def test_search_drops_a_cache_past_the_budget(monkeypatch):
     for k in (3, 4):
         with pytest.raises(CapacityError):
             search(edge, lang, {k})
-        assert sum(len(pa.keys) for pa in lang.pair_automata.values()) <= 2 * 40
-    # the call at {4} found 10 + 40 states cached and started afresh
-    assert list(lang.pair_automata) == [(4, 4)]
+        assert len(lang.pair_automaton.keys) <= 2 * 40
+    # the call at {4} found 10 + 40 states cached and started afresh: every
+    # state left has a prefix read and letters left that make 4 + 4
+    assert all(len(q) + r0 + r1 == 8 for q, r0, r1 in lang.pair_automaton.keys)
 
 
 def test_search_drops_the_triple_memo_with_the_pair_automata(monkeypatch):
@@ -844,13 +891,13 @@ def test_search_drops_the_triple_memo_with_the_pair_automata(monkeypatch):
     lang = parse_language("<0110>")
     # a full memo turns the triple cut off and leaves the verdict exact
     assert search(_C5_AND_TWO_ISOLATED, lang, {2}) is None
-    assert 0 < len(lang.triple_memo) <= 30
-    pairs = lang.pair_automata[(2, 2)]
-    lang.triple_memo.update((i, True) for i in range(31))
+    pa = lang.pair_automaton
+    assert 0 < len(pa.triples) <= 30
+    pa.triples.update((i, True) for i in range(31))
     assert search(path_graph(3), lang, {2}) is not None
-    # the memo past the budget was dropped, and the pair automata with it
-    assert not any(isinstance(key, int) for key in lang.triple_memo)
-    assert lang.pair_automata[(2, 2)] is not pairs
+    # the memo past the budget was dropped, and the pair automaton with it
+    assert lang.pair_automaton is not pa
+    assert not any(isinstance(key, int) for key in lang.pair_automaton.triples)
 
 
 def test_search_decides_triples_at_high_multiplicity(monkeypatch):
@@ -861,7 +908,7 @@ def test_search_decides_triples_at_high_multiplicity(monkeypatch):
     w = search(g, lang, {40})
     assert time.process_time() - start < 5 and evaluate(w, lang) == g
     # a memo key ends in the triple's three counts
-    assert max(sum(key[6:]) for key in lang.triple_memo) == 42
+    assert max(sum(key[6:]) for key in lang.pair_automaton.triples) == 42
     # three vertices at multiplicity 12 stop at the state budget
     monkeypatch.setattr(represent, "ENUMERATION_BUDGET", 10**4)
     with pytest.raises(CapacityError, match=r"multiplicities \(12, 12\)"):
@@ -894,9 +941,9 @@ def test_search_on_a_dfa_form_makes_no_membership_calls():
     graphs = enumerate_graphs(4)
     words = [search(g, lang, {2}) for g in graphs]
     assert calls == [] and any(words)
-    built = sum(len(pa.keys) for pa in lang.pair_automata.values())
+    built = len(lang.pair_automaton.keys)
     assert [search(g, lang, {2}) for g in graphs] == words
-    assert sum(len(pa.keys) for pa in lang.pair_automata.values()) == built
+    assert len(lang.pair_automaton.keys) == built
     # the opaque twin goes through the same wrapped membership test
     twin = Language(None, "opaque <0110>", member=lang.contains, symmetric=True)
     assert [search(g, twin, {2}) for g in graphs] == words and calls
@@ -991,6 +1038,15 @@ def test_pair_nonempty_skewed_counts_search_only_the_two_windows():
     assert pair_nonempty(parse_language("hull(re:0*1*)"), 3, 1000)
     assert pair_nonempty(parse_language("hull(re:0*10*)"), 1, 1000)
     assert not pair_nonempty(parse_language("hull(re:0*10*)"), 2, 1000)
+
+
+def test_pair_nonempty_budget_names_its_counts(monkeypatch):
+    # even-counts has no word with 41 zeros, so the search on the Dfa must
+    # exhaust its about 42 * 41 states, past a budget of 100
+    monkeypatch.setattr(represent, "ENUMERATION_BUDGET", 100)
+    with pytest.raises(CapacityError, match=r"^over 100 pair automaton states at multiplicities "
+                                            r"\(41, 40\)$"):
+        pair_nonempty(parse_language("even-counts"), 41, 40)
 
 
 @pytest.mark.parametrize("spec", ["palindrome", "balanced", "dyck", "0n1n"])
