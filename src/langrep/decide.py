@@ -6,7 +6,8 @@ the language uses both symbols, i.e. L is a subset of 0* u 1*.  Emptiness
 of L intersected with the both-symbols filter is decidable for every
 language with a regular (Dfa) or context-free (Cfg) form; the
 length-lexicographically least word of the intersection is the returned
-witness when the answer is negative.
+witness when the answer is negative.  A finite word set needs no automaton:
+its least word with both symbols is found by one scan.
 
 For a Cfg the intersection is the trimmed product, built within
 ``PRODUCT_BUDGET`` bodies; each least fixpoint on it is one worklist pass,
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Dfa, both_symbols_dfa, dfa_from_finite
+from .automata import Dfa, both_symbols_dfa
 from .errors import CapacityError
 from .grammar import Cfg, intersect_regular
 
@@ -45,26 +46,30 @@ class Verdict:
 def decide(lang, property: str = "bounded-treewidth") -> Verdict:
     """Verdict true iff every graph the language represents is edgeless.
 
-    Accepts a Language with a regular or context-free form, or a bare Dfa,
-    Cfg, or collection of binary words (taken as its trie Dfa); an opaque
-    language such as copy raises ValueError.  Symmetry is irrelevant here
-    since the verdict is hull-stable.
+    Accepts a Language that is finite or has a regular or context-free
+    form, a bare Dfa or Cfg, or a collection of binary words.  A finite
+    word set, a finite Language's or a collection, is scanned for its
+    length-lexicographically least word with both symbols (a word with
+    another symbol is in no binary language, so none is a witness); an
+    opaque language such as copy raises ValueError.  Symmetry is irrelevant
+    here since the verdict is hull-stable.
     """
     try:
         prop = _ALIASES[property]
     except KeyError:
         raise ValueError(f"unknown property {property!r}; expected one of {PROPERTIES}")
-    if isinstance(lang, (Dfa, Cfg)):
-        form = lang
-    elif isinstance(lang, (frozenset, set, list, tuple)):
-        form = dfa_from_finite(lang)
+    finite = isinstance(lang, (frozenset, set, list, tuple))
+    words = lang if finite else getattr(lang, "words", None)
+    if words is not None:
+        both = [w for w in words if set(w) == {"0", "1"}]
+        contains, witness = words.__contains__, min(both, key=lambda w: (len(w), w), default=None)
     else:
-        form = getattr(lang, "form", None)
-    if form is None:
-        raise ValueError(
-            f"decide needs a language with a regular or context-free form; {lang!r} has none"
-        )
-    contains, witness = _both_symbols_witness(form)
+        form = lang if isinstance(lang, (Dfa, Cfg)) else getattr(lang, "form", None)
+        if form is None:
+            raise ValueError(
+                f"decide needs a language with a regular or context-free form; {lang!r} has none"
+            )
+        contains, witness = _both_symbols_witness(form)
     if witness is not None:
         # kept under python -O: a wrong witness must not become a verdict
         if not ("0" in witness and "1" in witness and contains(witness)):

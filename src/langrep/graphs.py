@@ -278,8 +278,13 @@ def graph_from_json(text: str) -> Graph:
         if not isinstance(e, list) or len(e) != 2:
             raise FormatError(f"bad edge entry {e!r}")
         pairs.append((e[0], e[1]))
+    return _read_graph(vertices, pairs)
+
+
+def _read_graph(vertices, edges) -> Graph:
+    # the Graph a text form describes; its ValueError (a loop, say) is a FormatError
     try:
-        return Graph(vertices, pairs)
+        return Graph(vertices, edges)
     except ValueError as exc:
         raise FormatError(str(exc))
 
@@ -315,7 +320,7 @@ def graph_from_edge_list(text: str) -> Graph:
             raise FormatError(f"bad edge line {ln!r}")
         edges.append((parts[0], parts[1]))
         vertices.extend(parts)
-    g = Graph(set(vertices), edges)
+    g = _read_graph(set(vertices), edges)
     if g.order != n or g.size != m:
         raise FormatError(
             f"header says n={n} m={m} but body has n={g.order} m={g.size}"

@@ -8,16 +8,18 @@ exact form where one exists:
             builtins, and boolean combinations of these;
     a Cfg   cfg: files, the context-free builtins, unions of grammars and
             intersections of a grammar with a Dfa;
-    None    copy, lyndon, lyndon-odd, trash-ext, and every combination no
+    None    copy, lyndon, lyndon-odd, trash-ext, a finite set whose trie
+            would pass the automaton budget, and every combination no
             closure rule covers: an opaque predicate.
 
-Consumers that need more than membership (pair-nonemptiness, the
-treewidth decider) branch on the form alone.  A finite language also keeps
-its words and answers membership by set lookup.  Symmetry is checked
-eagerly for finite sets and decided lazily for a Dfa, by an equivalence
-test against its 0/1-swapped image, so hull() can wrap an asymmetric base.
-Otherwise it is given: builtins are symmetric by definition, and a grammar
-file must be wrapped in hull() or attested.
+Consumers that need more than membership (search, pair-nonemptiness)
+branch on the form alone; the treewidth decider scans a finite language's
+words instead.  A finite language also keeps its words and answers
+membership by set lookup.  Symmetry is checked eagerly for finite sets and
+decided lazily for a Dfa, by an equivalence test against its 0/1-swapped
+image, so hull() can wrap an asymmetric base.  Otherwise it is given:
+builtins are symmetric by definition, and a grammar file must be wrapped
+in hull() or attested.
 
 The spec mini-grammar understood by parse_language:
 
@@ -44,20 +46,26 @@ HALFLINE_WORDS = ("01", "011", "0101", "0011", "0110")
 # (k+1)^2 + 1 for uniform(k), about 2(k+1)^2 for k11(k)
 MAX_BUILTIN_PARAM = 64
 
+_TRIE = object()  # the form of a finite language whose trie is not built yet
+
 
 class Language:
     """A binary language: membership, 0-1-symmetry and an exact form.
 
     ``form`` is a Dfa, a Cfg, or None for an opaque predicate; ``words`` is
-    the frozenset of a finite language, else None; a finite language builds
-    its form, the minimized trie, on first use.  Membership is a set
-    lookup for a finite language, ``member`` when given, and otherwise the
-    form's own test.  ``symmetric`` is given, or, for a Dfa form only, left
-    out and decided on first use, which leaves a shortest asymmetric word in
-    ``sym_witness``.  ``pair_automaton`` is search's cache: this language's
-    pair automaton over all letter counts, which also holds search's memo of
-    which three pair states can still finish together, or None before the
-    first search.
+    the frozenset of a finite language, else None.  A finite language builds
+    its form, the minimized trie, on first use; a trie that would pass
+    ``AUTOMATON_BUDGET`` is given up once, and the language reads as
+    formless (None) from then on, answered by its word set.  So reading
+    ``form`` never raises.  Membership is a set lookup for a finite
+    language, ``member`` when given, and otherwise the form's own test.
+    ``symmetric`` is given, or, for a Dfa form only, left out and decided on
+    first use, which leaves a shortest asymmetric word in ``sym_witness``.
+    ``pair_automaton`` is this language's pair automaton over all letter
+    counts, or None before its first use.  It is the one store of pair
+    answers: the start state per counts and verdict, and the memo of which
+    three pair states can still finish together.  Search and
+    ``pair_nonempty`` share it.
     """
 
     def __init__(self, form, label, *, member=None, symmetric=None, words=None):
@@ -67,7 +75,7 @@ class Language:
             member = words.__contains__
         elif member is None:
             member = form.accepts if isinstance(form, Dfa) else form.contains
-        self._form = form
+        self._form = _TRIE if words is not None else form
         self.label = label
         self.words = words
         self._member = member
@@ -77,9 +85,13 @@ class Language:
 
     @property
     def form(self):
-        # a finite language builds its minimized trie on first use
-        if self._form is None and self.words is not None:
-            self._form = dfa_from_finite(self.words).minimize()
+        # a finite language builds its minimized trie on first use, or
+        # records once that the trie is past the automaton budget
+        if self._form is _TRIE:
+            try:
+                self._form = dfa_from_finite(self.words).minimize()
+            except CapacityError:
+                self._form = None
         return self._form
 
     @property
@@ -148,8 +160,10 @@ def _is_lyndon(b: str) -> bool:
 
 
 def _lyndon(b: str) -> bool:
-    # Lyndon under either order; 1 < 0 is 0 < 1 on the complement
-    return _is_lyndon(b) or _is_lyndon(complement_word(b))
+    # Lyndon under either order; 1 < 0 is 0 < 1 on the complement.  A Lyndon
+    # word of two or more letters starts with its smaller letter, so b[0]
+    # picks the one order to test (a single letter is Lyndon under both)
+    return _is_lyndon(complement_word(b) if b.startswith("1") else b)
 
 
 def _dyck(b: str) -> bool:

@@ -43,8 +43,8 @@ def evaluate(word: VertexWord, lang: Language) -> Graph:
     """The graph induced by word under lang: one membership verdict per
     unordered vertex pair, in the pair's ascending orientation.
 
-    When lang's form is a Dfa of at most 256 states (for a finite
-    language, its trie built within the automaton budget), every pair's
+    When lang's form is a Dfa of at most 256 states (a finite language's
+    trie, unless it is past the automaton budget), every pair's
     run is stepped at once, with no membership calls: a bytearray holds one
     state byte per pair (u, v), u < v, at u·n + v, and each letter x of the
     word steps row x on 0 and column x on 1 by two C-level ``translate``
@@ -68,10 +68,7 @@ def evaluate(word: VertexWord, lang: Language) -> Graph:
     their verdicts."""
     require_symmetric(lang)
     vs = tuple(sorted(word.alphabet()))
-    try:
-        form = lang.form
-    except CapacityError:  # a finite language too large for its trie
-        form = None
+    form = lang.form
     if isinstance(form, Dfa) and len(form) <= 256 and len(vs) <= _PAIR_STATE_CAP:
         edges = _dfa_edges(word, vs, form)
     else:
@@ -218,12 +215,14 @@ class _Moves(dict):
 
 class _PairAutomaton:
     """The pair automaton of lang over all letter counts.  States (q, r0,
-    r1), a run state q (the Dfa state, else the prefix read) and the zeros
-    and ones left, are numbered as reached; words with counts (k0, k1) start
-    at state(start, k0, k1), and a Dfa sink is one state at any counts.
-    moves[v][b] is the table on letter b for verdict v (0: in L, 1: not in
-    L) at every count.  triples is search's memo for ``joint``, keyed by
-    these states.  A state past limit of them raises CapacityError."""
+    r1), a run state q (the Dfa state, else the prefix read, answered by
+    lang's membership) and the zeros and ones left, are numbered as reached;
+    words with counts (k0, k1) start at state(start, k0, k1), and a Dfa sink
+    is one state at any counts.  moves[v][b] is the table on letter b for
+    verdict v (0: in L, 1: not in L) at every count.  starts maps (k0, k1,
+    v) to that start state, or -1 when it cannot end in verdict v; triples
+    is search's memo for ``joint``, keyed by these states.  A state past
+    limit of them raises CapacityError."""
 
     def __init__(self, lang: Language):
         form = lang.form
@@ -234,9 +233,26 @@ class _PairAutomaton:
         else:
             self.step, self.accepts = (lambda q, b: q + "01"[b]), (lambda q: lang.contains(q))
             self.sinks, self.start = (), ""
-        self.keys, self.ids, self.live, self.triples = [], {}, ({}, {}), {}
+        self.keys, self.ids, self.live, self.starts, self.triples = [], {}, ({}, {}), {}, {}
         self.limit = ENUMERATION_BUDGET
         self.moves = tuple(tuple(_Moves(self, v, b) for b in (0, 1)) for v in (0, 1))
+
+    @staticmethod
+    def of(lang: Language) -> "_PairAutomaton":
+        # lang's automaton, search's and pair_nonempty's, new when it has
+        # none or its states, starts or memo pass the budget; the caller may
+        # add ENUMERATION_BUDGET states, so they stay under twice that
+        pa = lang.pair_automaton
+        if pa is None or max(len(pa.keys), len(pa.starts), len(pa.triples)) > ENUMERATION_BUDGET:
+            pa = lang.pair_automaton = _PairAutomaton(lang)
+        pa.limit = len(pa.keys) + ENUMERATION_BUDGET
+        return pa
+
+    def begin(self, k0: int, k1: int, v: int) -> int:
+        # find and store the starts entry at (k0, k1, v)
+        s = self.state(self.start, k0, k1)
+        s = self.starts[k0, k1, v] = s if self.reaches(s, v) else -1
+        return s
 
     def state(self, q, r0: int, r1: int) -> int:
         key = (q, 0, 0) if q in self.sinks else (q, r0, r1)
@@ -356,12 +372,16 @@ def search(g: Graph, lang: Language, freq_bounds,
     node_budget counts CSP nodes and DFS nodes, cut ones included; below 1
     it raises ValueError, and running out raises CapacityError, which also
     counts the prefixes each cut removed and the candidate letters an
-    automorphism skipped.  lang keeps its pair automaton, the triple memo
-    in it.  A call that builds over ENUMERATION_BUDGET states raises
-    CapacityError naming the multiplicities and the pair or triple; it adds
-    at most as many memo entries and then stops checking triples.  It first
-    drops an automaton with more states or entries, so each stays under
-    twice ENUMERATION_BUDGET.
+    automorphism skipped.  lang keeps its pair automaton, with the start
+    state of each pair's counts and verdict (stage 1's table, which stage 2
+    seeds its pair states from) and the triple memo in it.  A language
+    without a form, a finite one past its trie budget included, runs on
+    prefix states answered by its membership.  A call that builds over
+    ENUMERATION_BUDGET states raises CapacityError naming the
+    multiplicities and the pair or triple; it adds at most as many memo
+    entries and then stops checking triples.  It first drops an automaton
+    with more states, starts or memo entries, so its states and memo stay
+    under twice ENUMERATION_BUDGET.
     """
     run = _Search(g, lang, freq_bounds, node_budget)
     return VertexWord([run.vs[c] for c, _ in run.trail]) if run.assign() else None
@@ -409,8 +429,8 @@ class _Search:
     assign is stage 1, and dfs stage 2 with its cuts waits_in_cycle and stuck."""
 
     __slots__ = ("g", "vs", "n", "allowed", "node_budget", "agree", "twin_prev", "pa", "room",
-                 "table", "mults", "remaining", "trail", "links", "autos", "spent", "tried",
-                 "cuts", "triple_cuts", "skips")
+                 "mults", "remaining", "trail", "links", "autos", "spent", "tried", "cuts",
+                 "triple_cuts", "skips")
 
     def __init__(self, g: Graph, lang: Language, freq_bounds, node_budget: int):
         if node_budget < 1:
@@ -423,15 +443,8 @@ class _Search:
         # per pair: the verdict that agrees with g (0: in L, 1: not in L)
         self.agree = _verdicts(g)
         self.twin_prev = _twin_predecessors(self.agree, allowed)
-        pa = lang.pair_automaton
-        if pa is None or max(len(pa.keys), len(pa.triples)) > ENUMERATION_BUDGET:
-            pa = lang.pair_automaton = _PairAutomaton(lang)
-        pa.limit = len(pa.keys) + ENUMERATION_BUDGET
-        self.pa = pa
+        self.pa = _PairAutomaton.of(lang)
         self.room = ENUMERATION_BUDGET  # triple states this call may still add to pa.triples
-        # (a's multiplicity, b's, verdict) to pair a < b's start state, or -1
-        # when it cannot reach the verdict
-        self.table = {}
         self.mults, self.remaining = [0] * n, [0] * n
         self.trail = []  # (letter, its pairs' states before it) per letter placed
         self.autos = None  # g's automorphisms on indices, found on a first return to the root
@@ -453,20 +466,11 @@ class _Search:
         return CapacityError(f"{e} at multiplicities ({self.mults[a]}, {self.mults[b]}), "
                              f"vertex pair ({self.vs[a]},{self.vs[b]})")
 
-    def pair_start(self, a: int, b: int, key: tuple) -> int:
-        # the table entry of vertices a < b, a's letters as 0, at key
-        pa = self.pa
-        try:
-            s = pa.state(pa.start, key[0], key[1])
-            return s if pa.reaches(s, key[2]) else -1
-        except CapacityError as e:
-            raise self.at_pair(e, a * self.n + b) from None
-
     def assign(self) -> bool:
         # stage 1: multiplicities vertex by vertex, backtracking on an
         # explicit stack; level i tries allowed[i] from choice[i] on
-        n, allowed, agree, table, mults = self.n, self.allowed, self.agree, self.table, self.mults
-        twin_prev = self.twin_prev
+        n, allowed, agree, pa, mults = self.n, self.allowed, self.agree, self.pa, self.mults
+        twin_prev, starts = self.twin_prev, pa.starts
         choice = [0] * (n + 1)
         i = 0
         self.tick()
@@ -487,10 +491,14 @@ class _Search:
                     continue
                 mults[i] = k
                 for j in range(i):
+                    # pair j < i's start state, j's letters as 0
                     key = (mults[j], k, agree[j][i])
-                    s = table.get(key)
+                    s = starts.get(key)
                     if s is None:
-                        s = table[key] = self.pair_start(j, i, key)
+                        try:
+                            s = pa.begin(*key)
+                        except CapacityError as e:
+                            raise self.at_pair(e, j * n + i) from None
                     if s < 0:
                         break
                 else:
@@ -572,12 +580,12 @@ class _Search:
         # stage 2, with the twin and automorphism rules; state[a * n + b] is
         # pair a < b's state, and bit c of started is set once c has a letter
         n, mults, remaining, trail = self.n, self.mults, self.remaining, self.trail
-        twin_prev, table, agree, moves = self.twin_prev, self.table, self.agree, self.pa.moves
+        twin_prev, starts, agree, moves = self.twin_prev, self.pa.starts, self.agree, self.pa.moves
         links = self.links = [[] for _ in range(n)]  # per c, (slot, move on c, move on d, d)
         state, first, started = [0] * (n * n), 0, 0
         for a in range(n):
             for b in range(a + 1, n):
-                state[a * n + b] = table[mults[a], mults[b], agree[a][b]]
+                state[a * n + b] = starts[mults[a], mults[b], agree[a][b]]
                 m0, m1 = moves[agree[a][b]]
                 links[a].append((a * n + b, m0, m1, b))
                 links[b].append((a * n + b, m1, m0, a))
@@ -667,16 +675,18 @@ class Decomposition:
 
 def pair_nonempty(lang: Language, k: int, ell: int) -> bool:
     """Does lang contain a word with letter counts {k, ell} (either
-    polarity)?  Decided exactly on the language's form: a Dfa by its pair
-    automata at (k, ell) and (ell, k), a Cfg yields its bounded count
-    vectors, and an opaque language has its words of those counts
-    enumerated.  Past ENUMERATION_BUDGET the call raises CapacityError."""
+    polarity)?  Decided exactly on the language's form: a Dfa by the start
+    states of lang's pair automaton (the one search keeps) at (k, ell) and
+    (ell, k), a Cfg yields its bounded count vectors, and a language without
+    a form, a finite one past its trie budget included, has its words of
+    those counts enumerated.  Past ENUMERATION_BUDGET new automaton states
+    or enumerated words the call raises CapacityError."""
     form = lang.form
     if isinstance(form, Dfa):
         # a sink is one pair automaton state, so a trie is searched within itself
-        pa = _PairAutomaton(lang)
+        pa = _PairAutomaton.of(lang)
         try:
-            return any(pa.reaches(pa.state(pa.start, a, b), 0) for a, b in {(k, ell), (ell, k)})
+            return any(pa.begin(a, b, 0) >= 0 for a, b in {(k, ell), (ell, k)})
         except CapacityError as e:
             raise CapacityError(f"{e} at multiplicities {(k, ell)}") from None
     if isinstance(form, Cfg):
@@ -684,13 +694,10 @@ def pair_nonempty(lang: Language, k: int, ell: int) -> bool:
                                   ENUMERATION_BUDGET)
         return (k, ell) in vecs or (ell, k) in vecs
     # opaque membership: enumerate all words with the two count profiles
-    profiles = {(k, ell), (ell, k)}
-    for zeros, ones in profiles:
+    for zeros, ones in {(k, ell), (ell, k)}:
         length = zeros + ones
         if comb(length, zeros) > ENUMERATION_BUDGET:
-            raise CapacityError(
-                f"pair ({k},{ell}) enumeration exceeds budget for {lang.label}"
-            )
+            raise CapacityError(f"pair ({k},{ell}) enumeration exceeds budget for {lang.label}")
         for positions in itertools.combinations(range(length), zeros):
             chars = ["1"] * length
             for p in positions:
@@ -708,11 +715,8 @@ def decompose(word: VertexWord, lang: Language) -> Decomposition:
     whole = evaluate(word, lang)
     freq = word.frequency_profile()
     realized = sorted(set(freq.values()))
-    pairs = []
-    for i, k in enumerate(realized):
-        for ell in realized[i:]:
-            if pair_nonempty(lang, k, ell):
-                pairs.append((k, ell))
+    pairs = [(k, ell) for i, k in enumerate(realized) for ell in realized[i:]
+             if pair_nonempty(lang, k, ell)]
     # by heredity, the word restricted to a pair's members induces whole's
     # subgraph on them, so each part's edges are read off whole
     parts = {}

@@ -9,14 +9,14 @@ import pytest
 
 from conftest import all_binary_words
 from langrep import oracles
-from langrep.automata import compile_regex
+from langrep.automata import compile_regex, dfa_from_finite
 from langrep.decide import decide
 from langrep.errors import CapacityError
 from langrep.grammar import Cfg
 from langrep.graphs import complete_graph
-from langrep.languages import parse_language
+from langrep.languages import finite_language, parse_language
 from langrep.represent import evaluate
-from langrep.words import VertexWord
+from langrep.words import VertexWord, complement_word
 
 
 def test_unequal_blocks_grammar_is_unbounded():
@@ -71,6 +71,23 @@ def test_property_aliases_and_errors():
     assert decide(["01"], "bounded-degeneracy").property == "bounded-degeneracy"
     with pytest.raises(ValueError):
         decide(["01"], "planarity")
+
+
+def test_a_finite_word_set_is_scanned_as_its_trie_decides():
+    # every subset of the 15 binary words of length <= 3, as a collection,
+    # and every symmetric one as a finite language, against its trie Dfa
+    short = list(all_binary_words(3))
+    for mask in range(1 << len(short)):
+        words = [w for i, w in enumerate(short) if mask >> i & 1]
+        expected = decide(dfa_from_finite(words))
+        assert decide(words) == decide(frozenset(words)) == expected, words
+        if all(complement_word(w) in words for w in words):
+            assert decide(finite_language(words)) == expected, words
+
+
+def test_a_word_with_another_symbol_is_no_witness():
+    assert decide(["0a1", "0011"]).witness == "0011"
+    assert decide({"01x"}).answer is True
 
 
 def test_opaque_language_rejected():

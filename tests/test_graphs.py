@@ -290,6 +290,12 @@ def test_format_errors():
         parse_graph("")
 
 
+def test_a_looped_graph_is_a_format_error_in_both_text_forms():
+    for text in ("1 1\na a", '{"vertices": ["a"], "edges": [["a", "a"]]}'):
+        with pytest.raises(FormatError, match="^loop at 'a'$"):
+            parse_graph(text)
+
+
 @given(small_graphs())
 @settings(max_examples=60)
 def test_complement_involution(g):

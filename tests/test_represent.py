@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_binary_words, filter_project, gnp, graph_from_mask
-from langrep import automata, oracles, represent, words
+from langrep import automata, languages, oracles, represent, words
 from langrep.codec import copy_word
 from langrep.automata import Dfa
 from langrep.constructions import CANONICAL_SPECS, build_cograph
@@ -255,8 +255,7 @@ def test_evaluate_a_finite_language_past_its_trie_budget(monkeypatch):
     # evaluate needs no form: a trie over the budget leaves the projections
     monkeypatch.setattr(automata, "AUTOMATON_BUDGET", 4)
     lang = parse_language("<0101,0110>")
-    with pytest.raises(CapacityError):
-        lang.form
+    assert lang.form is None
     for word in _seeded_words(4):
         assert evaluate(word, lang) == _ref_evaluate(word, lang)
 
@@ -1096,3 +1095,95 @@ def test_decompose_union_identity():
         for part in dec.parts.values():
             rebuilt.update(part.edges)
         assert rebuilt == set(dec.whole.edges)
+
+
+# --- a finite language past its trie budget ----------------------------------
+#
+# Such a language has no form: search runs on prefix states answered by its
+# word set, pair_nonempty enumerates, and a combinator over it is opaque.
+# Every answer must be the one the language gives with its trie.
+
+_PAST_TRIE_ROWS = (("<0101,0110>", {2}), ("<01,001>", {1, 2}))
+
+
+@pytest.mark.parametrize("spec, freqs", _PAST_TRIE_ROWS, ids=[r[0] for r in _PAST_TRIE_ROWS])
+def test_search_past_the_trie_budget_finds_the_default_words(monkeypatch, spec, freqs):
+    graphs = [g for n in range(1, 5) for g in enumerate_graphs(n)]
+    lang = parse_language(spec)
+    expected = [search(g, lang, freqs) for g in graphs]
+    assert isinstance(lang.form, Dfa) and any(expected)
+    monkeypatch.setattr(automata, "AUTOMATON_BUDGET", 4)
+    lang = parse_language(spec)
+    assert lang.form is None
+    assert [search(g, lang, freqs) for g in graphs] == expected
+
+
+@pytest.mark.parametrize("spec", [r[0] for r in _PAST_TRIE_ROWS])
+def test_pair_nonempty_and_decompose_past_the_trie_budget(monkeypatch, spec):
+    counts = list(itertools.product(range(4), repeat=2))
+    texts = ("aabbc", "abcabc", "aabcbc", "abacbc", "14213243")
+
+    def answers():
+        lang = parse_language(spec)
+        return ([pair_nonempty(lang, k, ell) for k, ell in counts],
+                [decompose(VertexWord.parse(t), lang) for t in texts])
+
+    expected = answers()
+    assert any(expected[0]) and not all(expected[0])
+    monkeypatch.setattr(automata, "AUTOMATON_BUDGET", 4)
+    assert parse_language(spec).form is None
+    assert answers() == expected
+
+
+def test_a_finite_language_past_its_trie_budget_answers_as_with_it(monkeypatch):
+    spec = "<0110,0101,0011>"
+
+    def answers():
+        lang = parse_language(spec)
+        return (search(path_graph(3), lang, {2}), search(path_graph(3), lang, {1, 2}),
+                pair_nonempty(lang, 2, 2), pair_nonempty(lang, 1, 2),
+                sorted(filter(parse_language(f"and({spec},wrep)").contains, all_binary_words(6))))
+
+    expected = answers()
+    monkeypatch.setattr(automata, "AUTOMATON_BUDGET", 5)
+    assert answers() == expected
+
+
+@pytest.mark.parametrize("spec", ["not(<0110>)", "and(<0110,0101,0011>,wrep)"])
+def test_a_combinator_over_a_formless_finite_language_is_opaque(monkeypatch, spec):
+    expected = parse_language(spec)
+    # wrep's own automaton is built within 5 states
+    monkeypatch.setattr(automata, "AUTOMATON_BUDGET", 5)
+    lang = parse_language(spec)
+    assert lang.form is None and lang.symmetric
+    assert all(lang.contains(b) == expected.contains(b) for b in all_binary_words(8))
+
+
+@pytest.mark.parametrize("budget", [4, automata.AUTOMATON_BUDGET])
+def test_a_finite_language_builds_its_trie_once(monkeypatch, budget):
+    # whether the trie fits or not, it is tried once, on the first form read
+    calls = []
+    build = languages.dfa_from_finite
+    monkeypatch.setattr(languages, "dfa_from_finite", lambda ws: calls.append(1) or build(ws))
+    monkeypatch.setattr(automata, "AUTOMATON_BUDGET", budget)
+    lang = parse_language("<0101,0110>")
+    assert calls == []
+    forms = [lang.form for _ in range(3)]
+    assert forms[0] is forms[1] is forms[2] and (forms[0] is None) == (budget == 4)
+    word = VertexWord.parse("14213243")
+    assert [evaluate(word, lang) for _ in range(3)] == [_ref_evaluate(word, lang)] * 3
+    assert calls == [1]
+
+
+def test_pair_nonempty_reads_the_search_automaton(monkeypatch):
+    monkeypatch.setattr(represent, "ENUMERATION_BUDGET", 50)
+    lang = parse_language("<0110>")
+    assert pair_nonempty(lang, 2, 2) and not pair_nonempty(lang, 1, 3)
+    pa = lang.pair_automaton
+    assert {(2, 2, 0), (1, 3, 0), (3, 1, 0)} <= pa.starts.keys()
+    assert search(path_graph(3), lang, {2}) is not None
+    assert lang.pair_automaton is pa and pa.starts[2, 2, 0] >= 0
+    # start entries past the budget drop the automaton, as states do
+    pa.starts.update(((i, i, 0), -1) for i in range(10, 60))
+    assert pair_nonempty(lang, 2, 2)
+    assert lang.pair_automaton is not pa and len(lang.pair_automaton.starts) == 1

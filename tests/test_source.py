@@ -1,6 +1,9 @@
-"""Source guard: each module-level function and class, and each method
+"""Source guards.  Each module-level function and class, and each method
 other than a dunder, in src/langrep/ is referred to elsewhere in src/, or
-is listed below with the reason it stays without such a caller."""
+is listed below with the reason it stays without such a caller.  And
+whether a language has an automaton is decided in one place, its ``form``
+property, which never raises: no other module catches a CapacityError
+around a ``.form`` read."""
 
 import ast
 from pathlib import Path
@@ -82,3 +85,51 @@ def test_no_test_only_code_in_src():
 
 def test_allowlist_names_only_uncalled_code():
     assert sorted(ALLOWED.keys() - uncalled_names()) == []
+
+
+def _names(node):
+    # the names an except clause catches, bare or qualified
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def form_reads_caught_for_capacity(src=SRC):
+    """(module, line) of each try outside languages.py whose body reads an
+    attribute ``form`` and that has a handler catching CapacityError (or
+    catching everything)."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "languages":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, ast.Try):
+                continue
+            reads = any(isinstance(n, ast.Attribute) and n.attr == "form"
+                        for stmt in node.body for n in ast.walk(stmt))
+            caught = any(h.type is None or "CapacityError" in _names(h.type)
+                         for h in node.handlers)
+            if reads and caught:
+                found.append((path.stem, node.lineno))
+    return found
+
+
+def test_no_capacity_handler_around_a_form_read():
+    assert form_reads_caught_for_capacity() == []
+
+
+def test_the_form_guard_sees_a_handler_around_a_form_read(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from .errors import CapacityError\n"
+        "def f(lang):\n"
+        "    try:\n"
+        "        return len(lang.form)\n"
+        "    except (ValueError, CapacityError):\n"
+        "        return None\n"
+        "def g(lang):\n"
+        "    try:\n"
+        "        return lang.form\n"
+        "    except KeyError:\n"
+        "        return None\n",
+        encoding="utf-8",
+    )
+    assert form_reads_caught_for_capacity(tmp_path) == [("mod", 3)]
