@@ -12,6 +12,7 @@ a subset construction past ``SUBSET_BUDGET`` kept items.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 
 from .errors import CapacityError, FormatError
@@ -186,15 +187,26 @@ def _subsets(start, moves, is_accept) -> Dfa:
 
 
 def dfa_from_finite(words) -> Dfa:
-    """Trie-shaped Dfa for a finite set of binary words; None is the trap."""
-    words = set(words)
-    prefixes = {w[:i] for w in words for i in range(len(w) + 1)}
+    """Trie-shaped Dfa for a finite set of binary words; None is the trap.
+    The trie is walked over the sorted words, with no prefix set: q is a
+    state iff the first word at or after q starts with q, so building stops
+    at the automaton budget, not after reading every prefix."""
+    words = sorted(words)
+    end = len(words)
 
     def step(p, c):
-        q = None if p is None else p + ALPHABET[c]
-        return q if q in prefixes else None
+        if p is not None:
+            q = p + ALPHABET[c]
+            i = bisect_left(words, q)
+            if i < end and words[i].startswith(q):
+                return q
+        return None
 
-    return explore("", step, lambda p: p in words)
+    def is_accept(p):
+        i = end if p is None else bisect_left(words, p)
+        return i < end and words[i] == p
+
+    return explore("", step, is_accept)
 
 
 # --- regular expressions ----------------------------------------------------

@@ -9,6 +9,17 @@ silently wrong word.
 
 Vertex enumeration order inside builders is the lexicographic token order,
 so outputs are deterministic.
+
+The universal builders meet the paper's efficiency claim with exact length
+laws, for n vertices, m edges and n(n-1)/2 - m non-edges:
+
+    copy              4n + 2(non-edges)
+    copy-complement   4n + 2m         adjacency lists, O(n + m)
+    palindrome        2n + 2(non-edges)
+    not(palindrome)   2n + 2m         adjacency lists, O(n + m)
+    Lyndon            (3n^2 + 15n)/2  the adjacency matrix, O(n^2)
+
+The not(palindrome) word is ``build_palindrome`` of the complement graph.
 """
 
 from __future__ import annotations
@@ -93,7 +104,10 @@ def build_copy(g: Graph) -> VertexWord:
 def build_copy_complement(g: Graph) -> VertexWord:
     """Copy word of the complement graph, written from g's own adjacency
     (each block lists earlier neighbors); under the complement language it
-    represents g itself, with length exactly 4n + 2m."""
+    represents g itself, with length exactly 4n + 2m.  The other word as
+    long as g's adjacency lists needs no builder of its own: by complement
+    duality, ``build_palindrome(g.complement())`` represents g under
+    not(palindrome), with 2n + 2m letters."""
     letters = copy_word(g, complement=True)
     if len(letters) != 4 * g.order + 2 * g.size:
         raise BuildError("copy-complement: length bookkeeping is off")

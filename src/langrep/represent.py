@@ -677,10 +677,11 @@ def pair_nonempty(lang: Language, k: int, ell: int) -> bool:
     """Does lang contain a word with letter counts {k, ell} (either
     polarity)?  Decided exactly on the language's form: a Dfa by the start
     states of lang's pair automaton (the one search keeps) at (k, ell) and
-    (ell, k), a Cfg yields its bounded count vectors, and a language without
-    a form, a finite one past its trie budget included, has its words of
-    those counts enumerated.  Past ENUMERATION_BUDGET new automaton states
-    or enumerated words the call raises CapacityError."""
+    (ell, k), a Cfg yields its bounded count vectors, a finite language past
+    its trie budget scans its words once for the counts, and any other
+    language without a form has its words of those counts enumerated.  Past
+    ENUMERATION_BUDGET new automaton states or enumerated words the call
+    raises CapacityError."""
     form = lang.form
     if isinstance(form, Dfa):
         # a sink is one pair automaton state, so a trie is searched within itself
@@ -693,6 +694,9 @@ def pair_nonempty(lang: Language, k: int, ell: int) -> bool:
         vecs = form.count_vectors(lambda i, j: (i <= k and j <= ell) or (i <= ell and j <= k),
                                   ENUMERATION_BUDGET)
         return (k, ell) in vecs or (ell, k) in vecs
+    if lang.words is not None:
+        counts = {(k, ell), (ell, k)}
+        return any((w.count("0"), w.count("1")) in counts for w in lang.words)
     # opaque membership: enumerate all words with the two count profiles
     for zeros, ones in {(k, ell), (ell, k)}:
         length = zeros + ones

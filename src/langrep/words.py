@@ -5,24 +5,15 @@ word onto an ordered pair (u, v) yields a binary word: occurrences of u
 become 0, occurrences of v become 1, everything else vanishes.  Binary words
 are plain strings over {0, 1} and may be empty.
 
-``VertexWord.project`` serves single pairs.  It reads a position index built
-once, on the first projection: each position p of a letter is kept twice,
-as an integer tag (p << 8) | ord(side), the side being "0" for the letter
-mapped to 0 or "1" for the letter mapped to 1, so tags sort in position
-order.  A pair sorts u's 0-side tags together with v's 1-side tags, packs
-them as unsigned 64-bit machine integers and reads the low byte of each,
-the side, with one extended slice of the packed bytes: O(|u| + |v|) rather
-than O(|w|), the per-symbol work in C.
-
-``project_rows`` serves all pairs at once, with no index: it restricts the
-word to ever fewer letters, as byte strings, by C-level ``translate`` calls
-(see its docstring).
+One routine projects: ``project_rows`` yields the projections onto every
+pair of a vertex list, restricting the word to ever fewer letters, as byte
+strings, by C-level ``translate`` calls (see its docstring).
+``VertexWord.project`` runs it on one pair, O(|w|) per call, so many pairs
+belong in one ``project_rows`` call.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from functools import cache
 from itertools import repeat
 
@@ -42,10 +33,7 @@ def check_token(tok: str) -> str:
 class VertexWord:
     """Immutable nonempty word over an arbitrary vertex alphabet."""
 
-    # _index: letter -> (0-side tags, 1-side tags), built by the first
-    # projection.  A tag is (position << 8) | ord(side); each list is
-    # ascending.  Equality and hashing see only the letters.
-    __slots__ = ("letters", "_index")
+    __slots__ = ("letters",)
 
     def __init__(self, letters):
         letters = tuple(letters)
@@ -54,7 +42,6 @@ class VertexWord:
         for tok in dict.fromkeys(letters):  # each distinct token once, in word order
             check_token(tok)
         object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "_index", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("VertexWord is immutable")
@@ -108,23 +95,11 @@ class VertexWord:
         return VertexWord(reversed(self.letters))
 
     def project(self, u: Vertex, v: Vertex) -> str:
-        """The pair morphism h_{u,v}: u -> 0, v -> 1, other letters -> empty."""
+        """The pair morphism h_{u,v}: u -> 0, v -> 1, other letters -> empty.
+        One ``project_rows`` pass, O(|w|); use that for many pairs."""
         if u == v:
             raise ValueError("projection endpoints must be distinct")
-        tags_of = self._index or self._build_index()
-        # both lists are ascending, so Timsort merges the two runs in one pass
-        tags = tags_of.get(u, _ABSENT)[0] + tags_of.get(v, _ABSENT)[1]
-        tags.sort()
-        return array("Q", tags).tobytes()[_SIDE_BYTE::8].decode()
-
-    def _build_index(self) -> dict:
-        zeros: dict = {}
-        for tag, tok in zip(range(_ZERO, len(self.letters) << 8, 1 << 8), self.letters):
-            zeros.setdefault(tok, []).append(tag)
-        # ord("1") == ord("0") + 1, so a 1-side tag is its 0-side tag plus one
-        index = {tok: (tags, [t + 1 for t in tags]) for tok, tags in zeros.items()}
-        object.__setattr__(self, "_index", index)
-        return index
+        return next(project_rows(self, (u, v)))[0]
 
     def project_set(self, keep) -> "VertexWord":
         """The projective morphism h_A keeping only letters in ``keep``."""
@@ -133,12 +108,6 @@ class VertexWord:
         if not out:
             raise ValueError("projection onto a set disjoint from the alphabet")
         return VertexWord(out)
-
-
-_ABSENT = ([], [])  # a letter not in the word: never mutated
-_ZERO = ord("0")
-# where a tag's low byte sits among its 8 packed bytes
-_SIDE_BYTE = 0 if sys.byteorder == "little" else 7
 
 
 def project_rows(word: VertexWord, vs):

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import gnp
 from langrep import oracles
 from langrep.constructions import (
     BUILDERS,
@@ -19,6 +20,8 @@ from langrep.constructions import (
     build_circle,
     build_cograph,
     build_comparability,
+    build_copy,
+    build_copy_complement,
     build_interval,
     build_lyndon,
     build_palindrome,
@@ -287,3 +290,20 @@ def test_threshold_sequences_and_words_are_pinned():
 def test_cograph_rejects_an_induced_p4(g, mode):
     with pytest.raises(BuildError, match="cograph: graph contains an induced P4"):
         build_cograph(g, mode)
+
+
+@pytest.mark.parametrize("p", [0, 0.3, 1])
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 30])
+def test_universal_builders_meet_their_length_laws(n, p):
+    # the paper's efficiency claim: copy-complement and not(palindrome)
+    # words are as long as adjacency lists, Lyndon words as the matrix
+    g = gnp(n, p, seed=2900 + n)
+    m = g.size
+    non_edges = n * (n - 1) // 2 - m
+    assert len(build_copy(g)) == 4 * n + 2 * non_edges
+    assert len(build_copy_complement(g)) == 4 * n + 2 * m
+    assert len(build_palindrome(g)) == 2 * n + 2 * non_edges
+    assert len(build_lyndon(g)) == (3 * n * n + 15 * n) // 2
+    word = build_palindrome(g.complement())
+    assert len(word) == 2 * n + 2 * m
+    assert evaluate(word, parse_language("not(palindrome)")) == g

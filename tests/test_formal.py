@@ -7,11 +7,13 @@ import itertools
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from conftest import all_binary_words
+from langrep import automata
 from langrep.automata import (
     AUTOMATON_BUDGET,
     SUBSET_BUDGET,
@@ -25,7 +27,7 @@ from langrep.automata import (
 from langrep.decide import decide
 from langrep.errors import CapacityError, FormatError
 from langrep.grammar import Cfg, intersect_regular
-from langrep.languages import parse_language
+from langrep.languages import finite_language, parse_language
 
 WORDS7 = list(all_binary_words(7))
 
@@ -293,6 +295,49 @@ def test_dfa_from_finite():
     dfa = dfa_from_finite(words)
     for b in WORDS7:
         assert dfa.accepts(b) == (b in words)
+
+
+def _prefix_set_trie(words):
+    # the reference construction: every prefix of every word, collected
+    # before the automaton is explored
+    words = set(words)
+    prefixes = {w[:i] for w in words for i in range(len(w) + 1)}
+
+    def step(p, c):
+        q = None if p is None else p + "01"[c]
+        return q if q in prefixes else None
+
+    return explore("", step, lambda p: p in words)
+
+
+def test_dfa_from_finite_walks_the_prefix_set_trie():
+    rng = random.Random(2901)
+    for _ in range(300):
+        words = {"".join(rng.choice("01") for _ in range(rng.randint(0, 10)))
+                 for _ in range(rng.randint(0, 40))}
+        ref = _prefix_set_trie(words)
+        for given_as in (words, frozenset(words), sorted(words) * 2):
+            dfa = dfa_from_finite(given_as)
+            assert (dfa.trans, dfa.start, dfa.accept) == (ref.trans, ref.start, ref.accept)
+
+
+def test_a_trie_past_the_budget_is_refused_in_small_memory(monkeypatch):
+    # 48 620 words of 18 letters: their prefix set alone outweighs the bound
+    words = []
+    for zeros in itertools.combinations(range(18), 9):
+        chars = ["1"] * 18
+        for p in zeros:
+            chars[p] = "0"
+        words.append("".join(chars))
+    lang = finite_language(words)
+    monkeypatch.setattr(automata, "AUTOMATON_BUDGET", 2000)
+    tracemalloc.start()
+    try:
+        assert lang.form is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def test_count_window_dfa():

@@ -1135,6 +1135,31 @@ def test_pair_nonempty_and_decompose_past_the_trie_budget(monkeypatch, spec):
     assert answers() == expected
 
 
+def test_pair_nonempty_scans_the_words_of_a_formless_finite_language(monkeypatch):
+    # past its trie budget the word set is scanned once for the counts; the
+    # C(26, 13) words of counts (13, 13) are never enumerated
+    monkeypatch.setattr(automata, "AUTOMATON_BUDGET", 20)
+    lang = parse_language("<" + "0" * 13 + "1" * 13 + ">")
+    assert lang.form is None
+    assert pair_nonempty(lang, 13, 13)
+    assert not pair_nonempty(lang, 13, 12)
+
+
+def test_pair_nonempty_at_a_small_trie_budget_answers_as_at_the_default(monkeypatch):
+    specs = ("<0110>", "<0101,0110>", "<01,001>", "halfline", "<" + "0" * 6 + "1" * 6 + ">")
+    counts = list(itertools.product(range(7), repeat=2))
+
+    def answers():
+        langs = [parse_language(spec) for spec in specs]
+        return [[pair_nonempty(lang, k, ell) for k, ell in counts] for lang in langs]
+
+    expected = answers()
+    assert all(any(row) and not all(row) for row in expected)
+    monkeypatch.setattr(automata, "AUTOMATON_BUDGET", 5)
+    assert all(parse_language(spec).form is None for spec in specs)
+    assert answers() == expected
+
+
 def test_a_finite_language_past_its_trie_budget_answers_as_with_it(monkeypatch):
     spec = "<0110,0101,0011>"
 

@@ -1,6 +1,6 @@
-"""Source guards.  Each module-level function and class, and each method
-other than a dunder, in src/langrep/ is referred to elsewhere in src/, or
-is listed below with the reason it stays without such a caller.  And
+"""Source guards.  Each module-level function, class and constant, and each
+method other than a dunder, in src/langrep/ is referred to elsewhere in
+src/, or is listed below with the reason it stays without such a reader.  And
 whether a language has an automaton is decided in one place, its ``form``
 property, which never raises: no other module catches a CapacityError
 around a ``.form`` read."""
@@ -36,7 +36,9 @@ ALLOWED = {
     "oracles.is_halfline": _ORACLE,
     "automata.Dfa.equivalent": "test reference: tests compare automata by language with it",
     "codec.decode_word": "the bench's codec-mix workload reads stored words with it",
-    "words.VertexWord.project": "the bench's build-verify workload projects single pairs with it",
+    "words.VertexWord.project":
+        "the bench's build-verify workload projects single pairs with it, through project_rows",
+    "__init__.__version__": "the package version",
 }
 
 
@@ -46,9 +48,11 @@ def _dunder(name):
 
 def uncalled_names(src=SRC):
     """Qualified names (module.name, module.Class.method) defined in src and
-    referred to nowhere else in it.  A reference is a name or an attribute
-    in code, read through import aliases; an import alone, a string or a
-    docstring is not one, nor is a function's use of its own name."""
+    referred to nowhere else in it.  A module-level name is a function, a
+    class, or a constant bound by assignment.  A reference is a name or an
+    attribute in code, read through import aliases; an import alone, a
+    string or a docstring is not one, nor is a definition's use of its own
+    name, an assignment's targets included."""
     defined = {}
     used = set()
     for path in sorted(src.glob("*.py")):
@@ -57,10 +61,15 @@ def uncalled_names(src=SRC):
             a.asname: a.name for a in ast.walk(tree) if isinstance(a, ast.alias) and a.asname
         }
         for node in tree.body:
-            owner = None
+            owners = set()
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                owner = node.name
-                defined[f"{path.stem}.{node.name}"] = node.name
+                owners = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                owners = {t.id for target in targets for t in ast.walk(target)
+                          if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)}
+            for name in owners:
+                defined[f"{path.stem}.{name}"] = name
             if isinstance(node, ast.ClassDef):
                 # dunders are called by the language, not by name
                 for item in node.body:
@@ -74,7 +83,7 @@ def uncalled_names(src=SRC):
                 else:
                     continue
                 name = renamed.get(name, name)
-                if name != owner:
+                if name not in owners:
                     used.add(name)
     return {qual for qual, name in defined.items() if name not in used}
 
@@ -85,6 +94,20 @@ def test_no_test_only_code_in_src():
 
 def test_allowlist_names_only_uncalled_code():
     assert sorted(ALLOWED.keys() - uncalled_names()) == []
+
+
+def test_the_dead_code_guard_sees_an_unread_constant(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from .other import EXPORTED, SHARED\n"
+        "_UNREAD = 1\n"
+        "_READ, _PAIRED = 2, 3\n"
+        "LIMIT: int = 4\n"
+        "def f():\n"
+        "    return _READ + LIMIT + SHARED\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "other.py").write_text("SHARED = 5\nEXPORTED = 6\n", encoding="utf-8")
+    assert uncalled_names(tmp_path) == {"mod._UNREAD", "mod._PAIRED", "mod.f", "other.EXPORTED"}
 
 
 def _names(node):
