@@ -455,16 +455,11 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (FormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (BuildError, CapacityError) as exc:
+        # before LangrepError, which both are
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except LangrepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LangrepError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

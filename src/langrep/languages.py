@@ -4,7 +4,7 @@ Every spec parses to one class, Language.  A language answers membership
 queries on binary words, knows whether it is 0-1-symmetric, and carries an
 exact form where one exists:
 
-    a Dfa   finite sets (their minimized trie), re: specs, the regular
+    a Dfa   finite sets (their trie), re: specs, the regular
             builtins, and boolean combinations of these;
     a Cfg   cfg: files, the context-free builtins, unions of grammars and
             intersections of a grammar with a Dfa;
@@ -35,6 +35,8 @@ The spec mini-grammar understood by parse_language:
 
 from __future__ import annotations
 
+import re
+
 from .automata import Dfa, compile_regex, count_window_dfa, dfa_from_finite, explore
 from .errors import CapacityError, FormatError, NotSymmetricError
 from .grammar import Cfg, intersect_regular
@@ -54,7 +56,7 @@ class Language:
 
     ``form`` is a Dfa, a Cfg, or None for an opaque predicate; ``words`` is
     the frozenset of a finite language, else None.  A finite language builds
-    its form, the minimized trie, on first use; a trie that would pass
+    its form, the trie, on first use; a trie that would pass
     ``AUTOMATON_BUDGET`` is given up once, and the language reads as
     formless (None) from then on, answered by its word set.  So reading
     ``form`` never raises.  Membership is a set lookup for a finite
@@ -85,11 +87,12 @@ class Language:
 
     @property
     def form(self):
-        # a finite language builds its minimized trie on first use, or
-        # records once that the trie is past the automaton budget
+        # a finite language builds its trie on first use, or records once
+        # that the trie is past the automaton budget; no reader of a form
+        # needs it minimal
         if self._form is _TRIE:
             try:
-                self._form = dfa_from_finite(self.words).minimize()
+                self._form = dfa_from_finite(self.words)
             except CapacityError:
                 self._form = None
         return self._form
@@ -104,9 +107,6 @@ class Language:
 
     def contains(self, b: str) -> bool:
         return self._member(b)
-
-    def describe(self) -> str:
-        return self.label
 
     def __repr__(self):
         return f"<Language {self.label}>"
@@ -364,168 +364,108 @@ def trash_extend(lang: Language) -> Language:
 
 # --- textual specs ----------------------------------------------------------
 
+# name -> (combinator, arity)
+_COMBINATORS = {
+    "not": (negate, 1),
+    "and": (conjoin, 2),
+    "or": (disjoin, 2),
+    "hull": (hull, 1),
+    "rev": (reverse_language, 1),
+    "trash-ext": (trash_extend, 1),
+}
+
+_SPACE = re.compile(r"\s*")
+_OPERAND_HEAD = re.compile(r"(re|cfg):")
+# a name, then an optional parameter: "(", the text up to ")", and the ")"
+_NAME = re.compile(r"([\w-]*)\s*(?:(\()([^)]*)(\)?))?")
+_WORD = re.compile(r"[01]+|e")
+
 
 def parse_language(text: str) -> Language:
-    return _SpecParser(text).parse()
+    lang, pos = _spec(text, 0)
+    pos = _SPACE.match(text, pos).end()
+    if pos != len(text):
+        _fail(pos, f"trailing input {text[pos:]!r}")
+    return lang
 
 
-class _SpecParser:
-    # name -> (combinator, arity)
-    COMBINATORS = {
-        "not": (negate, 1),
-        "and": (conjoin, 2),
-        "or": (disjoin, 2),
-        "hull": (hull, 1),
-        "rev": (reverse_language, 1),
-        "trash-ext": (trash_extend, 1),
-    }
+def _fail(pos, message):
+    raise FormatError(f"bad language spec: {message}", pos)
 
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
 
-    def error(self, msg):
-        raise FormatError(f"bad language spec: {msg}", self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def parse(self) -> Language:
-        lang = self.parse_spec()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error(f"trailing input {self.text[self.pos:]!r}")
-        return lang
-
-    def parse_spec(self) -> Language:
-        c = self.peek()
-        if c is None:
-            self.error("empty spec")
-        if c == "<":
-            return hull_finite(self.parse_wordlist("<", ">"))
-        if c == "{":
-            return finite_language(self.parse_wordlist("{", "}"))
-        if self.text.startswith("re:", self.pos):
-            self.pos += 3
-            return self.parse_regex()
-        if self.text.startswith("cfg:", self.pos):
-            self.pos += 4
-            return self.parse_cfg_path()
-        return self.parse_name()
-
-    def parse_wordlist(self, open_c, close_c):
-        self.skip_ws()
-        assert self.text[self.pos] == open_c
-        self.pos += 1
+def _spec(text, pos):
+    """The language spelled from text[pos] on, and the offset just after it."""
+    pos = _SPACE.match(text, pos).end()
+    if pos == len(text):
+        _fail(pos, "empty spec")
+    if text[pos] in "<{":
+        # the words run to the first closer, split on commas; a blank item
+        # last is a trailing comma or an empty list
+        close = ">" if text[pos] == "<" else "}"
+        end = text.find(close, pos)
+        items = text[pos + 1:len(text) if end < 0 else end].split(",")
+        if not items[-1].strip():
+            items.pop()
         words = []
-        while True:
-            self.skip_ws()
-            if self.pos >= len(self.text):
-                self.error(f"missing {close_c!r}")
-            if self.text[self.pos] == close_c:
-                self.pos += 1
-                break
-            tok = self.take_until(",", close_c).strip()
-            if tok == "e":
-                words.append("")
-            elif tok and all(ch in "01" for ch in tok):
-                words.append(tok)
-            else:
-                self.error(f"bad word {tok!r} (use 0/1 digits or e)")
-            self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == ",":
-                self.pos += 1
-        return words
-
-    def take_until(self, *stops):
-        out = []
-        while self.pos < len(self.text) and self.text[self.pos] not in stops:
-            out.append(self.text[self.pos])
-            self.pos += 1
-        return "".join(out)
-
-    def take_operand(self, what: str) -> str:
-        # an re: or cfg: operand runs to the first top-level comma or the
-        # first unbalanced close paren
+        for item in items:
+            pos += len(item) + 1
+            word = item.strip()
+            if not _WORD.fullmatch(word):
+                _fail(pos, f"bad word {word!r} (use 0/1 digits or e)")
+            words.append("" if word == "e" else word)
+        if end < 0:
+            _fail(len(text), f"missing {close!r}")
+        return (hull_finite if close == ">" else finite_language)(words), end + 1
+    head = _OPERAND_HEAD.match(text, pos)
+    if head:
+        # the operand runs to the first top-level comma or unbalanced ")"
+        start = pos = head.end()
         depth = 0
-        start = self.pos
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                if depth == 0:
-                    break
-                depth -= 1
-            elif c == "," and depth == 0:
-                break
-            self.pos += 1
-        operand = self.text[start:self.pos].strip()
+        while pos < len(text) and not (depth == 0 and text[pos] in ",)"):
+            depth += {"(": 1, ")": -1}.get(text[pos], 0)
+            pos += 1
+        operand = text[start:pos].strip()
         if not operand:
-            self.error(f"empty {what}")
-        return operand
-
-    def parse_regex(self) -> Language:
-        expr = self.take_operand("regular expression")
-        return Language(compile_regex(expr).minimize(), f"re:{expr}")
-
-    def parse_cfg_path(self) -> Language:
-        path = self.take_operand("grammar path")
+            _fail(pos, "empty regular expression" if head[1] == "re" else "empty grammar path")
+        if head[1] == "re":
+            return Language(compile_regex(operand).minimize(), f"re:{operand}"), pos
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(operand, "r", encoding="utf-8") as fh:
                 cfg = Cfg.parse(fh.read())
         except OSError as exc:
-            self.error(f"cannot read grammar file {path!r}: {exc}")
-        return Language(cfg, f"cfg:{path}", symmetric=False)
-
-    def parse_name(self) -> Language:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] in "-_"
-        ):
-            self.pos += 1
-        name = self.text[start:self.pos]
-        if not name:
-            self.error(f"unexpected character {self.text[self.pos]!r}")
-        self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == "(":
-            self.pos += 1
-            if name in self.COMBINATORS:
-                args = [self.parse_spec()]
-                self.skip_ws()
-                while self.pos < len(self.text) and self.text[self.pos] == ",":
-                    self.pos += 1
-                    args.append(self.parse_spec())
-                    self.skip_ws()
-                if self.pos >= len(self.text) or self.text[self.pos] != ")":
-                    self.error("missing ')'")
-                self.pos += 1
-                return self.apply_combinator(name, args)
-            # builtin with a numeric parameter
-            arg = self.take_until(")").strip()
-            if self.pos >= len(self.text):
-                self.error("missing ')'")
-            self.pos += 1
-            if not (arg.isascii() and arg.isdigit()):
-                self.error(f"parameter of {name} must be a nonnegative integer")
-            return builtin(name, int(arg))
-        if name in self.COMBINATORS:
-            self.error(f"combinator {name} needs arguments")
-        return builtin(name)
-
-    def apply_combinator(self, name, args) -> Language:
-        combine, k = self.COMBINATORS[name]
-        if len(args) != k:
-            self.error(f"{name} takes {k} argument{'s' if k > 1 else ''}")
-        if name == "trash-ext" and args[0].words is None:
-            self.error("trash-ext applies to finite languages only")
-        return combine(*args)
+            _fail(pos, f"cannot read grammar file {operand!r}: {exc}")
+        return Language(cfg, f"cfg:{operand}", symmetric=False), pos
+    m = _NAME.match(text, pos)
+    name = m[1]
+    if not name:
+        _fail(pos, f"unexpected character {text[pos]!r}")
+    if name not in _COMBINATORS:
+        if not m[2]:
+            return builtin(name), m.end()
+        if not m[4]:
+            _fail(m.end(), "missing ')'")
+        arg = m[3].strip()
+        if not (arg.isascii() and arg.isdigit()):
+            _fail(m.end(), f"parameter of {name} must be a nonnegative integer")
+        return builtin(name, int(arg)), m.end()
+    if not m[2]:
+        _fail(m.end(), f"combinator {name} needs arguments")
+    # each argument follows the "(" or a comma
+    pos = m.start(2)
+    args = []
+    while not args or text.startswith(",", pos):
+        lang, pos = _spec(text, pos + 1)
+        args.append(lang)
+        pos = _SPACE.match(text, pos).end()
+    if not text.startswith(")", pos):
+        _fail(pos, "missing ')'")
+    pos += 1
+    combine, k = _COMBINATORS[name]
+    if len(args) != k:
+        _fail(pos, f"{name} takes {k} argument{'s' if k > 1 else ''}")
+    if name == "trash-ext" and args[0].words is None:
+        _fail(pos, "trash-ext applies to finite languages only")
+    return combine(*args), pos
 
 
 def require_symmetric(lang: Language):
@@ -534,7 +474,7 @@ def require_symmetric(lang: Language):
         witness = lang.sym_witness
         raise NotSymmetricError(
             witness=witness,
-            message=f"language {lang.describe()} is not attested 0-1-symmetric"
+            message=f"language {lang.label} is not attested 0-1-symmetric"
             + (f"; witness {witness!r}" if witness is not None else "")
             + "; wrap it in hull() or construct it with symmetric=True",
         )

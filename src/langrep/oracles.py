@@ -2,11 +2,12 @@
 
 Every oracle decides membership straight from a textbook characterization,
 independently of the language machinery, so the two routes can
-cross-validate each other.  Most run in polynomial time; three searches
-are still exponential and meant for small orders (the test batteries use
-up to 7): ``circle_chord_word``, ``_event_sequence`` (behind the interval
-and interval bigraph models, memoized per call) and ``convex_ordering``
-within one connected component.
+cross-validate each other.  Most run in polynomial time; two searches are
+still exponential and meant for small orders (the test batteries use up to
+7): ``circle_chord_word`` and ``_event_sequence`` (behind the interval and
+interval bigraph models, memoized per call).  ``convex_ordering`` searches
+the prefixes of one component's side and remembers each placed set that
+failed, so its search is bounded by 2^|side| placed sets.
 
 Witness variants return the structure the constructive theorems consume:
 interval event sequences, chord diagrams, transitive orientations, creation
@@ -169,40 +170,27 @@ def circle_chord_word(g: Graph):
     n = len(vs)
 
     def rec(seq, opened, closed):
+        # opened: the open chords in opening order; closed: the finished ones
         if len(seq) == 2 * n:
             return seq
-        # close a currently open chord
+        # close an open chord v: exactly those opened after it cross it
         for v in sorted(opened):
-            ok = True
-            for u in vs:
-                if u == v or u not in opened and u not in closed:
-                    continue
-                if u in opened:
-                    iu = opened[u]
-                    crosses = iu > opened[v]  # u opened inside v's arc
-                    if crosses != g.has_edge(u, v):
-                        ok = False
-                        break
-            if ok:
-                newly = dict(opened)
-                pos = newly.pop(v)
-                got = rec(seq + [v], newly, {**closed, v: (pos, len(seq))})
+            i = opened.index(v)
+            nbrs = g.neighbors(v)
+            if nbrs.isdisjoint(opened[:i]) and nbrs.issuperset(opened[i + 1:]):
+                got = rec(seq + [v], opened[:i] + opened[i + 1:], closed | {v})
                 if got is not None:
                     return got
-        # open a new chord
-        for v in sorted(set(vs) - set(opened) - set(closed)):
-            if seq and v < seq[0]:
-                continue  # the cut starts at the least vertex
-            if not seq and v != min(vs):
-                continue
-            if any(g.has_edge(v, u) for u in closed):
-                continue  # a finished chord can no longer cross v
-            got = rec(seq + [v], {**opened, v: len(seq)}, closed)
-            if got is not None:
-                return got
+        # open a new chord; the cut starts at the least vertex, and a
+        # finished chord can no longer cross the new one
+        for v in sorted(set(vs) - set(opened) - closed) if seq else [min(vs)]:
+            if g.neighbors(v).isdisjoint(closed):
+                got = rec(seq + [v], opened + (v,), closed)
+                if got is not None:
+                    return got
         return None
 
-    return rec([], {}, {})
+    return rec([], (), frozenset())
 
 
 def is_circle(g: Graph) -> bool:
@@ -337,10 +325,7 @@ def convex_ordering(g: Graph):
             continue
         for side in (comp & left, comp - left):
             other = comp - side
-            order = next(
-                (p for p in itertools.permutations(sorted(side)) if _runs_consecutive(g, p, other)),
-                None,
-            )
+            order = _run_order(sorted(side), [frozenset(g.neighbors(y)) for y in other])
             if order is not None:
                 points += order
                 others += other
@@ -350,13 +335,29 @@ def convex_ordering(g: Graph):
     return points + list(g.isolated_vertices()), sorted(others)
 
 
-def _runs_consecutive(g: Graph, order, other) -> bool:
-    pos = {v: i for i, v in enumerate(order)}
-    for y in other:
-        spots = sorted(pos[x] for x in g.neighbors(y))
-        if spots[-1] - spots[0] + 1 != len(spots):
-            return False
-    return True
+def _run_order(side, hoods):
+    """The least order of side (a sorted list) in which every set in hoods
+    is consecutive, or None.  A prefix search: a neighborhood that has
+    started and not finished must take the next vertex, so the placed set
+    alone decides whether a prefix can be finished, and a placed set that
+    failed is not tried again."""
+    failed = set()
+
+    def extend(order, placed):
+        if len(order) == len(side):
+            return order
+        if placed in failed:
+            return None
+        open_hoods = [h for h in hoods if h & placed and not h <= placed]
+        for x in side:
+            if x not in placed and all(x in h for h in open_hoods):
+                got = extend(order + [x], placed | {x})
+                if got is not None:
+                    return got
+        failed.add(placed)
+        return None
+
+    return extend([], frozenset())
 
 
 def is_convex(g: Graph) -> bool:

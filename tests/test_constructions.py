@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,16 @@ def test_out_of_domain_messages():
         BUILDERS["cluster"](path_graph(3))
     with pytest.raises(BuildError, match="comparability"):
         build_comparability(cycle_graph(5))
+
+
+def test_convex_answers_long_paths_and_cycles_in_bounded_time():
+    # C20 is bipartite but not convex: on either side its neighborhoods are
+    # the ten pairs of a cycle, which no order makes all consecutive
+    t0 = time.process_time()
+    with pytest.raises(BuildError, match="convex"):
+        BUILDERS["convex"](cycle_graph(20))
+    BUILDERS["convex"](path_graph(40))  # self-verified
+    assert time.process_time() - t0 < 2
 
 
 # --- explicit witnesses -----------------------------------------------------

@@ -303,7 +303,7 @@ def test_finite_language_checked_eagerly():
 
 def test_empty_finite_language_is_symmetric():
     lang = finite_language(frozenset())
-    assert lang.symmetric and not lang.contains("") and lang.describe() == "{}"
+    assert lang.symmetric and not lang.contains("") and lang.label == "{}"
 
 
 def test_regular_language_checked_lazily_by_automaton():
@@ -574,5 +574,5 @@ def test_parse_cfg_missing_file():
 def test_describe_round_trip_for_finite_specs():
     for spec in ("<0101>", "{0110,1001}", "<01,001>"):
         lang = parse_language(spec)
-        again = parse_language(lang.describe())
+        again = parse_language(lang.label)
         assert again.words == lang.words
