@@ -37,6 +37,11 @@ augmentation met is the one the walk over every neighbourhood would keep,
 so the representatives and their order do not depend on the orbits.  That
 needs only that each generator is an automorphism: generators that miss
 part of Aut(g) leave more, smaller orbits, and only cost canonical forms.
+An augmentation in which some old vertex has a higher degree than the new
+one is not canonicalized at all.  Deleting that vertex leaves a parent with
+fewer edges, and the parents are walked by size first, so that parent came
+earlier and its walk kept this form already.  The kept forms, and the
+augmentation each keeps, are the same as without the skip.
 Nothing here uses the language machinery, so it can cross-validate it.
 Sizes are capped: isomorphism and automorphisms at order 10, enumeration at
 order 7.
@@ -225,7 +230,9 @@ def enumerate_graphs(n: int):
     twin swaps) is canonicalized: its orbit shares its form, and it is the
     first of its orbit in the walk, so the result is the same as when every
     neighbourhood is.  That holds for any set of automorphisms as
-    generators."""
+    generators.  Nor is a neighbourhood canonicalized when an old vertex
+    then has a higher degree than the new one: deleting that vertex gives
+    a parent with fewer edges, walked earlier, whose walk kept the form."""
     if n < 1:
         raise ValueError("order must be positive")
     if n > ENUM_ORDER_CAP:
@@ -240,6 +247,8 @@ def enumerate_graphs(n: int):
             base = _masks(g)
             for bits in _orbit_minima(n - 1, automorphisms(g) + _twin_swaps(base)):
                 adj = [m | (bits >> i & 1) << (n - 1) for i, m in enumerate(base)]
+                if max(m.bit_count() for m in adj) > bits.bit_count():
+                    continue  # an earlier parent with fewer edges kept its form
                 kept.setdefault(_canon(adj + [bits])[0], (g, bits))
         new = f"v{n}"
         result = [
@@ -249,6 +258,8 @@ def enumerate_graphs(n: int):
             )
             for g, bits in kept.values()
         ]
+        # size first: the degree skip above needs each parent with fewer
+        # edges walked before those with more
         result.sort(key=lambda g: (g.size, sorted(g.edges)))
     _ENUM_CACHE[n] = result
     return list(result)

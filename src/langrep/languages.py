@@ -114,12 +114,14 @@ class Language:
 
 def finite_language(words) -> Language:
     """The finite language of ``words`` taken verbatim; it must already be
-    0-1-symmetric."""
+    0-1-symmetric.  A set that is not names its least failing word in the
+    label's order (length, then word), whatever the hash seed."""
     words = frozenset(words)
-    for w in words:
+    ordered = sorted(words, key=lambda w: (len(w), w))
+    for w in ordered:
         if complement_word(check_binary(w)) not in words:
             raise NotSymmetricError(w)
-    label = "{" + ",".join(w if w else "e" for w in sorted(words, key=lambda w: (len(w), w))) + "}"
+    label = "{" + ",".join(w if w else "e" for w in ordered) + "}"
     return Language(None, label, symmetric=True, words=words)
 
 

@@ -478,8 +478,10 @@ def test_orbit_minima_check_fails_on_a_non_automorphism():
 
 def test_enumeration_canonicalizes_one_neighbourhood_per_orbit(monkeypatch):
     # from an empty cache: the augmentations canonicalized at orders 5, 6
-    # and 7 (176, 1088 and 9984 when every neighbourhood was), and all
-    # _canon calls, counting those of automorphisms on the parents
+    # and 7, and all _canon calls, counting those of automorphisms on the
+    # parents.  Every neighbourhood: 176, 1088 and 9984 augmentations; one
+    # per orbit: (90, 93), (544, 554), (5096, 5156); one per orbit whose new
+    # vertex has maximum degree: the counts below
     monkeypatch.setattr(isomorphism, "_ENUM_CACHE", {})
     canon = isomorphism._canon
     calls = []
@@ -492,16 +494,56 @@ def test_enumeration_canonicalizes_one_neighbourhood_per_orbit(monkeypatch):
         calls.clear()
         enumerate_graphs(n)
         counts.append((calls.count(n), len(calls)))
-    assert counts == [(90, 93), (544, 554), (5096, 5156)]
+    assert counts == [(37, 40), (184, 194), (1401, 1461)]
+
+
+def test_enumeration_skips_only_augmentations_whose_form_is_kept(monkeypatch):
+    # from an empty cache, up to order 6: an augmentation whose new vertex
+    # is not of maximum degree is skipped without _canon, and at that moment
+    # its form must be among the forms already canonicalized at its order,
+    # which are the forms kept so far
+    monkeypatch.setattr(isomorphism, "_ENUM_CACHE", {})
+    canon, automorphisms_of = isomorphism._canon, isomorphism.automorphisms
+    orbit_minima = isomorphism._orbit_minima
+    forms: dict = {}
+    parent = []
+    skipped = []
+
+    def traced_canon(adj, cells=None):
+        result = canon(adj, cells)
+        forms.setdefault(len(adj), []).append(result[0])
+        return result
+
+    def traced_automorphisms(g):
+        parent[:] = [g]
+        return automorphisms_of(g)
+
+    def traced_orbit_minima(k, generators):
+        base = isomorphism._masks(parent[0])
+        for bits in orbit_minima(k, generators):
+            before = len(forms.get(k + 1, []))
+            yield bits
+            if len(forms.get(k + 1, [])) == before:
+                adj = [m | (bits >> i & 1) << k for i, m in enumerate(base)] + [bits]
+                skipped.append((k + 1, canon(adj)[0] in forms.get(k + 1, [])))
+
+    monkeypatch.setattr(isomorphism, "_canon", traced_canon)
+    monkeypatch.setattr(isomorphism, "automorphisms", traced_automorphisms)
+    monkeypatch.setattr(isomorphism, "_orbit_minima", traced_orbit_minima)
+    enumerate_graphs(6)
+    assert all(known for _, known in skipped)
+    # the skips at orders 5 and 6 are the drops of the count test above
+    assert [sum(n == order for n, _ in skipped) for order in (5, 6)] == [90 - 37, 544 - 184]
 
 
 def test_cold_enumeration_at_order_7_stays_fast(monkeypatch):
-    # 0.54 s measured cold (1.0 s when every neighbourhood was
-    # canonicalized); the count above pins the work, this bound a blowup
+    # 0.14 s measured cold (0.54 s when every orbit was canonicalized, 1.0 s
+    # when every neighbourhood was); the count above pins the work, this
+    # bound a blowup
     monkeypatch.setattr(isomorphism, "_ENUM_CACHE", {})
     start = time.process_time()
     assert len(enumerate_graphs(7)) == 1044
-    assert time.process_time() - start < 2.5
+    assert time.process_time() - start < 1.0
 
 
 def test_distinct_labelings_count():

@@ -2,9 +2,13 @@
 references, combinators, the textual spec grammar, and the symmetry guard."""
 
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -301,6 +305,33 @@ def test_finite_language_checked_eagerly():
     require_symmetric(ok)
 
 
+def test_finite_language_witness_is_the_least_failing_word_under_any_hash_seed():
+    # '0' and '001' both lack their complements; set order, which the hash
+    # seed decides, must not pick the witness
+    code = (
+        "from langrep.errors import NotSymmetricError\n"
+        "from langrep.languages import parse_language\n"
+        "try:\n"
+        "    parse_language('{001,0}')\n"
+        "except NotSymmetricError as e:\n"
+        "    print(e.witness)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    witnesses = []
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        witnesses.append(proc.stdout.strip())
+    assert witnesses == ["0"] * 4
+    with pytest.raises(FormatError):
+        finite_language({"0a", "01", "10"})
+    with pytest.raises(NotSymmetricError) as exc:
+        finite_language({"0a", "01"})
+    assert exc.value.witness == "01"
+
+
 def test_empty_finite_language_is_symmetric():
     lang = finite_language(frozenset())
     assert lang.symmetric and not lang.contains("") and lang.label == "{}"
@@ -569,10 +600,3 @@ def test_builtin_parameter_takes_ascii_digits_only():
 def test_parse_cfg_missing_file():
     with pytest.raises(FormatError):
         parse_language("cfg:/no/such/file.cfg")
-
-
-def test_describe_round_trip_for_finite_specs():
-    for spec in ("<0101>", "{0110,1001}", "<01,001>"):
-        lang = parse_language(spec)
-        again = parse_language(lang.label)
-        assert again.words == lang.words
