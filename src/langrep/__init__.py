@@ -14,6 +14,7 @@ from .codec import adjacent, decode, decode_word, encode
 from .constructions import (
     BUILDERS,
     CANONICAL_SPECS,
+    CLASSES,
     build_bipartite_chain,
     build_bipartite_lyndon_odd,
     build_bipartite_palindrome,

@@ -14,7 +14,7 @@ import random
 import sys
 import time
 
-from . import constructions, oracles
+from . import constructions
 from .codec import adjacent as codec_adjacent, decode, encode
 from .decide import decide as run_decide
 from .errors import BuildError, CapacityError, FormatError, LangrepError
@@ -133,7 +133,8 @@ def cmd_build(args) -> int:
     try:
         builder = constructions.BUILDERS[tag]
     except KeyError:
-        raise FormatError(f"unknown class tag {tag!r}; see 'langrep build --list'")
+        known = ", ".join(constructions.BUILDERS) + ", and cograph for cograph-wrep-like"
+        raise FormatError(f"unknown class tag {tag!r}; known tags: {known}")
     g = _graph_arg(args.graph)
     word = builder(g)
     spec = constructions.CANONICAL_SPECS[tag]
@@ -258,26 +259,22 @@ def _suite_figures() -> dict:
     return {"name": "figure-vectors", "failures": failures}
 
 
-# (spec, label in the failure text, reference recognizer, multiplicities)
-_N5_ROWS = [
-    ("<0101,0110>", "interval", oracles.is_interval, {2}),
-    ("<0110>", "permutation", oracles.is_permutation, {2}),
-    ("<0101>", "circle", oracles.is_circle, {2}),
-    ("<0011>", "co-interval", oracles.is_co_interval, {2}),
-]
+# the class-table rows the characterization suite checks at their multiplicities
+_N5_ROWS = [row for tag in ("interval", "permutation", "circle", "co-interval")
+            for row in constructions.CLASSES if row.tag == tag]
 
 
 def _suite_characterizations(max_order: int = 5) -> dict:
     failures = []
-    for spec, tag, oracle, freqs in _N5_ROWS:
-        lang = parse_language(spec)
+    for row in _N5_ROWS:
+        lang = parse_language(row.spec)
         for n in range(1, max_order + 1):
             for g in enumerate_graphs(n):
-                expected = oracle(g)
-                got = search(g, lang, freqs) is not None
+                expected = row.recognizer(g)
+                got = search(g, lang, row.bounds(n)) is not None
                 if expected != got:
                     failures.append(
-                        f"{tag} n={n} edges={sorted(g.edges)}: "
+                        f"{row.tag} n={n} edges={sorted(g.edges)}: "
                         f"oracle={expected} search={got}"
                     )
     return {"name": "characterizations-n5", "failures": failures}

@@ -20,11 +20,24 @@ laws, for n vertices, m edges and n(n-1)/2 - m non-edges:
     Lyndon            (3n^2 + 15n)/2  the adjacency matrix, O(n^2)
 
 The not(palindrome) word is ``build_palindrome`` of the complement graph.
+
+``CLASSES``, at the end of the module, is the class table: one row per class
+with its tag, its canonical language spec, a recognizer (an oracle, or one
+that accepts every graph for the four universal builders), its
+multiplicities and its builder.  The recognizer accepts exactly the graphs
+the builder builds, so every graph it rejects makes the builder raise
+BuildError; only co-interval has no builder.  Multiplicities are a claim
+about ``search``: at those multiplicities the spec represents exactly the
+graphs the recognizer accepts (the acceptance tests check every graph up to
+order 5 or 6).  UP_TO_ORDER (cluster) means 1..n at order n, and None means
+the row makes no such claim.  ``CANONICAL_SPECS`` and ``BUILDERS`` map each
+tag that has a builder to its spec and to its builder.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from . import oracles
 from .codec import copy_word
@@ -33,32 +46,6 @@ from .graphs import Graph
 from .languages import Language, parse_language
 from .represent import evaluate
 from .words import VertexWord
-
-# canonical language of each buildable tag, in the language mini-grammar
-CANONICAL_SPECS = {
-    "palindrome": "palindrome",
-    "copy": "copy",
-    "copy-complement": "not(copy)",
-    "lyndon": "lyndon",
-    "bipartite": "and(palindrome,wrep)",
-    "bipartite-lyndon-odd": "lyndon-odd",
-    "comparability": "dyck",
-    "interval": "<0101,0110>",
-    "convex": "<010>",
-    "interval-bigraph": "<01110,01101,01011,01100,01010,01001>",
-    "permutation": "<0110>",
-    "circle": "<0101>",
-    "threshold": "<01,001>",
-    "bipartite-chain": "<001>",
-    "halfline": "halfline",
-    "co-circle": "<0011,0110>",
-    "cograph-wrep-like": "wrep",
-    "cograph-containment-like": "<0110>",
-    "split": "or(and(palindrome,wrep),"
-             "and(even-counts,re:(0|1)*0(0|1)*1(0|1)*|(0|1)*1(0|1)*0(0|1)*))",
-    "cobipartite": "or(not(palindrome),not(wrep))",
-    "cluster": "balanced",
-}
 
 
 @lru_cache(maxsize=None)
@@ -511,27 +498,64 @@ def build_cluster(g: Graph) -> VertexWord:
     return _verify(word, "cluster", g)
 
 
-# builder registry for the command line and the class table
-BUILDERS = {
-    "palindrome": build_palindrome,
-    "copy": build_copy,
-    "copy-complement": build_copy_complement,
-    "lyndon": build_lyndon,
-    "bipartite": build_bipartite_palindrome,
-    "bipartite-lyndon-odd": build_bipartite_lyndon_odd,
-    "comparability": build_comparability,
-    "interval": build_interval,
-    "convex": build_convex,
-    "interval-bigraph": build_interval_bigraph,
-    "permutation": build_permutation,
-    "circle": build_circle,
-    "threshold": build_threshold,
-    "bipartite-chain": build_bipartite_chain,
-    "halfline": build_halfline,
-    "co-circle": build_co_circle,
-    "cograph-wrep-like": build_cograph,
-    "cograph-containment-like": lambda g: build_cograph(g, "containment-like"),
-    "split": build_split,
-    "cobipartite": build_cobipartite,
-    "cluster": build_cluster,
-}
+# --- the class table --------------------------------------------------------
+
+# the multiplicities of a row whose claim allows 1..n at order n
+UP_TO_ORDER = "1..n"
+
+
+class ClassRow(NamedTuple):
+    """One row of ``CLASSES``; the module docstring says what it claims."""
+
+    tag: str
+    spec: str
+    recognizer: Callable[[Graph], bool]
+    multiplicities: tuple | str | None
+    builder: Callable[[Graph], VertexWord] | None
+
+    def bounds(self, n: int):
+        """The multiplicities the row's claim allows at order n."""
+        if self.multiplicities == UP_TO_ORDER:
+            return tuple(range(1, n + 1))
+        return self.multiplicities
+
+
+def _every_graph(g: Graph) -> bool:
+    return True
+
+
+CLASSES = (
+    ClassRow("palindrome", "palindrome", _every_graph, None, build_palindrome),
+    ClassRow("copy", "copy", _every_graph, None, build_copy),
+    ClassRow("copy-complement", "not(copy)", _every_graph, None, build_copy_complement),
+    ClassRow("lyndon", "lyndon", _every_graph, None, build_lyndon),
+    ClassRow("bipartite", "and(palindrome,wrep)", oracles.is_bipartite, None,
+             build_bipartite_palindrome),
+    ClassRow("bipartite-lyndon-odd", "lyndon-odd", oracles.is_bipartite, (1, 2),
+             build_bipartite_lyndon_odd),
+    ClassRow("comparability", "dyck", oracles.is_comparability, (2,), build_comparability),
+    ClassRow("interval", "<0101,0110>", oracles.is_interval, (2,), build_interval),
+    ClassRow("convex", "<010>", oracles.is_convex, (1, 2), build_convex),
+    ClassRow("interval-bigraph", "<01110,01101,01011,01100,01010,01001>",
+             oracles.is_interval_bigraph, None, build_interval_bigraph),
+    ClassRow("permutation", "<0110>", oracles.is_permutation, (2,), build_permutation),
+    ClassRow("circle", "<0101>", oracles.is_circle, (2,), build_circle),
+    ClassRow("co-interval", "<0011>", oracles.is_co_interval, (2,), None),
+    ClassRow("threshold", "<01,001>", oracles.is_threshold, (1, 2), build_threshold),
+    ClassRow("bipartite-chain", "<001>", oracles.is_bipartite_chain, (1, 2),
+             build_bipartite_chain),
+    ClassRow("halfline", "halfline", oracles.is_halfline, (1, 2, 3), build_halfline),
+    ClassRow("co-circle", "<0011,0110>", oracles.is_co_circle, None, build_co_circle),
+    ClassRow("cograph-wrep-like", "wrep", oracles.is_cograph, None, build_cograph),
+    ClassRow("cograph-containment-like", "<0110>", oracles.is_cograph, None,
+             lambda g: build_cograph(g, "containment-like")),
+    ClassRow("split", "or(and(palindrome,wrep),"
+             "and(even-counts,re:(0|1)*0(0|1)*1(0|1)*|(0|1)*1(0|1)*0(0|1)*))",
+             oracles.is_split, None, build_split),
+    ClassRow("cobipartite", "or(not(palindrome),not(wrep))", oracles.is_cobipartite, None,
+             build_cobipartite),
+    ClassRow("cluster", "balanced", oracles.is_cluster, UP_TO_ORDER, build_cluster),
+)
+
+CANONICAL_SPECS = {row.tag: row.spec for row in CLASSES if row.builder}
+BUILDERS = {row.tag: row.builder for row in CLASSES if row.builder}

@@ -392,62 +392,21 @@ def halfline_model(g: Graph):
 
 
 def is_halfline(g: Graph) -> bool:
-    """Halfline intersection graphs are exactly the chordal cobipartite
-    graphs; halfline_model supplies the witness when one exists."""
-    return is_chordal(g) and is_cobipartite(g)
+    """The graphs the halfline language represents: a halfline intersection
+    graph, i.e. a chordal cobipartite one (halfline_model supplies the
+    witness), plus isolated vertices, which a frequentness-3 letter gives."""
+    core = _core(g)
+    return core is None or (is_chordal(core) and is_cobipartite(core))
 
 
-# --- width parameters -------------------------------------------------------
+def is_co_circle(g: Graph) -> bool:
+    """The graphs the co-circle language represents: the complement of a
+    circle graph, plus isolated vertices, which a single letter gives."""
+    core = _core(g)
+    return core is None or is_circle(core.complement())
 
 
-def treewidth_exact(g: Graph) -> int:
-    """Exact treewidth by elimination-order dynamic programming over
-    subsets; fine up to order 8."""
-    vs = g.vertices
-    n = len(vs)
-    idx = {v: i for i, v in enumerate(vs)}
-
-    def q(mask, v):
-        # neighbors of v reachable through eliminated vertices in mask
-        start = idx[v]
-        seen = 1 << start
-        stack = [start]
-        out = 0
-        while stack:
-            x = stack.pop()
-            for u in g.neighbors(vs[x]):
-                i = idx[u]
-                if seen >> i & 1:
-                    continue
-                seen |= 1 << i
-                if mask >> i & 1:
-                    stack.append(i)
-                else:
-                    out += 1
-        return out
-
-    dp = {0: -1}
-    for mask in range(1, 1 << n):
-        best = None
-        for i in range(n):
-            if not mask >> i & 1:
-                continue
-            prev = mask ^ (1 << i)
-            cand = max(dp[prev], q(prev, vs[i]))
-            if best is None or cand < best:
-                best = cand
-        dp[mask] = best
-    return dp[(1 << n) - 1]
-
-
-def degeneracy(g: Graph) -> int:
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    best = 0
-    while adj:
-        v = min(adj, key=lambda x: (len(adj[x]), x))
-        best = max(best, len(adj[v]))
-        for u in adj[v]:
-            adj[u].discard(v)
-        del adj[v]
-    return best
-
+def _core(g: Graph):
+    # g less its isolated vertices, or None when no vertex is left
+    kept = [v for v in g.vertices if g.degree(v)]
+    return g.induced(kept) if kept else None

@@ -99,6 +99,60 @@ def group_order(generators, n):
     return len(seen)
 
 
+def treewidth_exact(g) -> int:
+    """Exact treewidth by elimination-order dynamic programming over
+    subsets; fine up to order 8."""
+    vs = g.vertices
+    n = len(vs)
+    idx = {v: i for i, v in enumerate(vs)}
+
+    def q(mask, v):
+        # neighbors of v reachable through eliminated vertices in mask
+        start = idx[v]
+        seen = 1 << start
+        stack = [start]
+        out = 0
+        while stack:
+            x = stack.pop()
+            for u in g.neighbors(vs[x]):
+                i = idx[u]
+                if seen >> i & 1:
+                    continue
+                seen |= 1 << i
+                if mask >> i & 1:
+                    stack.append(i)
+                else:
+                    out += 1
+        return out
+
+    dp = {0: -1}
+    for mask in range(1, 1 << n):
+        best = None
+        for i in range(n):
+            if not mask >> i & 1:
+                continue
+            prev = mask ^ (1 << i)
+            cand = max(dp[prev], q(prev, vs[i]))
+            if best is None or cand < best:
+                best = cand
+        dp[mask] = best
+    return dp[(1 << n) - 1]
+
+
+def degeneracy(g) -> int:
+    """The greatest degree met when a vertex of least degree is removed
+    again and again (least name first)."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    best = 0
+    while adj:
+        v = min(adj, key=lambda x: (len(adj[x]), x))
+        best = max(best, len(adj[v]))
+        for u in adj[v]:
+            adj[u].discard(v)
+        del adj[v]
+    return best
+
+
 @st.composite
 def small_graphs(draw, min_order=1, max_order=5):
     n = draw(st.integers(min_value=min_order, max_value=max_order))

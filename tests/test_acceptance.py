@@ -13,6 +13,7 @@ import time
 from langrep import oracles
 from langrep.codec import adjacent, decode, decode_word, encode
 from langrep.constructions import (
+    CLASSES,
     build_copy,
     build_copy_complement,
     build_lyndon,
@@ -153,43 +154,24 @@ def test_criterion_03_universal_builders():
 # --- 4: class table ---------------------------------------------------------
 
 
-def _halfline_oracle(g):
-    core = [v for v in g.vertices if g.degree(v) > 0]
-    if not core:
-        return True
-    sub = g.induced(core)
-    return oracles.is_chordal(sub) and oracles.is_cobipartite(sub)
-
-
-_TABLE_ROWS = [
-    # spec, oracle, frequentnesses (None = {1..n}), max order
-    ("<0101,0110>", oracles.is_interval, {2}, 6),
-    ("<0110>", oracles.is_permutation, {2}, 6),
-    ("<0101>", oracles.is_circle, {2}, 6),
-    ("<0011>", oracles.is_co_interval, {2}, 6),
-    ("<001>", oracles.is_bipartite_chain, {1, 2}, 6),
-    ("<010>", oracles.is_convex, {1, 2}, 6),
-    ("<01,001>", oracles.is_threshold, {1, 2}, 6),
-    ("dyck", oracles.is_comparability, {2}, 5),
-    ("lyndon-odd", oracles.is_bipartite, {1, 2}, 5),
-    ("balanced", oracles.is_cluster, None, 5),
-    ("halfline", _halfline_oracle, {1, 2, 3}, 6),
-]
+# the class-table rows with multiplicities, each checked on every graph up
+# to order 6, or up to order 5 for the tags in _ORDER_5
+_TABLE_ROWS = [row for row in CLASSES if row.multiplicities is not None]
+_ORDER_5 = {"comparability", "bipartite-lyndon-odd", "cluster"}
 
 
 def test_criterion_04_class_table():
     t0 = time.monotonic()
     failures = []
-    for spec, oracle, freqs, max_order in _TABLE_ROWS:
-        lang = parse_language(spec)
-        for n in range(1, max_order + 1):
-            bounds = freqs if freqs is not None else set(range(1, n + 1))
+    for row in _TABLE_ROWS:
+        lang = parse_language(row.spec)
+        for n in range(1, (5 if row.tag in _ORDER_5 else 6) + 1):
             for g in enumerate_graphs(n):
-                got = search(g, lang, bounds) is not None
-                want = oracle(g)
+                got = search(g, lang, row.bounds(n)) is not None
+                want = row.recognizer(g)
                 if got != want:
                     failures.append(
-                        f"{spec} n={n} edges={sorted(g.edges)}: "
+                        f"{row.spec} n={n} edges={sorted(g.edges)}: "
                         f"search={got} oracle={want}"
                     )
     elapsed = time.monotonic() - t0

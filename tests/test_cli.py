@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from langrep import cli, oracles
+from langrep import cli
 from langrep.cli import main
+from langrep.constructions import BUILDERS, CLASSES
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +163,13 @@ def test_build_unknown_class(capsys, star_file):
     assert code == 2 and "unknown class" in err
 
 
+def test_build_unknown_class_names_the_known_tags(capsys, star_file):
+    code, _, err = run_cli(capsys, "build", "--class", "co-interval", "--graph", star_file)
+    assert code == 2 and "unknown class tag 'co-interval'" in err
+    listed = err.strip().split("known tags: ", 1)[1].split(", ")
+    assert listed == list(BUILDERS) + ["and cograph for cograph-wrep-like"]
+
+
 def test_build_out_of_domain(capsys, tmp_path):
     p4 = tmp_path / "p4.txt"
     p4.write_text("4 3\na b\nb c\nc d\n")
@@ -287,13 +295,10 @@ def test_selftest_small_cap(capsys):
     assert [s["name"] for s in payload["suites"]] == [
         "figure-vectors", "characterizations-n5", "properties"
     ]
-    # the characterization suite checks these four rows against their oracles
-    assert cli._N5_ROWS == [
-        ("<0101,0110>", "interval", oracles.is_interval, {2}),
-        ("<0110>", "permutation", oracles.is_permutation, {2}),
-        ("<0101>", "circle", oracles.is_circle, {2}),
-        ("<0011>", "co-interval", oracles.is_co_interval, {2}),
-    ]
+    # the characterization suite checks these four class-table rows against
+    # their recognizers
+    assert [row.tag for row in cli._N5_ROWS] == ["interval", "permutation", "circle", "co-interval"]
+    assert all(row in CLASSES for row in cli._N5_ROWS)
 
 
 @pytest.mark.parametrize("cap", ["0", "8"])

@@ -18,6 +18,7 @@ from langrep import oracles
 from langrep.constructions import (
     BUILDERS,
     CANONICAL_SPECS,
+    CLASSES,
     build_circle,
     build_cograph,
     build_comparability,
@@ -47,6 +48,18 @@ def test_registry_tables_align():
     assert set(BUILDERS) == set(CANONICAL_SPECS)
 
 
+def test_class_registry_is_pinned():
+    tags = [row.tag for row in CLASSES]
+    assert len(tags) == len(set(tags)) == 22
+    buildable = {row.tag for row in CLASSES if row.builder}
+    assert set(BUILDERS) == set(CANONICAL_SPECS) == buildable == set(tags) - {"co-interval"}
+    # the rows whose multiplicities the class-table criterion checks
+    assert {row.tag for row in CLASSES if row.multiplicities is not None} == {
+        "interval", "permutation", "circle", "co-interval", "bipartite-chain", "convex",
+        "threshold", "comparability", "bipartite-lyndon-odd", "cluster", "halfline",
+    }
+
+
 def test_frozen_small_outputs():
     star = Graph("abc", [("a", "c"), ("b", "c")])
     assert "".join(build_threshold(star)) == "aabbc"
@@ -69,44 +82,8 @@ def test_builders_deterministic():
         assert first == second
 
 
-def _core(g):
-    kept = [v for v in g.vertices if g.degree(v) > 0]
-    return g.induced(kept) if kept else None
-
-
-def _halfline_domain(g):
-    core = _core(g)
-    return core is None or oracles.is_halfline(core)
-
-
-def _co_circle_domain(g):
-    core = _core(g)
-    return core is None or oracles.is_circle(core.complement())
-
-
-_DOMAINS = {
-    "palindrome": lambda g: True,
-    "copy": lambda g: True,
-    "copy-complement": lambda g: True,
-    "lyndon": lambda g: True,
-    "bipartite": oracles.is_bipartite,
-    "bipartite-lyndon-odd": oracles.is_bipartite,
-    "comparability": oracles.is_comparability,
-    "interval": oracles.is_interval,
-    "convex": oracles.is_convex,
-    "interval-bigraph": oracles.is_interval_bigraph,
-    "permutation": oracles.is_permutation,
-    "circle": oracles.is_circle,
-    "threshold": oracles.is_threshold,
-    "bipartite-chain": oracles.is_bipartite_chain,
-    "halfline": _halfline_domain,
-    "co-circle": _co_circle_domain,
-    "cograph-wrep-like": oracles.is_cograph,
-    "cograph-containment-like": oracles.is_cograph,
-    "split": oracles.is_split,
-    "cobipartite": oracles.is_cobipartite,
-    "cluster": oracles.is_cluster,
-}
+# each builder's domain: the graphs its class's recognizer accepts
+_DOMAINS = {row.tag: row.recognizer for row in CLASSES if row.builder}
 
 
 def test_domain_table_covers_registry():

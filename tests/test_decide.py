@@ -7,8 +7,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import all_binary_words
-from langrep import oracles
+from conftest import all_binary_words, degeneracy, treewidth_exact
 from langrep.automata import compile_regex, dfa_from_finite
 from langrep.decide import decide
 from langrep.errors import CapacityError
@@ -125,7 +124,7 @@ def test_bounded_verdicts_agree_with_the_oracles(spec):
         n = rng.randint(1, 7)
         word = VertexWord([f"x{rng.randrange(n)}" for _ in range(rng.randint(1, 3 * n))])
         g = evaluate(word, lang)
-        assert oracles.treewidth_exact(g) == oracles.degeneracy(g) == 0, word
+        assert treewidth_exact(g) == degeneracy(g) == 0, word
 
 
 @pytest.mark.parametrize("spec", ["<0101>", "<0110>", "<01,001>", "wrep", "dyck", "halfline",
@@ -137,7 +136,7 @@ def test_unbounded_verdicts_agree_with_the_oracles(spec):
     assert verdict.answer is False
     g = evaluate(VertexWord(["v1" if b == "0" else "v2" for b in verdict.witness]), lang)
     assert g == complete_graph(2)
-    assert oracles.treewidth_exact(g) == oracles.degeneracy(g) == 1
+    assert treewidth_exact(g) == degeneracy(g) == 1
 
 
 @pytest.mark.parametrize("spec", ["copy", "lyndon", "lyndon-odd", "not(dyck)"])

@@ -15,12 +15,14 @@ from hypothesis import given, settings
 
 from conftest import (
     crown_graph,
+    degeneracy,
     gnp,
     graph_from_mask,
     group_order,
     is_automorphism,
     small_graphs,
     symmetric_order_ten,
+    treewidth_exact,
     twin_swaps,
 )
 from langrep import isomorphism, oracles
@@ -717,25 +719,25 @@ def _ref_treewidth(g):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_treewidth_against_elimination_reference(n):
     for g in enumerate_graphs(n):
-        assert oracles.treewidth_exact(g) == _ref_treewidth(g)
+        assert treewidth_exact(g) == _ref_treewidth(g)
 
 
 def test_treewidth_known_values():
-    assert oracles.treewidth_exact(complete_graph(5)) == 4
-    assert oracles.treewidth_exact(path_graph(5)) == 1
-    assert oracles.treewidth_exact(cycle_graph(5)) == 2
-    assert oracles.treewidth_exact(complete_bipartite(3, 3)) == 3
-    assert oracles.treewidth_exact(null_graph(3)) == 0
+    assert treewidth_exact(complete_graph(5)) == 4
+    assert treewidth_exact(path_graph(5)) == 1
+    assert treewidth_exact(cycle_graph(5)) == 2
+    assert treewidth_exact(complete_bipartite(3, 3)) == 3
+    assert treewidth_exact(null_graph(3)) == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_degeneracy_bounded_by_treewidth(n):
     for g in enumerate_graphs(n):
-        assert oracles.degeneracy(g) <= oracles.treewidth_exact(g)
+        assert degeneracy(g) <= treewidth_exact(g)
 
 
 def test_degeneracy_known_values():
-    assert oracles.degeneracy(complete_graph(4)) == 3
-    assert oracles.degeneracy(path_graph(5)) == 1
-    assert oracles.degeneracy(cycle_graph(6)) == 2
-    assert oracles.degeneracy(complete_bipartite(2, 5)) == 2
+    assert degeneracy(complete_graph(4)) == 3
+    assert degeneracy(path_graph(5)) == 1
+    assert degeneracy(cycle_graph(6)) == 2
+    assert degeneracy(complete_bipartite(2, 5)) == 2

@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_binary_words, filter_project, gnp, graph_from_mask
-from langrep import automata, languages, oracles, represent, words
+from langrep import automata, languages, represent, words
 from langrep.codec import copy_word
 from langrep.automata import Dfa
-from langrep.constructions import CANONICAL_SPECS, build_cograph
+from langrep.constructions import CANONICAL_SPECS, CLASSES, build_cograph
 from langrep.errors import CapacityError, NotSymmetricError
 from langrep.graphs import (
     Graph,
@@ -731,38 +731,39 @@ def test_search_words_are_pinned(spec, freqs, top, prefix):
     assert hashlib.sha256(repr(rows).encode()).hexdigest().startswith(prefix)
 
 
+CLASS_ROWS = {row.tag: row for row in CLASSES}
+
+
 def test_search_permutation_row_at_order_7():
     # the <0110> row of the class table at order 7: 776 of the 1044 graphs
     # are permutation graphs
-    lang = parse_language("<0110>")
+    row = CLASS_ROWS["permutation"]
+    lang = parse_language(row.spec)
     start = time.perf_counter()
     graphs = enumerate_graphs(7)
-    found = [search(g, lang, {2}) is not None for g in graphs]
+    found = [search(g, lang, row.bounds(7)) is not None for g in graphs]
     assert time.perf_counter() - start < 120
     assert len(graphs) == 1044 and sum(found) == 776
-    assert found == [oracles.is_permutation(g) for g in graphs]
+    assert found == [row.recognizer(g) for g in graphs]
 
 
 # five more rows of the class table at order 7, with their member counts
-# among the 1044 graphs; <0101> is left out, as is_circle alone takes about
-# 9 s there
-ORDER_7_ROWS = [
-    ("<0101,0110>", oracles.is_interval, {2}, 369),
-    ("<0011>", oracles.is_co_interval, {2}, 369),
-    ("<001>", oracles.is_bipartite_chain, {1, 2}, 36),
-    ("<010>", oracles.is_convex, {1, 2}, 84),
-    ("<01,001>", oracles.is_threshold, {1, 2}, 64),
-]
+# among the 1044 graphs; <0101> (978 members) is left out, as is_circle
+# alone takes 3.1-3.4 s of CPU time on them (time.process_time, Python 3.11
+# on a 2-core host)
+ORDER_7_ROWS = {"interval": 369, "co-interval": 369, "bipartite-chain": 36, "convex": 84,
+                "threshold": 64}
 
 
 def test_search_class_table_rows_at_order_7():
     graphs = enumerate_graphs(7)
     start = time.perf_counter()
-    for spec, oracle, freqs, members in ORDER_7_ROWS:
-        lang = parse_language(spec)
-        found = [search(g, lang, freqs) is not None for g in graphs]
-        assert sum(found) == members, spec
-        assert found == [oracle(g) for g in graphs], spec
+    for tag, members in ORDER_7_ROWS.items():
+        row = CLASS_ROWS[tag]
+        lang = parse_language(row.spec)
+        found = [search(g, lang, row.bounds(7)) is not None for g in graphs]
+        assert sum(found) == members, tag
+        assert found == [row.recognizer(g) for g in graphs], tag
     assert time.perf_counter() - start < 120
 
 

@@ -11,7 +11,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "langrep"
 
 _FAMILY = "graph family the tests build their inputs from"
-_ORACLE = "reference recognizer the class-table tests and the bench check search against"
 
 ALLOWED = {
     "graphs.null_graph": _FAMILY,
@@ -24,16 +23,6 @@ ALLOWED = {
     "graphs.Graph.add_universal": "vertex insertion beside add_twin; tests build inputs with it",
     "isomorphism.automorphism_count": "test reference: distinct_labelings is counted against it",
     "isomorphism.distinct_labelings": "bench/workloads.py imports it",
-    "oracles.treewidth_exact": "test reference: decide's treewidth verdicts are checked against it",
-    "oracles.degeneracy": "test reference: decide's degeneracy verdicts are checked against it",
-    "oracles.is_cluster": _ORACLE,
-    "oracles.is_cograph": _ORACLE,
-    "oracles.is_split": _ORACLE,
-    "oracles.is_threshold": _ORACLE,
-    "oracles.is_interval_bigraph": _ORACLE,
-    "oracles.is_bipartite_chain": _ORACLE,
-    "oracles.is_convex": _ORACLE,
-    "oracles.is_halfline": _ORACLE,
     "automata.Dfa.equivalent": "test reference: tests compare automata by language with it",
     "codec.decode_word": "the bench's codec-mix workload reads stored words with it",
     "words.VertexWord.project":
