@@ -1,9 +1,10 @@
 """Deterministic finite automata over the alphabet {0, 1}.
 
-Small self-contained machinery: regular-expression compilation (syntax tree
-to position automaton to Dfa), product constructions, complement by
-accepting-set flip, minimization by partition refinement, and decision
-helpers (emptiness, equivalence, shortest accepted word).  One subset
+Small self-contained machinery: regular-expression compilation (one pass,
+no syntax tree, to the position automaton, then to a Dfa), product
+constructions, complement by accepting-set flip, minimization by partition
+refinement, and decision helpers (emptiness, equivalence, shortest
+accepted word).  One subset
 construction determinizes both the position automaton and the reversed
 moves of ``Dfa.reverse``.  States are integers; every Dfa is total over
 both input symbols, and none is built past ``AUTOMATON_BUDGET`` states, nor
@@ -215,102 +216,68 @@ def dfa_from_finite(words) -> Dfa:
 # for concatenation, postfix *.  Compiled through the position automaton
 # (Glushkov 1961; McNaughton and Yamada 1960), which has no empty moves: each
 # literal is a position, position 0 is the start, and a Dfa state is the set
-# of positions that can have just been read.
+# of positions that can have just been read.  The expression is read in one
+# pass, left to right, with no syntax tree: a stack holds the open groups,
+# and each *, juxtaposition and | updates the follow sets and the (nullable,
+# first positions, last positions) triples as it is read.  _NOTHING is the
+# triple of no branch, the identity of |; _EMPTY_WORD is that of e, the
+# identity of juxtaposition.
+_NOTHING = (False, frozenset(), frozenset())
+_EMPTY_WORD = (True, frozenset(), frozenset())
 
 
 def compile_regex(expr: str) -> Dfa:
-    letter = [None]  # symbol index of each position
+    letter = [None]  # symbol index of each position, numbered in text order
     follow = [set()]  # positions that may be read right after each position
-
-    def walk(node):
-        # (nullable, first positions, last positions) of the subexpression
-        kind = node[0]
-        if kind == "eps":
-            return True, set(), set()
-        if kind == "lit":
-            letter.append(int(node[1]))
+    # per open group, innermost last: the triples of the union of its
+    # finished branches, of the concatenation of its current branch's
+    # finished factors, and of that branch's last factor, which a * may
+    # still star (None before the branch's first factor)
+    groups = [[_NOTHING, _EMPTY_WORD, None]]
+    for i, c in enumerate((*expr, None)):  # None: the end of the expression
+        group = groups[-1]
+        union, (nullable, first, last), factor = group
+        if c == "*" and factor:
+            for p in factor[2]:
+                follow[p] |= factor[1]
+            group[2] = (True, factor[1], factor[2])
+            continue
+        if factor:  # juxtaposition: the last factor joins its branch
+            for p in last:
+                follow[p] |= factor[1]
+            group[1] = (nullable and factor[0], first | factor[1] if nullable else first,
+                        last | factor[2] if factor[0] else factor[2])
+            group[2] = None
+        if c in ("0", "1"):
+            letter.append(int(c))
             follow.append(set())
-            return False, {len(letter) - 1}, {len(letter) - 1}
-        if kind == "star":
-            _, first, last = walk(node[1])
-            for p in last:
-                follow[p] |= first
-            return True, first, last
-        parts = [walk(sub) for sub in node[1]]
-        if kind == "alt":
-            nullables, firsts, lasts = zip(*parts)
-            return any(nullables), set().union(*firsts), set().union(*lasts)
-        nullable, first, last = True, set(), set()  # a concatenation
-        for sub_nullable, sub_first, sub_last in parts:
-            for p in last:
-                follow[p] |= sub_first
-            if nullable:
-                first |= sub_first
-            nullable = nullable and sub_nullable
-            last = last | sub_last if sub_nullable else sub_last
-        return nullable, first, last
-
-    nullable, follow[0], last = walk(_RegexParser(expr).parse())
+            group[2] = (False, {len(letter) - 1}, {len(letter) - 1})
+        elif c == "e":
+            group[2] = _EMPTY_WORD
+        elif c == "(":
+            groups.append([_NOTHING, _EMPTY_WORD, None])
+        elif c not in ("|", ")", None):
+            raise FormatError(f"bad regex character {c!r}", i)
+        elif not factor:
+            # the syntax has an explicit 'e'; an empty branch is a slip
+            raise FormatError("empty regex branch (use 'e' for the empty word)", i)
+        else:
+            branch = group[1]
+            union = (union[0] or branch[0], union[1] | branch[1], union[2] | branch[2])
+            if c == "|":
+                groups[-1] = [union, _EMPTY_WORD, None]
+            elif c == ")" and len(groups) == 1:
+                raise FormatError("unexpected ')' in regex", i)
+            elif c == ")":
+                groups.pop()
+                groups[-1][2] = union
+            elif len(groups) > 1:
+                raise FormatError("unbalanced parenthesis in regex", i + 1)
+    nullable, follow[0], last = union
     if nullable:
-        last.add(0)
+        last = last | {0}
     moves = [[[q for q in after if letter[q] == c] for c in (0, 1)] for after in follow]
     return _subsets({0}, moves, lambda s: not last.isdisjoint(s))
-
-
-class _RegexParser:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def take(self):
-        c = self.peek()
-        self.pos += 1
-        return c
-
-    def parse(self):
-        node = self._alternation()
-        if self.peek() is not None:
-            raise FormatError(f"unexpected {self.peek()!r} in regex", self.pos)
-        return node
-
-    def _alternation(self):
-        branches = [self._concat()]
-        while self.peek() == "|":
-            self.take()
-            branches.append(self._concat())
-        return branches[0] if len(branches) == 1 else ("alt", branches)
-
-    def _concat(self):
-        parts = []
-        while self.peek() not in (None, "|", ")"):
-            parts.append(self._starred())
-        if not parts:
-            # the syntax has an explicit 'e'; an empty branch is a slip
-            raise FormatError("empty regex branch (use 'e' for the empty word)", self.pos)
-        return parts[0] if len(parts) == 1 else ("cat", parts)
-
-    def _starred(self):
-        node = self._atom()
-        while self.peek() == "*":
-            self.take()
-            node = ("star", node)
-        return node
-
-    def _atom(self):
-        c = self.take()
-        if c == "(":
-            node = self._alternation()
-            if self.take() != ")":
-                raise FormatError("unbalanced parenthesis in regex", self.pos)
-            return node
-        if c in ("0", "1"):
-            return ("lit", c)
-        if c == "e":
-            return ("eps",)
-        raise FormatError(f"bad regex character {c!r}", self.pos - 1)
 
 
 def count_window_dfa(zeros: int, ones: int) -> Dfa:

@@ -345,19 +345,17 @@ def build_halfline(g: Graph) -> VertexWord:
     """Endpoint-sorted enumeration; right-bounded rays doubled by a tail;
     isolated vertices appended as vvv (frequentness 3 is a hole of the
     language, so they attach to nothing)."""
-    vs = list(g.vertices)
-    isolates = sorted(g.isolated_vertices())
-    core = [v for v in vs if v not in set(isolates)]
+    core = oracles.core(g)
     word = []
-    if core:
-        model = oracles.halfline_model(g.induced(core))
+    if core is not None:
+        model = oracles.halfline_model(core)
         if model is None:
             raise BuildError("halfline: core has no halfline model")
-        word += sorted(core, key=lambda v: (model[v][1], v))
+        word += sorted(core.vertices, key=lambda v: (model[v][1], v))
         word += sorted(
-            (v for v in core if model[v][0] == 2), key=lambda v: (model[v][1], v)
+            (v for v in core.vertices if model[v][0] == 2), key=lambda v: (model[v][1], v)
         )
-    for v in isolates:
+    for v in g.isolated_vertices():
         word += [v, v, v]
     return _verify(word, "halfline", g)
 
@@ -366,16 +364,14 @@ def build_co_circle(g: Graph) -> VertexWord:
     """Chord diagram of the complement of the non-isolated core, then each
     isolate once; singleton letters attach to nothing here, while in the
     complement view they form a universal clique tail."""
-    vs = list(g.vertices)
-    isolates = sorted(g.isolated_vertices())
-    core = [v for v in vs if v not in set(isolates)]
+    core = oracles.core(g)
     word = []
-    if core:
-        chords = oracles.circle_chord_word(g.induced(core).complement())
+    if core is not None:
+        chords = oracles.circle_chord_word(core.complement())
         if chords is None:
             raise BuildError("co-circle: complement core is not a circle graph")
         word += chords
-    word += isolates
+    word += g.isolated_vertices()
     return _verify(word, "co-circle", g)
 
 
@@ -383,12 +379,13 @@ def build_co_circle(g: Graph) -> VertexWord:
 
 
 def build_cograph(g: Graph, mode: str = "wrep-like") -> VertexWord:
-    """Even-decomposition recursion: every intermediate word splits into two
-    halves with each vertex once per half; x = w1 u1 w2 u2 glues parts so
-    the cross pattern alternates, y = w1 u1 u2 w2 so it nests.  Which of the
-    two means union and which join depends on the language family.  The
-    recursion splits vertex sets over g's adjacency, into components or else
-    co-components, each in order of its least vertex; it builds no subgraph."""
+    """Even decomposition: every intermediate word splits into two halves
+    with each vertex once per half; x = w1 u1 w2 u2 glues parts so the cross
+    pattern alternates, y = w1 u1 u2 w2 so it nests.  Which of the two means
+    union and which join depends on the language family.  The cotree is
+    walked depth first on an explicit stack, splitting vertex sets over g's
+    adjacency into components or else co-components, each in order of its
+    least vertex; it builds no subgraph."""
     if mode not in ("wrep-like", "containment-like"):
         raise ValueError(f"unknown cograph mode {mode!r}")
     tag = f"cograph-{mode}"
@@ -417,16 +414,26 @@ def build_cograph(g: Graph, mode: str = "wrep-like") -> VertexWord:
             parts.append(comp)
         return parts
 
-    def rec(part):
-        if len(part) == 1:
-            return list(part), list(part)
-        for join in (False, True):
-            parts = split(part, co=join)
-            if len(parts) > 1:
-                return glue([rec(p) for p in parts], join)
-        raise BuildError("cograph: graph contains an induced P4")
-
-    half1, half2 = rec(g.vertices)
+    # a part on the stack is split, or is one vertex with halves [v], [v];
+    # a (join, k) entry glues the halves of the k parts built last
+    built = []
+    todo = [list(g.vertices)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, tuple):
+            join, k = item
+            built[-k:] = [glue(built[-k:], join)]
+        elif len(item) == 1:
+            built.append((item, item))
+        else:
+            for join in (False, True):
+                parts = split(item, co=join)
+                if len(parts) > 1:
+                    todo += [(join, len(parts))] + parts[::-1]
+                    break
+            else:
+                raise BuildError("cograph: graph contains an induced P4")
+    half1, half2 = built[0]
     return _verify(half1 + half2, tag, g)
 
 

@@ -28,7 +28,8 @@ The spec mini-grammar understood by parse_language:
     builtin names   wrep, palindrome, copy, lyndon, lyndon-odd, dyck,
                     balanced, 0n1n, uniform(k), k11(k), no-kk(k),
                     odd-counts, even-counts, halfline
-    not(X) and(X,Y) or(X,Y) hull(X) rev(X) trash-ext(X)
+    not(X) and(X,Y) or(X,Y) hull(X) rev(X) trash-ext(X), nested at most
+                    100 deep
     re:EXPR         regular expression (0 1 e | * parentheses)
     cfg:PATH        grammar file, one rule per line
 """
@@ -381,6 +382,9 @@ _OPERAND_HEAD = re.compile(r"(re|cfg):")
 # a name, then an optional parameter: "(", the text up to ")", and the ")"
 _NAME = re.compile(r"([\w-]*)\s*(?:(\()([^)]*)(\)?))?")
 _WORD = re.compile(r"[01]+|e")
+# combinators one spec may nest: _spec takes a frame per level, and so does
+# an opaque language's membership
+_SPEC_NESTING = 100
 
 
 def parse_language(text: str) -> Language:
@@ -395,8 +399,9 @@ def _fail(pos, message):
     raise FormatError(f"bad language spec: {message}", pos)
 
 
-def _spec(text, pos):
-    """The language spelled from text[pos] on, and the offset just after it."""
+def _spec(text, pos, depth=0):
+    """The language spelled from text[pos] on, inside depth combinators,
+    and the offset just after it."""
     pos = _SPACE.match(text, pos).end()
     if pos == len(text):
         _fail(pos, "empty spec")
@@ -450,13 +455,15 @@ def _spec(text, pos):
         if not (arg.isascii() and arg.isdigit()):
             _fail(m.end(), f"parameter of {name} must be a nonnegative integer")
         return builtin(name, int(arg)), m.end()
+    if depth == _SPEC_NESTING:
+        _fail(pos, f"combinators nest more than {_SPEC_NESTING} deep")
     if not m[2]:
         _fail(m.end(), f"combinator {name} needs arguments")
     # each argument follows the "(" or a comma
     pos = m.start(2)
     args = []
     while not args or text.startswith(",", pos):
-        lang, pos = _spec(text, pos + 1)
+        lang, pos = _spec(text, pos + 1, depth + 1)
         args.append(lang)
         pos = _SPACE.match(text, pos).end()
     if not text.startswith(")", pos):

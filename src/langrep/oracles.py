@@ -395,18 +395,20 @@ def is_halfline(g: Graph) -> bool:
     """The graphs the halfline language represents: a halfline intersection
     graph, i.e. a chordal cobipartite one (halfline_model supplies the
     witness), plus isolated vertices, which a frequentness-3 letter gives."""
-    core = _core(g)
-    return core is None or (is_chordal(core) and is_cobipartite(core))
+    h = core(g)
+    return h is None or (is_chordal(h) and is_cobipartite(h))
 
 
 def is_co_circle(g: Graph) -> bool:
     """The graphs the co-circle language represents: the complement of a
     circle graph, plus isolated vertices, which a single letter gives."""
-    core = _core(g)
-    return core is None or is_circle(core.complement())
+    h = core(g)
+    return h is None or is_circle(h.complement())
 
 
-def _core(g: Graph):
-    # g less its isolated vertices, or None when no vertex is left
+def core(g: Graph):
+    """g less its isolated vertices, or None when no vertex is left: the
+    part that the halfline and co-circle recognizers and builders model,
+    each isolated vertex being given its own letters."""
     kept = [v for v in g.vertices if g.degree(v)]
     return g.induced(kept) if kept else None

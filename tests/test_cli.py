@@ -349,3 +349,12 @@ def test_subprocess_decide_exit_code():
     assert proc.returncode == 1
     out = json.loads(proc.stdout)
     assert out["answer"] is False and out["witness"] == "01"
+
+
+def test_subprocess_eval_of_a_deeply_nested_regex():
+    # the regex reader keeps its open groups on an explicit stack, so ten
+    # thousand nested parentheses compile
+    n = 10_000
+    proc = run_module("eval", "--lang", "re:" + "(" * n + "(0|1)*" + ")" * n, "--word", "ab")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].split() == ["2", "1"]

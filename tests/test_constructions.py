@@ -244,6 +244,25 @@ def test_cograph_words_are_pinned():
     assert hashlib.sha256(repr(words).encode()).hexdigest() == COGRAPH_WORDS_SHA256
 
 
+@pytest.mark.parametrize("mode", ["wrep-like", "containment-like"])
+def test_cograph_builds_a_cotree_deeper_than_the_recursion_limit(mode):
+    # vertices join in turn isolated and universal to those before them: a
+    # threshold graph whose cotree is one level deeper per vertex, which
+    # the builder walks on an explicit stack.  Splitting a part costs its
+    # edges, so the build is cubic in the order here; the limit is lowered
+    # to keep the graph small
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        n = sys.getrecursionlimit() + 200
+        names = [f"v{i:03d}" for i in range(n)]
+        g = Graph(names, [(v, u) for k, v in enumerate(names) if k % 2 for u in names[:k]])
+        word = build_cograph(g, mode)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sorted(word) == sorted(names * 2)
+
+
 def _seeded_threshold_graph(n, seed):
     """Each vertex, in a seeded order of seeded names, joins isolated or
     universal to those before it."""

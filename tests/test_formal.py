@@ -56,10 +56,41 @@ def test_compile_regex_against_re(ours, pattern):
         assert dfa.accepts(b) == (re.fullmatch(pattern, b) is not None), (ours, b)
 
 
+def _regex_answer(expr):
+    # the raw automaton, or the FormatError's message and offset
+    try:
+        d = compile_regex(expr)
+    except FormatError as exc:
+        return str(exc), exc.offset
+    return d.trans, d.start, sorted(d.accept)
+
+
+# one slip of each kind, with the message and offset it gets
+REGEX_SLIPS = {
+    "": ("empty regex branch (use 'e' for the empty word) (at offset 0)", 0),
+    "2": ("bad regex character '2' (at offset 0)", 0),
+    "0 1": ("bad regex character ' ' (at offset 1)", 1),
+    "*0": ("bad regex character '*' (at offset 0)", 0),
+    "0|*1": ("bad regex character '*' (at offset 2)", 2),
+    "(*0)": ("bad regex character '*' (at offset 1)", 1),
+    "()": ("empty regex branch (use 'e' for the empty word) (at offset 1)", 1),
+    "0()": ("empty regex branch (use 'e' for the empty word) (at offset 2)", 2),
+    "0(|1)": ("empty regex branch (use 'e' for the empty word) (at offset 2)", 2),
+    "|": ("empty regex branch (use 'e' for the empty word) (at offset 0)", 0),
+    "|0": ("empty regex branch (use 'e' for the empty word) (at offset 0)", 0),
+    "0|": ("empty regex branch (use 'e' for the empty word) (at offset 2)", 2),
+    "(0|)": ("empty regex branch (use 'e' for the empty word) (at offset 3)", 3),
+    "(01": ("unbalanced parenthesis in regex (at offset 4)", 4),
+    "((0)": ("unbalanced parenthesis in regex (at offset 5)", 5),
+    "(0|1": ("unbalanced parenthesis in regex (at offset 5)", 5),
+    "0)": ("unexpected ')' in regex (at offset 1)", 1),
+    "(0)*)": ("unexpected ')' in regex (at offset 4)", 4),
+}
+
+
 def test_compile_regex_errors():
-    for bad in ("", "(01", "0)", "|", "*0"):
-        with pytest.raises(FormatError):
-            compile_regex(bad)
+    for bad in REGEX_SLIPS:
+        assert _regex_answer(bad) == REGEX_SLIPS[bad], bad
 
 
 def test_dfa_boolean_algebra():
@@ -225,6 +256,46 @@ def test_compile_regex_automata_are_pinned():
     ] + [_random_regex(rng, rng.randrange(1, 8)) for _ in range(2000)]
     rows = [(d.trans, d.start, sorted(d.accept)) for d in map(compile_regex, corpus)]
     assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "7e87c73e4860e399"
+
+
+def _slipped(rng, expr):
+    """expr with one seeded slip: a stray 2 or space, a * opening a branch,
+    an empty group, an unbalanced parenthesis or a | (an empty branch, or a
+    well-formed split of a concatenation)."""
+    slip = rng.choice(["2", " ", "*", "()", "(", ")", "|"])
+    if slip == "*":
+        i = rng.choice([0] + [i + 1 for i, c in enumerate(expr) if c in "(|"])
+    else:
+        i = rng.randrange(len(expr) + 1)
+    return expr[:i] + slip + expr[i:]
+
+
+def test_compile_regex_answers_are_pinned_on_slipped_expressions():
+    # 1000 seeded well-formed expressions, then 1500 with one or two slips
+    # each: the automaton of each, state for state, or its error and offset
+    rng = random.Random(20261020)
+    corpus = [_random_regex(rng, rng.randrange(1, 7)) for _ in range(1000)]
+    for _ in range(1500):
+        expr = _random_regex(rng, rng.randrange(1, 7))
+        for _ in range(rng.randint(1, 2)):
+            expr = _slipped(rng, expr)
+        corpus.append(expr)
+    rows = [_regex_answer(expr) for expr in corpus]
+    assert sum(len(row) == 2 for row in rows) == 1483
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "ef650ad23a3479c3"
+
+
+def test_compile_regex_reads_deep_nesting():
+    # one left-to-right pass with an explicit stack of open groups: the
+    # nesting depth costs no Python frames
+    n = 10_000
+    start = time.process_time()
+    dfa = compile_regex("(" * n + "0" + ")*" * n)
+    assert time.process_time() - start < 1
+    assert [b for b in WORDS7 if dfa.accepts(b)] == ["", "0", "00", "000", "0000", "00000",
+                                                     "000000", "0000000"]
+    with pytest.raises(FormatError, match=f"unbalanced parenthesis in regex .at offset {n + 2}"):
+        compile_regex("(" * n + "0")
 
 
 @given(REGEXES)

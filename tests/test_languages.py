@@ -19,6 +19,7 @@ from langrep.constructions import build_lyndon
 from langrep.decide import decide
 from langrep.errors import FormatError, NotSymmetricError
 from langrep.grammar import Cfg
+from langrep.graphs import Graph
 from langrep.languages import (
     MAX_BUILTIN_PARAM,
     Language,
@@ -34,7 +35,8 @@ from langrep.languages import (
     reverse_language,
     trash_extend,
 )
-from langrep.words import complement_word
+from langrep.represent import evaluate
+from langrep.words import VertexWord, complement_word
 
 WORDS8 = list(all_binary_words(8))
 WORDS10 = list(all_binary_words(10))
@@ -565,6 +567,14 @@ def test_parse_nested_combinators():
     assert lang.contains("010")  # alternating palindrome
     assert not lang.contains("0110")  # palindrome but not alternating
     assert lang.symmetric
+
+
+def test_parse_nesting_at_the_bound_evaluates_a_word():
+    # a hundred nots over copy: the deepest chain the reader takes, an
+    # opaque language whose membership composes a hundred predicates
+    lang = parse_language("not(" * 100 + "copy" + ")" * 100)
+    assert lang.contains("0101") and not lang.contains("0110")
+    assert evaluate(VertexWord("abab"), lang) == Graph(["a", "b"], [("a", "b")])
 
 
 def test_parse_whitespace_tolerant():

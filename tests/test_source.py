@@ -3,7 +3,10 @@ method other than a dunder, in src/langrep/ is referred to elsewhere in
 src/, or is listed below with the reason it stays without such a reader.  And
 whether a language has an automaton is decided in one place, its ``form``
 property, which never raises: no other module catches a CapacityError
-around a ``.form`` read."""
+around a ``.form`` read.  And no function in src/ calls itself, directly
+or through other functions of its module, unless it is listed below with
+the bound on its depth, or with the input that passes the recursion limit
+and the change that will remove it."""
 
 import ast
 from pathlib import Path
@@ -145,3 +148,116 @@ def test_the_form_guard_sees_a_handler_around_a_form_read(tmp_path):
         encoding="utf-8",
     )
     assert form_reads_caught_for_capacity(tmp_path) == [("mod", 3)]
+
+
+SELF_CALLING = {
+    "languages._spec": "one frame per combinator, at most _SPEC_NESTING deep",
+    "isomorphism._canon.visit": "one frame per individualized vertex, at most ISO_ORDER_CAP deep",
+    "isomorphism.enumerate_graphs": "one frame per order, at most ENUM_ORDER_CAP deep",
+    # the exponential oracle searches go one frame deeper per step
+    "oracles._event_sequence.rec":
+        "is_interval(path_graph(600)) raises RecursionError; the polynomial interval "
+        "test of the ROADMAP (Gilmore and Hoffman) replaces it",
+    "oracles.circle_chord_word.rec":
+        "is_circle(null_graph(600)) raises RecursionError; the polynomial circle "
+        "routine of the ROADMAP replaces it",
+    "oracles._run_order.extend":
+        "is_convex(path_graph(2100)) raises RecursionError; a consecutive-ones test, "
+        "beside the ROADMAP's interval item, would replace it",
+}
+
+
+def _references(tree):
+    """Each function of a module by qualified name (f, f.inner, Class.method),
+    with the functions of the module it refers to.  A bare name it reads
+    resolves as in Python, through the enclosing functions to the module (a
+    class body is no scope for its methods); ``self.name`` resolves to a
+    method of the enclosing class.  A nested function's references are its
+    own, a lambda's are its definer's."""
+    defs = {}  # qualified name -> (node, scopes for a bare name, innermost first, class)
+    todo = [(tree, "", [""], None)]
+    while todo:
+        node, prefix, scopes, cls = todo.pop()
+        if isinstance(node, ast.ClassDef):
+            prefix, cls = prefix + node.name + ".", prefix + node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs[prefix + node.name] = (node, [prefix + node.name + "."] + scopes, cls)
+            prefix, scopes = prefix + node.name + ".", [prefix + node.name + "."] + scopes
+        todo += [(child, prefix, scopes, cls) for child in ast.iter_child_nodes(node)]
+    refs = {}
+    for qual, (node, scopes, cls) in defs.items():
+        refs[qual] = set()
+        body = list(ast.iter_child_nodes(node))
+        while body:
+            sub = body.pop()
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            body += ast.iter_child_nodes(sub)
+            name = None
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                name = next((s + sub.id for s in scopes if s + sub.id in defs), None)
+            elif isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) == "self":
+                name = f"{cls}.{sub.attr}"
+            if name in defs:
+                refs[qual].add(name)
+    return refs
+
+
+def self_calling_functions(src=SRC):
+    """Qualified names (module.f, module.f.inner, module.Class.method) of the
+    functions in src that call themselves, directly or through other
+    functions of their module: those that reach themselves along
+    ``_references``."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        refs = _references(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        for qual in refs:
+            seen, todo = set(), list(refs[qual])
+            while todo:
+                callee = todo.pop()
+                if callee not in seen:
+                    seen.add(callee)
+                    todo += refs[callee]
+            if qual in seen:
+                found.add(f"{path.stem}.{qual}")
+    return found
+
+
+def test_no_function_calls_itself_unbounded():
+    assert sorted(self_calling_functions() - SELF_CALLING.keys()) == []
+
+
+def test_self_calling_allowlist_names_only_self_calling_code():
+    assert sorted(SELF_CALLING.keys() - self_calling_functions()) == []
+
+
+def test_the_recursion_guard_sees_self_calls(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def direct(n):\n"
+        "    return direct(n - 1) if n else 0\n"
+        "def ping(n):\n"
+        "    return pong(n)\n"
+        "def pong(n):\n"
+        "    return ping(n - 1) if n else 0\n"
+        "def walk_all(xs):\n"
+        "    return list(map(walk_all, xs))\n"
+        "def caller():\n"
+        "    return direct(3) + (lambda: direct(2))()\n"
+        "def outer(tree):\n"
+        "    def walk(x):\n"
+        "        return [walk(y) for y in x]\n"
+        "    return walk(tree)\n"
+        "def run(box):\n"
+        "    return box.depth(2)\n"
+        "class Tree:\n"
+        "    def depth(self, n):\n"
+        "        return self.depth(n - 1) if n else 0\n"
+        "    def size(self):\n"
+        "        return 1 + sum(kid.size() for kid in self.kids)\n"
+        "    def run(self):\n"
+        "        return run(self)\n",
+        encoding="utf-8",
+    )
+    assert self_calling_functions(tmp_path) == {
+        "mod.direct", "mod.ping", "mod.pong", "mod.walk_all", "mod.outer.walk", "mod.Tree.depth",
+    }

@@ -10,8 +10,8 @@ The corpus covers the canonical builder specs, the CLI's selftest and
 class rows, the bench's class-sweep rows, the specs the other tests parse,
 and the separators, spacing and closers the grammar allows; the bad specs
 cover empty tokens, mismatched closers, unbalanced parentheses, wrong
-arity, non-ASCII digits, trash-ext of an infinite language and trailing
-input.  Grammar-file specs read ``anbn.cfg`` from the working directory,
+arity, non-ASCII digits, trash-ext of an infinite language, trailing
+input and combinators nested past the bound.  Grammar-file specs read ``anbn.cfg`` from the working directory,
 which the fixture writes."""
 
 import hashlib
@@ -348,6 +348,12 @@ BAD = {
     ),
     "re:2": ("FormatError", "bad regex character '2' (at offset 0)", 0),
     "re:0**(": ("FormatError", "empty regex branch (use 'e' for the empty word) (at offset 4)", 4),
+    # nesting past the bound, at the combinator that crosses it
+    "not(" * 101 + "wrep" + ")" * 101: (
+        "FormatError",
+        "bad language spec: combinators nest more than 100 deep (at offset 400)",
+        400,
+    ),
 }
 
 
