@@ -124,10 +124,19 @@ class Graph:
         )
 
     def relabel(self, mapping) -> "Graph":
-        return Graph(
-            [mapping[v] for v in self.vertices],
-            [(mapping[u], mapping[v]) for u, v in self.edges],
-        )
+        """The graph with each vertex v renamed mapping[v]; mapping must
+        send the vertices to distinct names."""
+        images = {}
+        for v in self.vertices:
+            if v not in mapping:
+                raise ValueError(f"relabel mapping misses vertex {v!r}")
+            image = mapping[v]
+            if image in images:
+                raise ValueError(
+                    f"relabel mapping sends {images[image]!r} and {v!r} both to {image!r}"
+                )
+            images[image] = v
+        return Graph(images, [(mapping[u], mapping[v]) for u, v in self.edges])
 
     def add_twin(self, v, new, *, true_twin: bool) -> "Graph":
         """Add ``new`` with the same neighborhood as v; a true twin is also
@@ -273,9 +282,11 @@ def graph_from_json(text: str) -> Graph:
         raise FormatError("'vertices' must be a list of strings")
     if len(set(vertices)) != len(vertices):
         raise FormatError("duplicate vertex in graph JSON")
+    if not isinstance(edges, list):
+        raise FormatError("'edges' must be a list of vertex pairs")
     pairs = []
     for e in edges:
-        if not isinstance(e, list) or len(e) != 2:
+        if not isinstance(e, list) or len(e) != 2 or not all(isinstance(v, str) for v in e):
             raise FormatError(f"bad edge entry {e!r}")
         pairs.append((e[0], e[1]))
     return _read_graph(vertices, pairs)

@@ -2,11 +2,12 @@
 from one canonical labeling: individualization-refinement (McKay & Piperno,
 "Practical graph isomorphism II", 2014).
 
-Colour refinement splits the degree cells until the partition is equitable;
-the search then individualizes each vertex of the first smallest
-non-singleton cell in turn.  A discrete partition is a leaf, whose form is
-the relabeled adjacency; the canonical form is the greatest leaf form.  Two
-facts keep this exact:
+Colour refinement splits the degree cells until the partition is equitable
+(``_equitable``; refining the unit partition splits it by degree first, so
+it starts there); the search then individualizes each vertex of the first
+smallest non-singleton cell in turn.  A discrete partition is a leaf, whose
+form is the relabeled adjacency; the canonical form is the greatest leaf
+form.  Two facts keep this exact:
 
 - The twin skip is sound.  A vertex whose twin (same open or same closed
   neighbourhood) in the cell was already tried is skipped: swapping twins
@@ -27,8 +28,8 @@ refinement is one class of twins (same open, or same closed,
 neighbourhoods), since then the twin swaps generate Aut(g) alone.
 
 Enumeration keeps the first augmentation with each canonical form (McKay,
-"Isomorph-free exhaustive generation", J. Algorithms 1998), and canonicalizes
-one new neighbourhood per orbit of the parent's automorphism group.  An
+"Isomorph-free exhaustive generation", J. Algorithms 1998), and walks one
+new neighbourhood per orbit of the parent's automorphism group.  An
 automorphism of the parent, extended to fix the new vertex, is an
 isomorphism between the augmentations by a neighbourhood and by its image,
 so an orbit shares one form.  The neighbourhoods are walked in ascending
@@ -36,12 +37,20 @@ order, and each orbit's least one comes first; for each form, the first
 augmentation met is the one the walk over every neighbourhood would keep,
 so the representatives and their order do not depend on the orbits.  That
 needs only that each generator is an automorphism: generators that miss
-part of Aut(g) leave more, smaller orbits, and only cost canonical forms.
+part of Aut(g) leave more, smaller orbits, and only cost work.
 An augmentation in which some old vertex has a higher degree than the new
-one is not canonicalized at all.  Deleting that vertex leaves a parent with
-fewer edges, and the parents are walked by size first, so that parent came
-earlier and its walk kept this form already.  The kept forms, and the
-augmentation each keeps, are the same as without the skip.
+one is skipped.  Deleting that vertex leaves a parent with fewer edges, and
+the parents are walked by size first, so that parent came earlier and its
+walk kept this form already.  The kept forms, and the augmentation each
+keeps, are the same as without the skip.
+Refinement comes before canonical labeling.  Each augmentation not skipped
+is refined once and keyed by the quotient of its equitable partition (each
+cell's size and neighbour counts in every cell, in cell order).  Refinement
+commutes with relabeling, so isomorphic augmentations have equal quotients.
+An augmentation whose quotient no other refined one shares is the only
+refined member of its class, so it is the one kept, without a canonical
+form.  Only augmentations with a shared quotient are canonicalized, in walk
+order, so each class keeps the same augmentation as when all are.
 Nothing here uses the language machinery, so it can cross-validate it.
 Sizes are capped: isomorphism and automorphisms at order 10, enumeration at
 order 7.
@@ -83,11 +92,29 @@ def _refine(adj, cells):
         cells = out
 
 
+def _equitable(adj):
+    """The refinement of the unit partition, ``_refine(adj, [all vertices])``.
+    That call's first round splits the vertices by degree, in ascending
+    order, so this starts from those cells and skips the round."""
+    cells: dict = {}
+    for v, m in enumerate(adj):
+        cells.setdefault(m.bit_count(), []).append(v)
+    return _refine(adj, [cells[d] for d in sorted(cells)])
+
+
+def _quotient(adj, cells) -> tuple:
+    """The quotient of the equitable partition cells: each cell's size and
+    its vertices' neighbour counts in every cell, in cell order.  Refinement
+    commutes with relabeling, so isomorphic graphs have equal quotients."""
+    masks = [sum([1 << v for v in cell]) for cell in cells]
+    return tuple((len(c), tuple([(adj[c[0]] & m).bit_count() for m in masks])) for c in cells)
+
+
 def _canon(adj, cells=None):
     """(canonical form, a vertex order giving it, |Aut|, the orders of the
     later leaves with that form) of the graph with int adjacency masks adj;
     the form is adj relabeled by the first order.  cells, when given, is
-    the refinement of the unit partition, already computed by the caller."""
+    ``_equitable(adj)``, already computed by the caller."""
     closed = [m | 1 << v for v, m in enumerate(adj)]
     best = [(), None, 0, []]
 
@@ -113,7 +140,7 @@ def _canon(adj, cells=None):
             visit(_refine(adj, cells[:i] + split + cells[i + 1:]), weight * size)
 
     if cells is None:
-        cells = _refine(adj, [list(range(len(adj)))])
+        cells = _equitable(adj)
     visit(cells, 1)
     return tuple(best)
 
@@ -146,7 +173,7 @@ def automorphisms(g: Graph) -> list:
     if g.order > ISO_ORDER_CAP:
         raise CapacityError(f"automorphisms capped at order {ISO_ORDER_CAP}")
     adj = _masks(g)
-    cells = _refine(adj, [list(range(g.order))])
+    cells = _equitable(adj)
     if all(len({adj[v] for v in c}) == 1 or len({adj[v] | 1 << v for v in c}) == 1
            for c in cells):
         return []
@@ -227,12 +254,16 @@ def enumerate_graphs(n: int):
     augmentation of an (n-1)-representative, by one vertex over every
     neighborhood, with each canonical form.  Only the least neighbourhood
     of each orbit of the parent's automorphisms (``automorphisms`` and the
-    twin swaps) is canonicalized: its orbit shares its form, and it is the
-    first of its orbit in the walk, so the result is the same as when every
+    twin swaps) is tried: its orbit shares its form, and it is the first
+    of its orbit in the walk, so the result is the same as when every
     neighbourhood is.  That holds for any set of automorphisms as
-    generators.  Nor is a neighbourhood canonicalized when an old vertex
-    then has a higher degree than the new one: deleting that vertex gives
-    a parent with fewer edges, walked earlier, whose walk kept the form."""
+    generators.  A neighbourhood is skipped when an old vertex then has a
+    higher degree than the new one: deleting that vertex gives a parent
+    with fewer edges, walked earlier, whose walk kept the form.  The rest
+    are refined first and keyed by quotient; only those whose quotient
+    another one shares are canonicalized.  Isomorphic augmentations have
+    equal quotients, so one alone with its quotient is the only one tried
+    in its class, and the one the walk keeps."""
     if n < 1:
         raise ValueError("order must be positive")
     if n > ENUM_ORDER_CAP:
@@ -242,22 +273,33 @@ def enumerate_graphs(n: int):
     if n == 1:
         result = [Graph(["v1"])]
     else:
-        kept: dict = {}
+        walked: dict = {}  # quotient -> its augmentations, in walk order
         for g in enumerate_graphs(n - 1):
             base = _masks(g)
             for bits in _orbit_minima(n - 1, automorphisms(g) + _twin_swaps(base)):
                 adj = [m | (bits >> i & 1) << (n - 1) for i, m in enumerate(base)]
                 if max(m.bit_count() for m in adj) > bits.bit_count():
                     continue  # an earlier parent with fewer edges kept its form
-                kept.setdefault(_canon(adj + [bits])[0], (g, bits))
+                adj.append(bits)
+                cells = _equitable(adj)
+                walked.setdefault(_quotient(adj, cells), []).append((g, bits, adj, cells))
+        kept = []
+        for same in walked.values():
+            if len(same) == 1:  # a quotient met once is a class of its own
+                kept.append(same[0][:2])
+                continue
+            forms: dict = {}
+            for g, bits, adj, cells in same:
+                forms.setdefault(_canon(adj, cells)[0], (g, bits))
+            kept += forms.values()
         new = f"v{n}"
-        result = [
-            Graph(
-                g.vertices + (new,),
-                list(g.edges) + [(new, v) for i, v in enumerate(g.vertices) if bits >> i & 1],
-            )
-            for g, bits in kept.values()
-        ]
+        result = []
+        for g, bits in kept:
+            # the parts Graph() would make: vertices in token order, each
+            # edge ascending
+            added = [(v, new) if v < new else (new, v)
+                     for i, v in enumerate(g.vertices) if bits >> i & 1]
+            result.append(Graph._frozen(tuple(sorted(g.vertices + (new,))), list(g.edges) + added))
         # size first: the degree skip above needs each parent with fewer
         # edges walked before those with more
         result.sort(key=lambda g: (g.size, sorted(g.edges)))

@@ -325,6 +325,15 @@ def test_missing_graph_file(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("edges", ["5", "null", '[["a", ["b"]]]'])
+def test_encode_of_graph_json_with_malformed_edges_is_a_usage_error(capsys, tmp_path, edges):
+    path = tmp_path / "g.json"
+    path.write_text('{"vertices": ["a", "b"], "edges": %s}' % edges)
+    code, out, err = run_cli(capsys, "encode", "--graph", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # --- installed entry point --------------------------------------------------
 
 
