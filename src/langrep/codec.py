@@ -16,10 +16,12 @@ graph itself.
 The codec works on vertex indices from the adjacency to the packed bits
 and back.  ``encode`` builds each block as a list of indices, then the
 word from the blocks; ``copy_word`` uses the same two steps.  A name
-length below 0x80 is a one-byte varint, which the name table is written
-and read with inline, outside the varint loop.  An ASCII name table is
-decoded once and its names checked in bulk; a table that fails any check
-is read again name by name, to report the first fault where it lies.
+length below 0x80 is a one-byte varint, so a table whose names are ASCII
+and each below 0x80 characters is ASCII throughout: ``encode`` writes it
+with one join, and ``decode`` reads it once and checks its names in bulk.
+Any other table is written name by name, each length a varint.  A table
+that fails any check is read again name by name, to report the first
+fault where it lies.
 
 Symbols are packed and unpacked ``_FIELDS`` at a time as big ints.  A
 chunk of f fixed-width fields is whole bytes, read with one int
@@ -39,12 +41,15 @@ identity), so a repeated query on identical bytes is a lookup, and a
 bytearray changed in place is read afresh.  A payload that raises is not
 kept, so it raises again on every call.  The copy-word check finds each
 block's doubled terminator, tests in one big-int pass over the first
-half that every block ascends, and compares the word with the copy word
-rebuilt from its blocks.  Each block is kept, once, as its ascending
-index list, which ``adjacent`` bisects and from which ``decode_word``
-rebuilds the word.  ``decode`` freezes its graph straight from the
-validated blocks, with no adjacency: the graph builds that on its first
-neighbour query.  The names were checked once, while the table was read.
+half that every block ascends, and compares the second half with the one
+the blocks give (``_second_half``, which ``_copy_symbols`` writes too).
+The blocks are slices of the first half, so it matches them by
+construction and is not rebuilt.  Each block is kept, once, as its
+ascending index list, which ``adjacent`` bisects and from which
+``decode_word`` rebuilds the word.  ``decode`` freezes its graph straight
+from the validated blocks, with no adjacency: the graph builds that on
+its first neighbour query.  The names were checked once, while the table
+was read.
 """
 
 from __future__ import annotations
@@ -131,18 +136,23 @@ def _copy_blocks(g: Graph, complement: bool = False) -> list:
 
 def _copy_symbols(blocks: list) -> list:
     """The copy word of the blocks as vertex indices: per block i, the
-    block then i i in the first half, i, the block, i in the second."""
-    first = []
-    second = []
+    block then i i in the first half, then the ``_second_half``."""
+    word = []
     for i, block in enumerate(blocks):
-        first += block
-        first.append(i)
-        first.append(i)
-        second.append(i)
-        second += block
-        second.append(i)
-    first += second
-    return first
+        word += block
+        word.append(i)
+        word.append(i)
+    _second_half(word, blocks)
+    return word
+
+
+def _second_half(out: list, blocks: list) -> None:
+    """Append the copy word's second half to out: per block i, i, the
+    block, i."""
+    for i, block in enumerate(blocks):
+        out.append(i)
+        out += block
+        out.append(i)
 
 
 def copy_word(g: Graph, complement: bool = False) -> list:
@@ -228,13 +238,27 @@ def encode(g: Graph, mode: str = "sparse", include_names: bool = True) -> bytes:
     _write_varint(out, len(word))
     out += _pack(word, _width(n))
     if include_names:
-        for v in g.vertices:
-            raw = str(v).encode("utf-8")
-            if len(raw) < 0x80:  # a one-byte varint
-                out.append(len(raw))
-            else:
-                _write_varint(out, len(raw))
-            out += raw
+        out += _name_table(g.vertices)
+    return bytes(out)
+
+
+def _name_table(names) -> bytes:
+    """Per name, its UTF-8 byte length as a varint, then those bytes.  When
+    every name is ASCII and below 0x80 characters, each length is one ASCII
+    byte, and the table is one join; a longer name gives a non-ASCII length
+    character, so one isascii() test sees both."""
+    try:
+        table = "".join([chr(len(v)) + v for v in names])
+    except ValueError:  # chr refuses a length of 0x110000 or more
+        pass
+    else:
+        if table.isascii():
+            return table.encode("ascii")
+    out = bytearray()
+    for v in names:
+        raw = v.encode("utf-8")
+        _write_varint(out, len(raw))
+        out += raw
     return bytes(out)
 
 
@@ -401,7 +425,7 @@ def _parse_copy_blocks(word, n, offset):
     # first half: block_i (ascending earlier listings, then i) then a lone i;
     # second half: lone i then block_i.  Find each block's doubled
     # terminator, check in one pass over the first half that the blocks
-    # ascend, then demand the word is the copy word of its blocks.  Of
+    # ascend, then demand the second half is the one the blocks give.  Of
     # several faults, the one of the first faulty block is raised.
     if len(word) % 2:
         raise FormatError("copy word has odd length", offset=offset)
@@ -437,7 +461,10 @@ def _parse_copy_blocks(word, n, offset):
             raise FormatError(f"block of vertex {i} lists bad vertices", offset=offset)
     if fault:
         raise FormatError(fault, offset=offset)
-    if _copy_symbols(blocks) != word:
+    # the first half is the blocks by construction; the second must follow
+    second = []
+    _second_half(second, blocks)
+    if second != word[half:]:
         raise FormatError("copy word second half is inconsistent", offset=offset)
     return blocks
 

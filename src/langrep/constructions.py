@@ -76,12 +76,20 @@ def _bipartition_or_error(g: Graph, tag: str):
 def build_palindrome(g: Graph) -> VertexWord:
     """Nested-palindrome word: w_1 = v_1 v_1, and each later vertex wraps the
     previous word as v u w v u^R with u its earlier non-neighbors ascending."""
-    vs = list(g.vertices)
-    word = [vs[0], vs[0]]
-    for i, v in enumerate(vs[1:], start=1):
-        u = [x for x in vs[:i] if not g.has_edge(v, x)]
-        word = [v] + u + word + [v] + list(reversed(u))
-    return _verify(word, "palindrome", g)
+    vs = g.vertices
+    # w_n = v_n u_n ... v_2 u_2 v_1 v_1 v_2 u_2^R ... v_n u_n^R; the right
+    # part is the reverse of u_n v_n ... u_2 v_2
+    left, back = [], []
+    for i in range(len(vs) - 1, 0, -1):
+        v = vs[i]
+        hood = g.neighbors(v)
+        u = [x for x in vs[:i] if x not in hood]
+        left.append(v)
+        left += u
+        back += u
+        back.append(v)
+    back.reverse()
+    return _verify(left + [vs[0], vs[0]] + back, "palindrome", g)
 
 
 def build_copy(g: Graph) -> VertexWord:
@@ -111,8 +119,9 @@ def build_lyndon(g: Graph) -> VertexWord:
         word += [v, v, v]
     for i, v in enumerate(vs):
         tail = vs[i:]
-        x = [u for u in vs[i + 1:] if g.has_edge(v, u)]
-        y = [u for u in vs[i + 1:] if not g.has_edge(v, u)]
+        hood = g.neighbors(v)
+        x = [u for u in tail[1:] if u in hood]
+        y = [u for u in tail[1:] if u not in hood]
         word += tail + tail + [v, v] + x + [v, v] + y
     return _verify(word, "lyndon", g)
 

@@ -340,24 +340,33 @@ def _run_order(side, hoods):
     is consecutive, or None.  A prefix search: a neighborhood that has
     started and not finished must take the next vertex, so the placed set
     alone decides whether a prefix can be finished, and a placed set that
-    failed is not tried again."""
-    failed = set()
+    failed is not tried again.  The search runs on an explicit stack: per
+    placed prefix, its placed set and its untried next vertices."""
 
-    def extend(order, placed):
-        if len(order) == len(side):
-            return order
-        if placed in failed:
-            return None
+    def nexts(placed):
         open_hoods = [h for h in hoods if h & placed and not h <= placed]
-        for x in side:
-            if x not in placed and all(x in h for h in open_hoods):
-                got = extend(order + [x], placed | {x})
-                if got is not None:
-                    return got
-        failed.add(placed)
-        return None
+        return (x for x in side if x not in placed and all(x in h for h in open_hoods))
 
-    return extend([], frozenset())
+    if not side:
+        return []
+    failed = set()
+    order = []  # the vertices of every frame but the first
+    stack = [(frozenset(), nexts(frozenset()))]
+    while stack:
+        placed, untried = stack[-1]
+        x = next(untried, None)
+        if x is None:
+            failed.add(placed)
+            stack.pop()
+            del order[-1:]
+            continue
+        grown = placed | {x}
+        if len(grown) == len(side):
+            return order + [x]
+        if grown not in failed:
+            order.append(x)
+            stack.append((grown, nexts(grown)))
+    return None
 
 
 def is_convex(g: Graph) -> bool:

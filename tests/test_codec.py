@@ -603,6 +603,32 @@ def test_ascii_name_tables_read_as_the_per_name_reader_does(monkeypatch, table):
     assert outcome() == bulk
 
 
+def _names_one_by_one(names):
+    """The name table as a per-name writer gives it: a varint byte length,
+    then the UTF-8 bytes."""
+    out = bytearray()
+    for v in names:
+        raw = v.encode("utf-8")
+        _write_varint(out, len(raw))
+        out += raw
+    return bytes(out)
+
+
+@pytest.mark.parametrize("name", [
+    "a" * 127,  # the longest one-byte length
+    "a" * 128,  # a two-byte length
+    "\u00e9",  # not ASCII
+    "\u00e9" * 64,  # 64 characters in 128 UTF-8 bytes
+    "\u00e9" * 100,
+    "a" * 0x110000,  # a length chr refuses
+], ids=["ascii-127", "ascii-128", "e-acute", "utf8-128-bytes", "utf8-200-bytes", "ascii-0x110000"])
+def test_name_tables_match_the_per_name_writer(name):
+    for g in (Graph([name]), Graph(["b", name, "c"], [("b", name), (name, "c")])):
+        blob = encode(g)
+        assert blob == encode(g, include_names=False) + _names_one_by_one(g.vertices)
+        assert decode(blob) == g
+
+
 def test_garbled_word_structure():
     # decode must say so rather than guess
     with pytest.raises(FormatError):
@@ -699,3 +725,28 @@ def test_block_faults_name_the_block_at_the_payload_start(word, message):
             read(blob)
         assert str(err.value).startswith(message)
         assert err.value.offset == len(MAGIC) + 3
+
+
+@pytest.mark.parametrize("mode", ["sparse", "dense"])
+def test_a_changed_second_half_symbol_is_inconsistent(mode):
+    # one second-half symbol set to another index below n: the first half,
+    # the symbol width and the padding are as encoded, so only the
+    # second-half check can reject the payload
+    rng = random.Random(3535)
+    for n in (2, 3, 9, 40, 300):
+        g = _seeded_graph(rng, n, rng.randrange(n * (n - 1) // 2 + 1))
+        blob = encode(g, mode)
+        n, pos = codec._read_varint(blob, 5)
+        count, start = codec._read_varint(blob, pos)
+        size = (count * codec._width(n) + 7) // 8
+        word = _unpack(blob, start, count, n)
+        k = rng.randrange(count // 2, count)
+        word[k] = rng.choice([i for i in range(n) if i != word[k]])
+        bad = blob[:start] + _pack(word, codec._width(n)) + blob[start + size:]
+        assert len(bad) == len(blob)
+        u, v = g.vertices[:2]
+        for read in (decode, decode_word, lambda b: adjacent(b, u, v)):
+            with pytest.raises(FormatError) as err:
+                read(bad)
+            assert str(err.value).startswith("copy word second half is inconsistent")
+            assert err.value.offset == start

@@ -314,3 +314,34 @@ def test_universal_builders_meet_their_length_laws(n, p):
     word = build_palindrome(g.complement())
     assert len(word) == 2 * n + 2 * m
     assert evaluate(word, parse_language("not(palindrome)")) == g
+
+
+def _palindrome_by_pairs(g):
+    # the nested build, one has_edge per pair and one rebuilt word per vertex
+    vs = list(g.vertices)
+    word = [vs[0], vs[0]]
+    for i, v in enumerate(vs[1:], start=1):
+        u = [x for x in vs[:i] if not g.has_edge(v, x)]
+        word = [v] + u + word + [v] + list(reversed(u))
+    return tuple(word)
+
+
+def _lyndon_by_pairs(g):
+    vs = list(g.vertices)
+    word = []
+    for v in vs:
+        word += [v, v, v]
+    for i, v in enumerate(vs):
+        tail = vs[i:]
+        x = [u for u in vs[i + 1:] if g.has_edge(v, u)]
+        y = [u for u in vs[i + 1:] if not g.has_edge(v, u)]
+        word += tail + tail + [v, v] + x + [v, v] + y
+    return tuple(word)
+
+
+def test_palindrome_and_lyndon_words_match_the_per_pair_builds():
+    graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    graphs += [gnp(n, p, seed=3500 + n) for n in (12, 30) for p in (0, 0.3, 1)]
+    for g in graphs:
+        assert build_palindrome(g).letters == _palindrome_by_pairs(g)
+        assert build_lyndon(g).letters == _lyndon_by_pairs(g)

@@ -1,11 +1,12 @@
 """Oracle witnesses against the searches they replaced.
 
 The references below are the earlier routines, kept as they were:
-the recursive transitive orientation, the interval event search over every
-vertex, and the bipartite models that tried every 2-coloring (each
-component flipped both ways).  On every graph of order at most 7 and on its
-complement the current oracles must give the same verdicts, and the same
-models wherever the change leaves the model alone."""
+the recursive transitive orientation, the recursive convex prefix search,
+the interval event search over every vertex, and the bipartite models that
+tried every 2-coloring (each component flipped both ways).  On every graph
+of order at most 7 and on its complement the current oracles must give the
+same verdicts, and the same models wherever the change leaves the model
+alone."""
 
 import itertools
 import random
@@ -22,7 +23,7 @@ from langrep.constructions import (
     build_permutation,
 )
 from langrep.errors import BuildError
-from langrep.graphs import Graph, complete_bipartite, cycle_graph
+from langrep.graphs import Graph, complete_bipartite, cycle_graph, path_graph
 from langrep.isomorphism import enumerate_graphs
 
 
@@ -196,6 +197,28 @@ def _convex_ordering_over_colorings(g):
     return None
 
 
+def _recursive_run_order(side, hoods):
+    """The prefix search of ``oracles._run_order``, one recursion level per
+    placed vertex."""
+    failed = set()
+
+    def extend(order, placed):
+        if len(order) == len(side):
+            return order
+        if placed in failed:
+            return None
+        open_hoods = [h for h in hoods if h & placed and not h <= placed]
+        for x in side:
+            if x not in placed and all(x in h for h in open_hoods):
+                got = extend(order + [x], placed | {x})
+                if got is not None:
+                    return got
+        failed.add(placed)
+        return None
+
+    return extend([], frozenset())
+
+
 # --- differential tests -----------------------------------------------------
 
 
@@ -235,6 +258,15 @@ def test_convex_ordering_matches_the_search_over_colorings():
             assert got == ref
         if got is not None:
             build_convex(g)  # raises unless the word represents g
+
+
+def test_convex_ordering_matches_the_recursive_run_order(monkeypatch):
+    bipartite = [g for g in _graphs_and_complements() if g.bipartition() is not None]
+    got = [oracles.convex_ordering(g) for g in bipartite]
+    monkeypatch.setattr(oracles, "_run_order", _recursive_run_order)
+    assert [oracles.convex_ordering(g) for g in bipartite] == got
+    # both verdicts occur, so the orderings themselves are compared
+    assert None in got and sum(order is not None for order in got) > 100
 
 
 def test_permutation_builder_without_pi_covers_every_permutation_graph():
@@ -279,6 +311,11 @@ def test_comparability_of_k40_40_needs_no_deep_recursion():
     g = complete_bipartite(40, 40)
     assert _within(5.0, oracles.is_comparability, g)
     _within(5.0, build_comparability, g)  # raises unless the word represents g
+
+
+def test_convexity_of_a_long_path_needs_no_deep_recursion():
+    # the recursive prefix search raised RecursionError here
+    assert _within(5.0, oracles.is_convex, path_graph(2100))
 
 
 def test_bipartite_builders_reject_c6_with_ten_isolated_vertices_quickly():

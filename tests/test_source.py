@@ -161,9 +161,6 @@ SELF_CALLING = {
     "oracles.circle_chord_word.rec":
         "is_circle(null_graph(600)) raises RecursionError; the polynomial circle "
         "routine of the ROADMAP replaces it",
-    "oracles._run_order.extend":
-        "is_convex(path_graph(2100)) raises RecursionError; a consecutive-ones test, "
-        "beside the ROADMAP's interval item, would replace it",
 }
 
 
